@@ -8,6 +8,7 @@ changes timing only, never bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -22,6 +23,13 @@ class UsageError(Exception):
 
 class ResourceError(Exception):
     """Requested scale is infeasible for exact enumeration."""
+
+
+# Largest weight space `cb` computes a basis family of.  N=6 +++--- at weight
+# 0 (996 vectors) fits and takes about 12 s per family on a 2-vCPU VM; the
+# time grows faster than the square of the size, so N=10 +++--- at weight 0
+# (5140 vectors) would take tens of minutes.
+CB_MAX_VECTORS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,8 +251,12 @@ def cmd_center(args) -> int:
 
 def cmd_cb(args) -> int:
     top, bottom = parse_key(args.key)
-    if args.N ** (len(top) + len(bottom)) > 10**6:
-        raise ResourceError("weight-space enumeration too large; lower N or the key length")
+    signs = "+" * len(top) + "-" * len(bottom)
+    keys = qcanon._weight_space_keys(args.N, signs, qcanon._key_weight(signs, top + bottom))
+    if sum(1 for _ in itertools.islice(keys, CB_MAX_VECTORS + 1)) > CB_MAX_VECTORS:
+        raise ResourceError(
+            f"weight space has more than {CB_MAX_VECTORS} vectors; lower N or the key length"
+        )
     fn = qcanon.dual_canonical if args.basis == "dual" else qcanon.canonical
     vec = fn(args.N, top, bottom)
     if args.pair_with is not None:

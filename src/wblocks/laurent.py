@@ -26,7 +26,8 @@ class LaurentQ:
     """A Laurent polynomial sum c_e q^e, stored sparsely as {e: c}.
 
     Values are immutable by convention: no method mutates self, and the
-    coefficient dict must not be modified by callers.
+    coefficient dict must not be modified by callers; qcanon._acc writes
+    only to dicts it created, never to a live coeffs.
     """
 
     __slots__ = ("coeffs",)

@@ -7,6 +7,7 @@ evaluations of the canonical-basis pairing.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 
 from .combinat import Composition
@@ -15,6 +16,33 @@ from . import cache as _cache
 
 # q - q^{-1}, used throughout the R-matrix formulas
 _QDIFF = LaurentQ({1: 1, -1: -1})
+
+
+def _acc(acc: dict, terms, b: dict):
+    """acc[key] += a * b for each (key, a) in terms, on raw coefficient dicts
+    {exponent: int}, dropping zero coefficients and keys whose coefficient
+    cancels to zero.
+
+    Every TensorVec builder accumulates through it.  It mutates only acc and
+    the dicts acc holds, which the caller must have created itself; a and b
+    are only read, so they may be the coefficients of live LaurentQ values.
+    A dict is wrapped in a LaurentQ only once nothing writes to it any more.
+    """
+    b = b.items()
+    for key, a in terms:
+        cur = acc.get(key)
+        if cur is None:
+            cur = acc[key] = {}
+        for ea, ca in a.items():
+            for eb, cb in b:
+                e = ea + eb
+                s = cur.get(e, 0) + ca * cb
+                if s:
+                    cur[e] = s
+                else:
+                    del cur[e]
+        if not cur:
+            del acc[key]
 
 
 class TensorVec:
@@ -42,6 +70,14 @@ class TensorVec:
     def unit(cls, N: int, signs: str, key) -> "TensorVec":
         return cls(N, signs, {tuple(key): ONE})
 
+    @classmethod
+    def _from_raw(cls, N: int, signs: str, raw: dict) -> "TensorVec":
+        """Wrap {key: coeff-dict} as built by _acc (no zeros), taking
+        ownership of the dicts."""
+        v = cls(N, signs)
+        v.terms = {k: LaurentQ._raw(c) for k, c in raw.items()}
+        return v
+
     def _check(self, other: "TensorVec"):
         if self.N != other.N or self.signs != other.signs:
             raise ValueError("tensor shapes differ")
@@ -55,20 +91,16 @@ class TensorVec:
         return NotImplemented
 
     def __add__(self, other: "TensorVec") -> "TensorVec":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        v = TensorVec(self.N, self.signs)
-        v.terms = out
-        return v
+        return self._plus(other, {0: 1})
 
     def __sub__(self, other: "TensorVec") -> "TensorVec":
-        return self + other.scaled(LaurentQ(-1))
+        return self._plus(other, {0: -1})
+
+    def _plus(self, other: "TensorVec", sign: dict) -> "TensorVec":
+        self._check(other)
+        acc = {k: dict(c.coeffs) for k, c in self.terms.items()}
+        _acc(acc, ((k, c.coeffs) for k, c in other.terms.items()), sign)
+        return TensorVec._from_raw(self.N, self.signs, acc)
 
     def scaled(self, c) -> "TensorVec":
         if isinstance(c, int):
@@ -145,13 +177,13 @@ def act_gen(gen: str, i: int, v: TensorVec) -> TensorVec:
     if not 1 <= i < N:
         raise ValueError(f"generator index {i} out of range 1..{N - 1}")
     k = len(signs)
-    out = TensorVec(N, signs)
+    acc: dict = {}
     if gen in ("K", "Kinv"):
         sgn = 1 if gen == "K" else -1
         for key, c in v.terms.items():
             e = sum(_slot_K_exp(signs[a], i, key[a]) for a in range(k))
-            out = out + TensorVec(N, signs, {key: c.shift(sgn * e)})
-        return out
+            _acc(acc, ((key, c.coeffs),), {sgn * e: 1})
+        return TensorVec._from_raw(N, signs, acc)
     if gen not in ("F", "E"):
         raise ValueError(f"unknown generator {gen!r}")
     for key, c in v.terms.items():
@@ -173,65 +205,68 @@ def act_gen(gen: str, i: int, v: TensorVec) -> TensorVec:
                 else:
                     continue
                 shift = -sum(_slot_K_exp(signs[b], i, key[b]) for b in range(a))
-            key2 = key[:a] + (new_j,) + key[a + 1 :]
-            out = out + TensorVec(N, signs, {key2: c.shift(shift)})
-    return out
+            _acc(acc, ((key[:a] + (new_j,) + key[a + 1 :], {shift: 1}),), c.coeffs)
+    return TensorVec._from_raw(N, signs, acc)
 
 
 # ---------------------------------------------------------------------------
 # R-matrix
 
 
-def _r_pair(N: int, s1: str, s2: str, i: int, j: int, inverse: bool):
-    """R (or R^{-1}) on v_i^{s1} x v_j^{s2}: list of ((jj, ii), coeff) with
-    the output living in V^{s2} x V^{s1}."""
+@lru_cache(maxsize=None)
+def _r_pair(N: int, s1: str, s2: str, i: int, j: int, inverse: bool) -> tuple:
+    """R (or R^{-1}) on v_i^{s1} x v_j^{s2}: tuple of ((jj, ii), coeff) with
+    the output living in V^{s2} x V^{s1} and both indices in [1, N].
+    Memoized: a pure function of its arguments, returning immutable values."""
     out = []
     if s1 == s2:
         if i == j:
             out.append(((j, i), LaurentQ({-1 if inverse else 1: 1})))
-            return out
+        else:
+            out.append(((j, i), ONE))
+            disorder = (i > j) if s1 == "+" else (i < j)
+            if not inverse and disorder:
+                out.append(((i, j), _QDIFF))
+            elif inverse and not disorder:
+                out.append(((i, j), _QDIFF * -1))
+    elif i != j:
         out.append(((j, i), ONE))
-        disorder = (i > j) if s1 == "+" else (i < j)
-        if not inverse and disorder:
-            out.append(((i, j), _QDIFF))
-        elif inverse and not disorder:
-            out.append(((i, j), _QDIFF * -1))
-        return out
-    # mixed signs
-    if i != j:
-        out.append(((j, i), ONE))
-        return out
-    out.append(((j, i), LaurentQ({1 if inverse else -1: 1})))
-    # the correction runs down the indices for (R on +-) and (R^{-1} on -+),
-    # up for the other two diagonal cases
-    down = (s1 == "+") != inverse
-    rng = range(1, i) if down else range(1, N - i + 1)
-    step = -1 if down else 1
-    for r in rng:
-        c = _QDIFF * ((-1) ** (r + 1) if not inverse else (-1) ** r)
-        c = c.shift(r if inverse else -r)
-        out.append(((j + step * r, i + step * r), c))
-    return out
+    else:
+        out.append(((j, i), LaurentQ({1 if inverse else -1: 1})))
+        # the correction runs down the indices for (R on +-) and (R^{-1} on
+        # -+), up for the other two diagonal cases
+        down = (s1 == "+") != inverse
+        rng = range(1, i) if down else range(1, N - i + 1)
+        step = -1 if down else 1
+        for r in rng:
+            c = _QDIFF * ((-1) ** (r + 1) if not inverse else (-1) ** r)
+            c = c.shift(r if inverse else -r)
+            out.append(((j + step * r, i + step * r), c))
+    return tuple((pair, c) for pair, c in out if 1 <= pair[0] <= N and 1 <= pair[1] <= N)
+
+
+def _r_step(N: int, signs: str, terms: dict, slot: int, inverse: bool):
+    """The R-matrix (or its inverse) at adjacent slots (slot, slot+1),
+    1-based, on raw terms {key: coeff-dict}.  Returns the new sign sequence
+    and fresh raw terms; the input terms are only read."""
+    k = len(signs)
+    if not 1 <= slot < k:
+        raise ValueError(f"slot {slot} out of range 1..{k - 1}")
+    a = slot - 1
+    s1, s2 = signs[a], signs[a + 1]
+    out: dict = {}
+    for key, c in terms.items():
+        pairs = _r_pair(N, s1, s2, key[a], key[a + 1], inverse)
+        _acc(out, [(key[:a] + pair + key[a + 2 :], rc.coeffs) for pair, rc in pairs], c)
+    return signs[:a] + s2 + s1 + signs[a + 2 :], out
 
 
 def r_apply(slot: int, v: TensorVec, inverse: bool = False) -> TensorVec:
     """Apply the R-matrix (or its inverse) at adjacent slots (slot, slot+1),
     1-based; the sign sequence is swapped at those slots."""
-    k = len(v.signs)
-    if not 1 <= slot < k:
-        raise ValueError(f"slot {slot} out of range 1..{k - 1}")
-    a = slot - 1
-    s1, s2 = v.signs[a], v.signs[a + 1]
-    new_signs = v.signs[:a] + s2 + s1 + v.signs[a + 2 :]
-    out = TensorVec(v.N, new_signs)
-    for key, c in v.terms.items():
-        i, j = key[a], key[a + 1]
-        for (jj, ii), rc in _r_pair(v.N, s1, s2, i, j, inverse):
-            if not (1 <= jj <= v.N and 1 <= ii <= v.N):
-                continue
-            key2 = key[:a] + (jj, ii) + key[a + 2 :]
-            out = out + TensorVec(v.N, new_signs, {key2: c * rc})
-    return out
+    raw = {key: c.coeffs for key, c in v.terms.items()}
+    new_signs, out = _r_step(v.N, v.signs, raw, slot, inverse)
+    return TensorVec._from_raw(v.N, new_signs, out)
 
 
 def _w0_word(k: int):
@@ -242,9 +277,9 @@ def _w0_word(k: int):
     return word
 
 
-def _psi_key(v_key, signs, N, inverse: bool, word=None) -> TensorVec:
+def _psi_key(v_key, signs, N, inverse: bool, word=None) -> dict:
     """R_{w0} (or its inverse version) applied to the reversed pure tensor,
-    with the q-prefactor from the pairwise form values."""
+    with the q-prefactor from the pairwise form values, as raw terms."""
     k = len(signs)
     e = 0
     for r in range(k):
@@ -255,31 +290,34 @@ def _psi_key(v_key, signs, N, inverse: bool, word=None) -> TensorVec:
                 e += sr * ss
     if word is None:
         word = _w0_word(k)
-    rev_signs = signs[::-1]
-    cur = TensorVec.unit(N, rev_signs, tuple(reversed(v_key)))
+    # the prefactor is a scalar, so it can ride along from the start
+    cur_signs = signs[::-1]
+    cur = {tuple(reversed(v_key)): {e if inverse else -e: 1}}
     for idx in reversed(word):
-        cur = r_apply(idx, cur, inverse=inverse)
-    if cur.signs != signs:
+        cur_signs, cur = _r_step(N, cur_signs, cur, idx, inverse)
+    if cur_signs != signs:
         raise AssertionError("reduced word did not restore the sign sequence")
-    return cur.scaled(LaurentQ({e if inverse else -e: 1}))
+    return cur
+
+
+def _bar(v: TensorVec, inverse: bool, word) -> TensorVec:
+    """Anti-linear extension of _psi_key: sum of bar(c) * psi(key)."""
+    acc: dict = {}
+    for key, c in v.terms.items():
+        _acc(acc, _psi_key(key, v.signs, v.N, inverse, word).items(), c.bar().coeffs)
+    return TensorVec._from_raw(v.N, v.signs, acc)
 
 
 def psi(v: TensorVec, word=None) -> TensorVec:
     """The bar involution compatible with bar on the quantum group
     (anti-linear; built from the R-matrix along a reduced word for w0)."""
-    out = TensorVec(v.N, v.signs)
-    for key, c in v.terms.items():
-        out = out + _psi_key(key, v.signs, v.N, inverse=False, word=word).scaled(c.bar())
-    return out
+    return _bar(v, False, word)
 
 
 def psi_star(v: TensorVec, word=None) -> TensorVec:
     """The adjoint bar involution with respect to the orthonormal-basis
     form (anti-linear; built from inverse R-matrices)."""
-    out = TensorVec(v.N, v.signs)
-    for key, c in v.terms.items():
-        out = out + _psi_key(key, v.signs, v.N, inverse=True, word=word).scaled(c.bar())
-    return out
+    return _bar(v, True, word)
 
 
 def pairing(v: TensorVec, w: TensorVec) -> LaurentQ:
@@ -321,10 +359,43 @@ def key_stat(signs: str, key) -> tuple:
     return (sum(key), ell, key)
 
 
+def _arrangements(items):
+    """Distinct orderings of a multiset, in lexicographic order."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
 def _weight_space_keys(N: int, signs: str, weight: tuple):
-    for key in itertools.product(range(1, N + 1), repeat=len(signs)):
-        if _key_weight(signs, key) == weight:
-            yield key
+    """Index tuples in [1, N]^k of one weight of a (+)^m (-)^n space.
+
+    A key of weight w has, for each index, top count = x + max(w, 0) and
+    bottom count = x + max(-w, 0) for a unique multiset x of size m minus
+    the positive part of w.  So each such x contributes every arrangement of
+    its top multiset times every arrangement of its bottom multiset, and no
+    candidate is generated only to be thrown away.
+    """
+    m, n = _split_signs(signs)
+    pos = [i for i, c in weight if c > 0 for _ in range(c)]
+    neg = [i for i, c in weight if c < 0 for _ in range(-c)]
+    free = m - len(pos)
+    if free < 0 or n - len(neg) != free or any(not 1 <= i <= N for i, _ in weight):
+        return
+    for x in itertools.combinations_with_replacement(range(1, N + 1), free):
+        bottoms = list(_arrangements(neg + list(x)))
+        for top in _arrangements(pos + list(x)):
+            for bottom in bottoms:
+                yield top + bottom
 
 
 _family_memo: dict = {}
@@ -353,37 +424,43 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
         _family_memo[memo_key] = family
         return family
 
+    # processing order: each key's correction terms lie on earlier keys, so
+    # the head of the remainder is always its key of largest rank
     keys = sorted(_weight_space_keys(N, signs, weight), key=lambda k: key_stat(signs, k))
     if not dual:
         keys.reverse()
+    rank = {key: i for i, key in enumerate(keys)}
     bar = psi_star if dual else psi
     family: dict = {}
+    raw: dict = {}  # key -> terms of family[key] as coeff dicts, read-only
     for key in keys:
-        c = TensorVec.unit(N, signs, key)
-        d = bar(c) - c
-        while not d.is_zero():
-            if dual:
-                head = max(d.terms, key=lambda k: key_stat(signs, k))
-            else:
-                head = min(d.terms, key=lambda k: key_stat(signs, k))
-            r = d.terms[head]
+        # c: the vector being built; d = bar(c) - c, reduced to zero
+        c = {key: {0: 1}}
+        d = {k2: dict(x.coeffs) for k2, x in bar(TensorVec.unit(N, signs, key)).terms.items()}
+        _acc(d, ((key, {0: 1}),), {0: -1})
+        while d:
+            head = max(d, key=rank.__getitem__)
+            r = LaurentQ(d[head])  # a copy: d[head] is still written below
             if not (r + r.bar()).is_zero():
                 raise ArithmeticError("non-triangular bar involution (internal bug)")
-            p = r.positive_part()
-            c = c + family[head].scaled(p)
-            d = d - family[head].scaled(r)
-        for k2, coeff in c.terms.items():
+            p = r.positive_part().coeffs
+            _acc(c, raw[head].items(), p)
+            _acc(d, raw[head].items(), (-r).coeffs)
+        vec = TensorVec._from_raw(N, signs, c)
+        for k2, coeff in vec.terms.items():
             if k2 != key and not coeff.in_q_zq():
                 raise ArithmeticError("basis coefficient not in qZ[q] (internal bug)")
-        family[key] = c
-    _cache.put(
-        request,
-        {
-            "family": [
-                {"key": list(k), "vec": vec.to_json()} for k, vec in sorted(family.items())
-            ]
-        },
-    )
+        family[key] = vec
+        raw[key] = c
+    if _cache.current_dir() is not None:
+        _cache.put(
+            request,
+            {
+                "family": [
+                    {"key": list(k), "vec": vec.to_json()} for k, vec in sorted(family.items())
+                ]
+            },
+        )
     _family_memo[memo_key] = family
     return family
 

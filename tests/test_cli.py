@@ -142,6 +142,17 @@ class TestExitCodes:
     def test_signs_mismatch(self):
         assert main(["cb", "--N", "2", "--signs", "--", "--key", "2;2"]) == 1
 
+    def test_cb_weight_space_too_large(self, capsys):
+        # N=10 +++--- at weight 0 has 5140 vectors
+        assert main(["cb", "--N", "10", "--signs", "+++---", "--key", "1,2,3;3,2,1"]) == 2
+        assert "ResourceError" in capsys.readouterr().err
+
+    def test_cb_weight_space_within_bound(self, capsys):
+        # N=4 +++--- at weight 0 has 256 vectors
+        assert main(["cb", "--N", "4", "--signs", "+++---", "--key", "1,2,3;3,2,1"]) == 0
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        assert {"key": [1, 2, 3, 3, 2, 1], "coeff": {"0": "1"}} in terms
+
     def test_verify_failure_exit_code(self):
         code = main(["verify", "--profile", "quick", "--inject-fault", "h-count"])
         assert code == 3

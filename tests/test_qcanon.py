@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from wblocks import cache
+from wblocks import qcanon as qc
 from wblocks.combinat import Composition
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom
 from wblocks.qcanon import (
@@ -159,6 +162,18 @@ class TestBarInvolutions:
             for other in d.terms:
                 assert key_stat(signs, other) < key_stat(signs, key)
 
+    @pytest.mark.parametrize("signs", ["+-", "++-", "+--", "++--"])
+    def test_psi_intertwines_generators(self, signs):
+        # psi is compatible with the bar involution of U_q, which fixes E_i
+        # and F_i and inverts K_i
+        N = 3
+        for key in itertools.product(range(1, N + 1), repeat=len(signs)):
+            v = unit(N, signs, key)
+            pv = psi(v)
+            for i in range(1, N):
+                for gen, image in (("E", "E"), ("F", "F"), ("K", "Kinv")):
+                    assert psi(act_gen(gen, i, v)) == act_gen(image, i, pv), (key, gen, i)
+
     def test_adjointness_via_pairing(self):
         # (psi(v), w) bar == (v, psi*(w)) on random vectors
         rng = random.Random(23)
@@ -208,6 +223,25 @@ class TestCanonicalBases:
     def test_pairing_requires_same_shape(self):
         with pytest.raises(ValueError):
             pairing(unit(2, "+-", (1, 1)), unit(2, "-+", (1, 1)))
+
+
+class TestWeightSpaceKeys:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_matches_filter_of_all_tuples(self, N):
+        for k in range(1, 6):
+            for m in range(k + 1):
+                signs = "+" * m + "-" * (k - m)
+                by_weight: dict = {}
+                for key in itertools.product(range(1, N + 1), repeat=k):
+                    by_weight.setdefault(qc._key_weight(signs, key), set()).add(key)
+                for weight, expected in by_weight.items():
+                    got = list(qc._weight_space_keys(N, signs, weight))
+                    assert len(got) == len(set(got)) and set(got) == expected, (signs, weight)
+
+    def test_weights_that_do_not_occur(self):
+        assert not list(qc._weight_space_keys(3, "+-", ((1, -1), (4, 1))))
+        assert not list(qc._weight_space_keys(3, "+-", ((1, 2),)))
+        assert not list(qc._weight_space_keys(3, "++-", ((1, -1), (2, -1))))
 
 
 class TestAlgebraS:
@@ -399,3 +433,35 @@ class TestJsonAndCache:
         finally:
             cache.configure(old)
             qc._family_memo.clear()
+
+    def test_family_cache_files_pinned(self, tmp_path):
+        # sha256 of both family files of N=3 +++--- at weight 0 (93 vectors
+        # each): file names pin the request format, contents every coefficient
+        expected = {
+            "3b8556a04081932eda95e667db1faa8129d3e363403429ff10e0e86e9a1e31b4.json":
+                "bdd5ee3156d5022cacd943f58e67b4bbbec0c56d9bb4bf7427e6b6cf4c1760aa",
+            "c5d71929b58344af81a61770628ff09e2cd5051d395f6477cd89b777fc75fa0e.json":
+                "c5865e65f4fa359b733677342cdfbdf7171a843c9962adc59ac8bd4013ea2e16",
+        }
+        old = cache.current_dir()
+        cache.configure(str(tmp_path))
+        try:
+            qc._family_memo.clear()
+            dual_canonical(3, (1, 2, 3), (3, 2, 1))
+            canonical(3, (1, 2, 3), (3, 2, 1))
+        finally:
+            cache.configure(old)
+            qc._family_memo.clear()
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert got == expected
+
+    def test_no_cache_payload_without_cache_dir(self, monkeypatch):
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        serialized = []
+        monkeypatch.setattr(TensorVec, "to_json", lambda self: serialized.append(self))
+        qc._family_memo.clear()
+        try:
+            dual_canonical(3, (1, 2), (2, 1))
+        finally:
+            qc._family_memo.clear()
+        assert not serialized
