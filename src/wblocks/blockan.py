@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .combinat import BlockKey, Composition
-from .laurent import ONE, ZERO, LaurentQ, qbinom, qfact
+from .laurent import ZERO, LaurentQ, qfact_quotient
 
 # ---------------------------------------------------------------------------
 # Verma multiplicities
@@ -119,19 +119,21 @@ def cartan_entry(xi: BlockKey, lam: Composition, kap: Composition) -> int:
     if spans is None:
         return 0
     total = Fraction(0)
+    rows = [(i, lam[i], lam[i + 1], rho.get(i, 0), gamma[i]) for i in range(lo - 1, hi + 1)]
     positions = [i for i, _ in spans]
     for values in itertools.product(*(rng for _, rng in spans)):
         tau = dict(zip(positions, values))
-        term = Fraction(1)
-        for i in range(lo - 1, hi + 1):
-            beta = lam[i + 1] + tau.get(i, 0) - tau.get(i + 1, 0)
+        num = den = 1
+        for i, lam_i, lam_next, rho_i, gamma_i in rows:
+            tau_i = tau.get(i, 0)
+            beta = lam_next + tau_i - tau.get(i + 1, 0)
             if beta < 0:
-                term = Fraction(0)
+                num = 0
                 break
-            b1 = comb(beta, tau.get(i, 0) - lam[i])
-            b2 = comb(beta, tau.get(i, 0) - rho.get(i, 0))
-            term *= Fraction(b1 * b2, factorial(beta) * factorial(beta + gamma[i]))
-        total += term
+            num *= comb(beta, tau_i - lam_i) * comb(beta, tau_i - rho_i)
+            den *= factorial(beta) * factorial(beta + gamma_i)
+        if num:
+            total += Fraction(num, den)
     total *= factorial(xi.m) * factorial(xi.n)
     if total.denominator != 1:
         raise ArithmeticError("Cartan entry came out non-integral (internal bug)")
@@ -172,9 +174,17 @@ def cartan_oracle(xi: BlockKey, lam: Composition, kap: Composition) -> int:
 
 
 def graded_cartan(xi: BlockKey, lam: Composition, kap: Composition) -> LaurentQ:
-    """Graded Cartan entry: the tau-sum with q-powers s(tau) and quantum
-    binomials over quantum factorials.  The result is asserted to be a
-    polynomial in q with non-negative coefficients (positive grading)."""
+    """Graded Cartan entry: the sum over tau of q^{s(tau)} [m]! [n]! times
+    prod_i qbinom(beta_i, a_i) qbinom(beta_i, b_i) / ([beta_i]! [beta_i +
+    gamma_i]!), with a_i = tau_i - lam_i and b_i = tau_i - rho_i.
+
+    Each term cancels to a quotient of quantum factorials,
+    [m]! [n]! prod [beta_i]! / prod [a_i]! [beta_i - a_i]! [b_i]! [beta_i -
+    b_i]! [beta_i + gamma_i]!, and [k]! = q^{-k(k-1)/2} prod_{d=2..k}
+    Phi_d(q^2)^{floor(k/d)}, so every term is a q-power times a product of
+    cyclotomic polynomials in q^2 (laurent.qfact_quotient), with no
+    polynomial division.  The result is asserted to be a polynomial in q with
+    non-negative coefficients (positive grading)."""
     if lam.total != xi.t or kap.total != xi.t:
         raise ValueError("lambda and kappa must be compositions of t")
     rho = rho_between(lam, kap)
@@ -185,25 +195,34 @@ def graded_cartan(xi: BlockKey, lam: Composition, kap: Composition) -> LaurentQ:
     spans = _tau_choices(lam, rho, lo, hi)
     if spans is None:
         return ZERO
-    total = ZERO
-    mn_fact = qfact(xi.m) * qfact(xi.n)
+    total: dict = {}
+    s0 = comb(xi.m, 2) + comb(xi.n, 2)
+    rows = [(i, lam[i], lam[i + 1], rho.get(i, 0), gamma[i]) for i in range(lo - 1, hi + 1)]
     positions = [i for i, _ in spans]
     for values in itertools.product(*(rng for _, rng in spans)):
         tau = dict(zip(positions, values))
-        num = mn_fact
-        den = ONE
-        s = comb(xi.m, 2) + comb(xi.n, 2)
-        for i in range(lo - 1, hi + 1):
-            beta = lam[i + 1] + tau.get(i, 0) - tau.get(i + 1, 0)
-            num = num * qbinom(beta, tau.get(i, 0) - lam[i])
-            num = num * qbinom(beta, tau.get(i, 0) - rho.get(i, 0))
-            den = den * qfact(beta) * qfact(beta + gamma[i])
-            s += (2 * tau.get(i, 0) - lam[i] - rho.get(i, 0)) * (beta + gamma[i])
-            s -= comb(beta, 2) + comb(beta + gamma[i], 2)
-        total = total + num.divexact(den).shift(s)
-    if not (total.is_poly_in_q() and total.has_nonneg_coeffs()):
+        num = [xi.m, xi.n]
+        den = []
+        s = s0
+        for i, lam_i, lam_next, rho_i, gamma_i in rows:
+            tau_i = tau.get(i, 0)
+            beta = lam_next + tau_i - tau.get(i + 1, 0)
+            a, b, g = tau_i - lam_i, tau_i - rho_i, beta + gamma_i
+            num.append(beta)
+            den += (a, beta - a, b, beta - b, g)
+            s += (a + b) * g - comb(beta, 2) - comb(g, 2)
+        shift, poly = qfact_quotient(num, den)
+        s += shift
+        for e, c in poly.coeffs.items():
+            c += total.get(e + s, 0)
+            if c:
+                total[e + s] = c
+            else:
+                del total[e + s]
+    out = LaurentQ._raw(total)
+    if not (out.is_poly_in_q() and out.has_nonneg_coeffs()):
         raise ArithmeticError("graded Cartan entry not in N[q] (internal bug)")
-    return total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -493,26 +512,12 @@ def compositions_in_window(t: int, lo: int, hi: int):
     return out
 
 
-def cartan_matrix(xi: BlockKey, lams, graded: bool = False, jobs: int = 1):
+def cartan_matrix(xi: BlockKey, lams, graded: bool = False):
     """Matrix of (graded) Cartan entries over the given row/column labels.
 
-    Cells are independent pure computations; with jobs > 1 they are evaluated
-    by a thread pool and assembled in deterministic order.
-    """
+    graded_cartan and cartan_entry are looked up as module attributes on
+    every call, so a perturbed one (verify's fault injection) reaches every
+    cell."""
     lams = list(lams)
     fn = graded_cartan if graded else cartan_entry
-    cells = [(a, b) for a in range(len(lams)) for b in range(len(lams))]
-    results: dict = {}
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(fn, xi, lams[a], lams[b]): (a, b) for a, b in cells
-            }
-            for fut, cell in futures.items():
-                results[cell] = fut.result()
-    else:
-        for a, b in cells:
-            results[(a, b)] = fn(xi, lams[a], lams[b])
-    return [[results[(a, b)] for b in range(len(lams))] for a in range(len(lams))]
+    return [[fn(xi, a, b) for b in lams] for a in lams]

@@ -130,7 +130,7 @@ def hc_series_coeff(r: int, m: int, n: int) -> MultiPoly:
         yk = MultiPoly.y(m, n, k)
         geo = [MultiPoly.constant(m, n, 1)]
         for t in range(1, r + 1):
-            geo.append(geo[-1] * yk * Fraction(-1))
+            geo.append(-(geo[-1] * yk))
         new = [MultiPoly(m, n) for _ in range(r + 1)]
         for d1 in range(r + 1):
             if series[d1].is_zero():

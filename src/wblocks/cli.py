@@ -160,7 +160,7 @@ def cmd_cartan(args, graded: bool) -> int:
         raise ResourceError(
             f"window yields {len(lams)} labels ({len(lams) ** 2} cells); narrow it"
         )
-    matrix = blockan.cartan_matrix(xi, lams, graded=graded, jobs=args.jobs)
+    matrix = blockan.cartan_matrix(xi, lams, graded=graded)
     if graded and args.q_at_1:
         matrix = [[v.eval1() for v in row] for row in matrix]
         graded = False
@@ -249,8 +249,15 @@ def cmd_center(args) -> int:
     return 0
 
 
+def _check_key_entries(N: int, top, bottom):
+    for x in top + bottom:
+        if not 1 <= x <= N:
+            raise UsageError(f"key entry {x} outside 1..{N}")
+
+
 def cmd_cb(args) -> int:
     top, bottom = parse_key(args.key)
+    _check_key_entries(args.N, top, bottom)
     signs = "+" * len(top) + "-" * len(bottom)
     keys = qcanon._weight_space_keys(args.N, signs, qcanon._key_weight(signs, top + bottom))
     if sum(1 for _ in itertools.islice(keys, CB_MAX_VECTORS + 1)) > CB_MAX_VECTORS:
@@ -261,6 +268,7 @@ def cmd_cb(args) -> int:
     vec = fn(args.N, top, bottom)
     if args.pair_with is not None:
         top2, bottom2 = parse_key(args.pair_with)
+        _check_key_entries(args.N, top2, bottom2)
         other = fn(args.N, top2, bottom2)
         _emit({"pairing": qcanon.pairing(vec, other).to_json()})
     else:
@@ -324,7 +332,6 @@ def build_parser() -> _Parser:
         p.add_argument("--block", required=True)
         p.add_argument("--window", required=True, help="label support window lo..hi")
         p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--q-at-1", action="store_true", help="collapse graded entries at q=1")
 
     p = add("h", cmd_h, help="lattice count h(lambda)")

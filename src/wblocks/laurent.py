@@ -182,3 +182,60 @@ def qbinom(n: int, r: int) -> LaurentQ:
     if n < 0 or r < 0 or r > n:
         raise ValueError(f"qbinom({n},{r}) out of range")
     return qfact(n).divexact(qfact(r) * qfact(n - r))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_q2(d: int) -> dict:
+    """Phi_d(q^2) as a coefficient dict: q^{2d} - 1 divided by Phi_e(q^2)
+    for every proper divisor e of d (built once per d)."""
+    c = {2 * d: 1, 0: -1}
+    for e in range(1, d):
+        if d % e == 0:
+            c = _k.ldivexact(c, _cyclotomic_q2(e))
+    return c
+
+
+@lru_cache(maxsize=None)
+def _factorial_quotient(net: tuple) -> tuple:
+    """(shift, P) for prod_k [k]!^net[k]; see qfact_quotient."""
+    shift = 0
+    poly = {0: 1}
+    for d in range(2, len(net)):
+        e = sum(net[k] * (k // d) for k in range(d, len(net)))
+        if e < 0:
+            raise ValueError("inexact Laurent division")
+        shift -= net[d] * (d * (d - 1) // 2)
+        for _ in range(e):
+            poly = _k.lmul(poly, _cyclotomic_q2(d))
+    return shift, LaurentQ._raw(poly)
+
+
+def qfact_quotient(num, den) -> tuple:
+    """The quotient prod_{k in num} [k]! / prod_{k in den} [k]! as a pair
+    (shift, P) with quotient q^shift * P, without dividing polynomials: only
+    each Phi_d(q^2) is built once, by exact division.
+
+    With symmetric q-integers [k] = q^{1-k} (q^{2k} - 1) / (q^2 - 1), and
+    q^{2k} - 1 = prod_{d | k} Phi_d(q^2), so
+
+        [k]! = q^{-k(k-1)/2} * prod_{d=2..k} Phi_d(q^2)^{floor(k/d)}.
+
+    The quotient is therefore q^shift * prod_d Phi_d(q^2)^{e_d}, where e_d is
+    the sum of floor(k/d) over num minus that over den.  The cyclotomic
+    polynomials are irreducible and pairwise coprime, so the quotient is a
+    Laurent polynomial iff every e_d >= 0; a negative one raises
+    ValueError("inexact Laurent division"), as divexact does.  Results are
+    memoized on the reduced exponent vector (the net power of each [k]!,
+    k >= 2); P is shared between calls and must not be modified.
+    """
+    if min(num, default=0) < 0 or min(den, default=0) < 0:
+        raise ValueError("qfact requires n >= 0")
+    net = [0] * (max(1, max(num, default=0), max(den, default=0)) + 1)
+    for k in num:
+        net[k] += 1
+    for k in den:
+        net[k] -= 1
+    while len(net) > 2 and not net[-1]:
+        net.pop()
+    net[0] = net[1] = 0  # [0]! = [1]! = 1
+    return _factorial_quotient(tuple(net))

@@ -1,6 +1,9 @@
 """Exact multivariate polynomials in x_1..x_m, y_1..y_n over Q.
 
-Terms are stored canonically as {exponent tuple: Fraction}, zero-free.
+Terms are stored canonically as {exponent tuple: coefficient}, zero-free.
+A coefficient is an int when it is integral and a Fraction only otherwise
+(for example after center.symmetrize), so integer polynomials never touch
+Fraction arithmetic.  Both types compare, hash, print and serialize alike.
 Exponent tuples have length m + n: positions 0..m-1 are the x's, positions
 m..m+n-1 are the y's.
 """
@@ -8,6 +11,30 @@ m..m+n-1 are the y's.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
+
+
+def _coeff(c):
+    """c as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _acc(out: dict, terms: dict, shift=None, scale=1):
+    """out += scale * x^shift * terms, in place, zeros dropped; a sum that
+    comes out integral is stored as an int."""
+    for k, c in terms.items():
+        if shift is not None:
+            k = tuple(map(add, shift, k))
+        s = out.get(k, 0) + scale * c
+        if type(s) is not int and s.denominator == 1:
+            s = s.numerator
+        if s:
+            out[k] = s
+        else:
+            del out[k]
 
 
 class MultiPoly:
@@ -19,12 +46,12 @@ class MultiPoly:
         self.terms: dict = {}
         if terms:
             for exps, c in terms.items():
-                c = Fraction(c)
+                c = _coeff(c)
                 if c:
                     key = tuple(int(e) for e in exps)
                     if len(key) != m + n:
                         raise ValueError("exponent tuple has wrong length")
-                    self.terms[key] = self.terms.get(key, Fraction(0)) + c
+                    self.terms[key] = _coeff(self.terms.get(key, 0) + c)
             self.terms = {k: v for k, v in self.terms.items() if v}
 
     @classmethod
@@ -35,7 +62,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, m: int, n: int, c) -> "MultiPoly":
-        c = Fraction(c)
+        c = _coeff(c)
         return cls._raw(m, n, {tuple([0] * (m + n)): c} if c else {})
 
     @classmethod
@@ -45,7 +72,7 @@ class MultiPoly:
             raise ValueError(f"x index {i} out of range")
         e = [0] * (m + n)
         e[i - 1] = 1
-        return cls._raw(m, n, {tuple(e): Fraction(1)})
+        return cls._raw(m, n, {tuple(e): 1})
 
     @classmethod
     def y(cls, m: int, n: int, j: int) -> "MultiPoly":
@@ -54,7 +81,7 @@ class MultiPoly:
             raise ValueError(f"y index {j} out of range")
         e = [0] * (m + n)
         e[m + j - 1] = 1
-        return cls._raw(m, n, {tuple(e): Fraction(1)})
+        return cls._raw(m, n, {tuple(e): 1})
 
     def _check(self, other):
         if self.m != other.m or self.n != other.n:
@@ -76,12 +103,7 @@ class MultiPoly:
             other = MultiPoly.constant(self.m, self.n, other)
         self._check(other)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        _acc(out, other.terms)
         return MultiPoly._raw(self.m, self.n, out)
 
     __radd__ = __add__
@@ -97,20 +119,14 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coeff(other)
             if not c:
                 return MultiPoly._raw(self.m, self.n, {})
-            return MultiPoly._raw(self.m, self.n, {k: v * c for k, v in self.terms.items()})
+            return MultiPoly._raw(self.m, self.n, {k: _coeff(v * c) for k, v in self.terms.items()})
         self._check(other)
         out: dict = {}
         for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                s = out.get(k, Fraction(0)) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            _acc(out, other.terms, ka, ca)
         return MultiPoly._raw(self.m, self.n, out)
 
     __rmul__ = __mul__
@@ -121,15 +137,8 @@ class MultiPoly:
         out: dict = {}
         for k, c in self.terms.items():
             e = k[var]
-            if e:
-                k2 = list(k)
-                k2[var] = e - 1
-                k2 = tuple(k2)
-                s = out.get(k2, Fraction(0)) + c * e
-                if s:
-                    out[k2] = s
-                else:
-                    del out[k2]
+            if e:  # distinct monomials stay distinct
+                out[k[:var] + (e - 1,) + k[var + 1:]] = _coeff(c * e)
         return MultiPoly._raw(self.m, self.n, out)
 
     def partial_x(self, i: int) -> "MultiPoly":
@@ -145,33 +154,19 @@ class MultiPoly:
     def subst(self, var: int, g: "MultiPoly") -> "MultiPoly":
         """Substitute polynomial g for the variable at index var."""
         self._check(g)
-        out = MultiPoly._raw(self.m, self.n, {})
-        powers = {0: MultiPoly.constant(self.m, self.n, 1)}
-
-        def g_pow(e):
-            if e not in powers:
-                powers[e] = g_pow(e - 1) * g
-            return powers[e]
-
+        out: dict = {}
+        powers = [MultiPoly.constant(self.m, self.n, 1).terms]
         for k, c in self.terms.items():
-            k2 = list(k)
-            e = k2[var]
-            k2[var] = 0
-            mono = MultiPoly._raw(self.m, self.n, {tuple(k2): c})
-            out = out + mono * g_pow(e)
-        return out
+            e = k[var]
+            while len(powers) <= e:
+                powers.append((MultiPoly._raw(self.m, self.n, powers[-1]) * g).terms)
+            _acc(out, powers[e], k[:var] + (0,) + k[var + 1:], c)
+        return MultiPoly._raw(self.m, self.n, out)
 
     def permute_vars(self, perm) -> "MultiPoly":
         """Apply a permutation of the m+n variable slots: new slot i gets the
         exponent of old slot perm[i]."""
-        out: dict = {}
-        for k, c in self.terms.items():
-            k2 = tuple(k[perm[i]] for i in range(len(k)))
-            s = out.get(k2, Fraction(0)) + c
-            if s:
-                out[k2] = s
-            else:
-                del out[k2]
+        out = {tuple(k[p] for p in perm): c for k, c in self.terms.items()}
         return MultiPoly._raw(self.m, self.n, out)
 
     def total_degree(self) -> int:

@@ -458,6 +458,7 @@ FAULTS = {
     "pairing-formula": (qcanon, "pairing_formula"),
     "h-count": (blockan, "h_count"),
     "e-super": (center, "e_super"),
+    "graded-cartan": (blockan, "graded_cartan"),
 }
 
 

@@ -70,11 +70,30 @@ def test_12_m1n1_sanity():
     _run("m1n1-sanity")
 
 
-@pytest.mark.parametrize("fault,victim", [("cartan-oracle", "cartan-vs-oracle")])
-def test_fault_injection_hits_only_the_dependent_criterion(fault, victim):
+# each fault with the criteria it turns red at the quick profile
+FAULT_VICTIMS = {
+    "cartan-oracle": {"cartan-vs-oracle"},
+    "pairing-formula": {"appendixb-pairing"},
+    "h-count": {"h-laws", "recovery-round-trip"},
+    "e-super": {"center"},
+    "graded-cartan": {"graded-vs-ungraded", "appendixb-pairing", "top-degree", "m1n1-sanity"},
+}
+
+
+def test_every_fault_has_victims():
+    from wblocks.verify import FAULTS
+
+    assert set(FAULT_VICTIMS) == set(FAULTS)
+
+
+@pytest.mark.parametrize(
+    "fault,victims",
+    sorted(FAULT_VICTIMS.items()),
+    ids=lambda v: v if isinstance(v, str) else "-".join(sorted(v)),
+)
+def test_fault_injection_hits_only_the_dependent_criterion(fault, victims):
     from wblocks.verify import run_suite
 
     results = run_suite("quick", fault=fault)
-    by_name = {r["name"]: r["ok"] for r in results}
-    assert not by_name[victim]
-    assert all(ok for name, ok in by_name.items() if name != victim)
+    red = {r["name"] for r in results if not r["ok"]}
+    assert red == victims

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -24,8 +26,10 @@ from wblocks.blockan import (
     stable_end_dim,
     verma_mult,
 )
+from wblocks import blockan
 from wblocks.combinat import BlockKey, Composition
-from wblocks.laurent import LaurentQ, qfact
+from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom, qfact
+from wblocks.verify import _gamma_splits
 
 
 def comp(parts, offset=0):
@@ -109,11 +113,83 @@ class TestCartan:
             for kap in lams:
                 assert cartan_entry(xi, lam, kap) == cartan_entry(xi, kap, lam)
 
-    def test_matrix_jobs_deterministic(self):
-        lams = compositions_in_window(1, -1, 1)
-        a = cartan_matrix(XI_11, lams, jobs=1)
-        b = cartan_matrix(XI_11, lams, jobs=4)
-        assert a == b
+
+def graded_cartan_by_division(xi, lam, kap):
+    """Reference route for graded_cartan: each tau-term assembled from
+    quantum binomials and factorials, then one exact polynomial division."""
+    rho = blockan.rho_between(lam, kap)
+    if rho is None:
+        return ZERO
+    gamma = xi.gamma
+    lo, hi = blockan._active_range(lam, rho, gamma)
+    spans = blockan._tau_choices(lam, rho, lo, hi)
+    if spans is None:
+        return ZERO
+    total = ZERO
+    mn_fact = qfact(xi.m) * qfact(xi.n)
+    positions = [i for i, _ in spans]
+    for values in itertools.product(*(rng for _, rng in spans)):
+        tau = dict(zip(positions, values))
+        num = mn_fact
+        den = ONE
+        s = comb(xi.m, 2) + comb(xi.n, 2)
+        for i in range(lo - 1, hi + 1):
+            beta = lam[i + 1] + tau.get(i, 0) - tau.get(i + 1, 0)
+            num = num * qbinom(beta, tau.get(i, 0) - lam[i])
+            num = num * qbinom(beta, tau.get(i, 0) - rho.get(i, 0))
+            den = den * qfact(beta) * qfact(beta + gamma[i])
+            s += (2 * tau.get(i, 0) - lam[i] - rho.get(i, 0)) * (beta + gamma[i])
+            s -= comb(beta, 2) + comb(beta + gamma[i], 2)
+        total = total + num.divexact(den).shift(s)
+    return total
+
+
+def _blocks_up_to_4():
+    """One block per (m, n, t, gamma) with m, n <= 4 and gamma of width <= 2
+    at positions 0..1 (the graded entry depends on nothing else)."""
+    for m in range(5):
+        for n in range(5):
+            for t in range(min(m, n) + 1):
+                g_total = (m - t) + (n - t)
+                for a in range(g_total + 1):
+                    splits = _gamma_splits(Composition([a, g_total - a]), m - t)
+                    if splits:
+                        yield BlockKey(*splits[0], t, m, n)
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestGradedCartanRoute:
+    def test_matches_division_route(self):
+        cells = 0
+        for xi in _blocks_up_to_4():
+            # windows of width 3 covering -3..3; narrower windows are subsets
+            for lo in range(-3, 2):
+                lams = compositions_in_window(xi.t, lo, lo + 2)
+                for lam in lams:
+                    for kap in lams:
+                        got = graded_cartan(xi, lam, kap)
+                        assert got == graded_cartan_by_division(xi, lam, kap), (xi, lam, kap)
+                        cells += 1
+        assert cells == 9000
+
+    @pytest.mark.parametrize(
+        "xi,digest",
+        [
+            (BlockKey(Composition(), Composition(), 4, 4, 4),
+             "a58c3338249da75dd3a0bb03cb99468110f51f738cbdef526df7d8d1d45625f7"),
+            (BlockKey(Composition(), Composition([2], 1), 4, 4, 6),
+             "39bca6007ece51c222f9f859a421c7dce113f5e8bec0a24ff1b043cf8adba287"),
+        ],
+        ids=["t4m4n4", "t4m4n6nu2@1"],
+    )
+    def test_pinned_matrix_digest(self, xi, digest):
+        # sha256 of the sorted, compact JSON of the graded matrix over the
+        # window 0..3, as computed by the division route
+        matrix = cartan_matrix(xi, compositions_in_window(xi.t, 0, 3), graded=True)
+        assert _digest([[v.to_json() for v in row] for row in matrix]) == digest
 
 
 class TestGradedCartan:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -104,3 +106,21 @@ class TestIntersectionLaw:
             assert in_I(f, m, n) == in_J(f, m, n, s_minus)
             agree += 1
         assert agree == 200
+
+
+def _digest(polys):
+    text = json.dumps([f.to_json() for f in polys], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the sorted, compact JSON of the list r = 1..7 at (m, n) = (3, 4),
+# as computed when every coefficient was a Fraction
+PINNED_3_4 = "d3d6fe2f391e35627a36e9b8a88c555592ce7bfc642c9f39108305c8e46b2c3f"
+
+
+def test_e_super_pinned_digest():
+    assert _digest([e_super(r, 3, 4) for r in range(1, 8)]) == PINNED_3_4
+
+
+def test_hc_series_coeff_pinned_digest():
+    assert _digest([hc_series_coeff(r, 3, 4) for r in range(1, 8)]) == PINNED_3_4

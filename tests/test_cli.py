@@ -153,6 +153,16 @@ class TestExitCodes:
         terms = json.loads(capsys.readouterr().out)["terms"]
         assert {"key": [1, 2, 3, 3, 2, 1], "coeff": {"0": "1"}} in terms
 
+    @pytest.mark.parametrize("key,bad", [("5;5", 5), ("0;0", 0), ("1;4", 4), ("1;-1", -1)])
+    def test_cb_key_entry_out_of_range(self, capsys, key, bad):
+        assert main(["cb", "--N", "3", "--signs", "+-", "--key", key]) == 1
+        assert f"key entry {bad} outside 1..3" in capsys.readouterr().err
+
+    def test_cb_pair_key_entry_out_of_range(self, capsys):
+        argv = ["cb", "--N", "3", "--signs", "+-", "--key", "1;2", "--pair-with", "2;4"]
+        assert main(argv) == 1
+        assert "key entry 4 outside 1..3" in capsys.readouterr().err
+
     def test_verify_failure_exit_code(self):
         code = main(["verify", "--profile", "quick", "--inject-fault", "h-count"])
         assert code == 3

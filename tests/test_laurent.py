@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wblocks import _laurent_py
-from wblocks.laurent import LaurentQ, qbinom, qfact, qint
+from wblocks.laurent import ONE, LaurentQ, qbinom, qfact, qfact_quotient, qint
 
 try:
     from wblocks import _laurent_cy
@@ -122,6 +122,72 @@ class TestQuantumNumbers:
             qbinom(3, -1)
         with pytest.raises(ValueError):
             qint(-1)
+
+
+def cyclotomic_q2(d):
+    """Phi_d(q^2) by exact division: (q^{2d} - 1) over Phi_e(q^2) for every
+    proper divisor e of d."""
+    out = LaurentQ({2 * d: 1, 0: -1})
+    for e in range(1, d):
+        if d % e == 0:
+            out = out.divexact(cyclotomic_q2(e))
+    return out
+
+
+class TestFactorialQuotient:
+    @pytest.mark.parametrize("k", range(16))
+    def test_qfact_cyclotomic_identity(self, k):
+        # [k]! = q^{-k(k-1)/2} prod_{d=2..k} Phi_d(q^2)^{floor(k/d)}
+        rhs = ONE
+        for d in range(2, k + 1):
+            for _ in range(k // d):
+                rhs = rhs * cyclotomic_q2(d)
+        assert qfact(k) == rhs.shift(-k * (k - 1) // 2)
+        shift, poly = qfact_quotient([k], [])
+        assert poly.shift(shift) == qfact(k)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=9), max_size=5),
+        st.lists(st.integers(min_value=0, max_value=9), max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)  # the first example imports sympy
+    def test_matches_division(self, num, den):
+        top = ONE
+        for k in num:
+            top = top * qfact(k)
+        bottom = ONE
+        for k in den:
+            bottom = bottom * qfact(k)
+        # divexact does not terminate on every inexact division, so decide
+        # divisibility with sympy; both are monic once shifted into Z[q]
+        sympy = pytest.importorskip("sympy")
+        q = sympy.Symbol("q")
+
+        def poly(f):
+            lo = f.min_exp()
+            return sympy.Poly(sum(c * q ** (e - lo) for e, c in f.coeffs.items()), q)
+
+        if sympy.rem(poly(top), poly(bottom)).is_zero:
+            shift, quo = qfact_quotient(num, den)
+            assert quo.shift(shift) * bottom == top
+        else:
+            with pytest.raises(ValueError, match="inexact Laurent division"):
+                qfact_quotient(num, den)
+
+    def test_qbinom_as_quotient(self):
+        for n in range(10):
+            for r in range(n + 1):
+                shift, poly = qfact_quotient([n], [r, n - r])
+                assert poly.shift(shift) == qbinom(n, r)
+
+    @pytest.mark.parametrize("num,den", [([2], [3]), ([4], [2, 2, 2]), ([], [2]), ([6], [3, 3, 3])])
+    def test_negative_exponent_raises(self, num, den):
+        with pytest.raises(ValueError, match="inexact Laurent division"):
+            qfact_quotient(num, den)
+
+    def test_negative_argument_raises(self):
+        with pytest.raises(ValueError):
+            qfact_quotient([3], [-1])
 
 
 @pytest.mark.skipif(_laurent_cy is None, reason="compiled kernel not built")

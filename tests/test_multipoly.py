@@ -63,3 +63,50 @@ class TestRingAxioms:
 def test_json_round_trip():
     f = x(1) * y(2) - MultiPoly.constant(2, 2, Fraction(1, 2))
     assert MultiPoly.from_json(f.to_json()) == f
+
+
+class TestCoefficientTypes:
+    def test_integer_polynomials_keep_int_coefficients(self):
+        f = (x(1) - 2 * y(2)) * (x(2) + y(1)) * 3
+        assert f.terms and all(type(c) is int for c in f.terms.values())
+        assert all(type(c) is int for c in f.partial_x(1).terms.values())
+        assert all(type(c) is int for c in f.subst(0, y(1)).terms.values())
+
+    def test_symmetrize_yields_fractions(self):
+        from wblocks.center import symmetrize
+
+        f = symmetrize(x(1))
+        assert f.terms == {(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in f.terms.values())
+        # an integral average comes back as int
+        g = symmetrize(x(1) + x(2))
+        assert g == x(1) + x(2)
+        assert all(type(c) is int for c in g.terms.values())
+
+    def test_integral_fraction_sum_becomes_int(self):
+        half = MultiPoly.constant(2, 2, Fraction(1, 2)) * x(1)
+        assert all(type(c) is int for c in (half + half).terms.values())
+        assert type((half * 2).terms[(1, 0, 0, 0)]) is int
+
+    def test_int_equals_fraction_of_same_value(self):
+        a = MultiPoly(1, 1, {(1, 0): 3, (0, 1): -1})
+        b = MultiPoly(1, 1, {(1, 0): Fraction(3), (0, 1): Fraction(-2, 2)})
+        c = MultiPoly._raw(1, 1, {(1, 0): Fraction(3), (0, 1): Fraction(-1)})
+        assert a == b == c
+        assert a.to_json() == b.to_json() == c.to_json()
+        assert repr(a) == repr(b) == repr(c)
+
+    @given(polys)
+    @settings(max_examples=40)
+    def test_json_round_trip_int(self, f):
+        g = MultiPoly.from_json(f.to_json())
+        assert g == f
+        assert all(type(c) is int for c in g.terms.values())
+
+    def test_json_round_trip_fraction(self):
+        from wblocks.center import symmetrize
+
+        f = symmetrize(x(1) * y(1) * y(1) - 3 * x(2))
+        g = MultiPoly.from_json(f.to_json())
+        assert g == f and g.to_json() == f.to_json()
+        assert {type(c) for c in g.terms.values()} == {type(c) for c in f.terms.values()}
