@@ -260,19 +260,6 @@ def h_separation(lam: Composition, j: int):
     return left, right
 
 
-def h_upper_bound_report(t: int, width: int):
-    """Exploratory scan of the expectation h(lam) <= 3^t: returns the list of
-    counterexamples found (reported, never asserted)."""
-    bad = []
-    for parts in itertools.product(range(t + 1), repeat=width):
-        if sum(parts) != t:
-            continue
-        lam = Composition(parts)
-        if h_count(lam) > 3**t:
-            bad.append((lam, h_count(lam)))
-    return bad
-
-
 def end_dim(xi: BlockKey, i: int) -> int:
     """Endomorphism dimension of the projective at t*eps_i, by the explicit
     binomial sum in gamma_i, gamma_{i+1}."""

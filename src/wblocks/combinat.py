@@ -491,20 +491,6 @@ def weight_of(A: Tableau) -> dict:
     return {v: c for v, c in w.items() if c}
 
 
-# compositions: thin wrappers named per operation
-
-def comp_transpose(lam: Composition):
-    return lam.transpose()
-
-
-def comp_strictify(lam: Composition):
-    return lam.strictify()
-
-
-def comp_equal_tdual(lam: Composition, mu: Composition) -> bool:
-    return lam.equal_tdual(mu)
-
-
 # ---------------------------------------------------------------------------
 # block-equivalence moves
 

@@ -1,25 +1,71 @@
 """Exact Laurent polynomials in q with arbitrary-precision integer coefficients.
 
-The coefficient dict work is delegated to a kernel module: the compiled
-Cython kernel ``_laurent_cy`` when available, otherwise the pure-Python
-``_laurent_py``.  Set WBLOCKS_KERNEL=py to force the pure kernel (used by the
-benchmark to compare both).
+A Laurent polynomial sum c_e q^e is a plain dict {e: c} from exponent (int)
+to coefficient (Python int, so arbitrary precision).  Zero coefficients are
+never stored; the zero polynomial is the empty dict.  ``LaurentQ`` wraps one
+such dict, and every operation builds a fresh dict without mutating its
+arguments.  ``_lmul`` and ``_ldivexact`` also serve the closed forms at the
+end of the module, which work on raw dicts.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
-if os.environ.get("WBLOCKS_KERNEL") == "py":
-    from . import _laurent_py as _k
-else:
-    try:
-        from . import _laurent_cy as _k  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _laurent_py as _k
 
-KERNEL = _k.KERNEL
+def _lmul(a: dict, b: dict) -> dict:
+    if not a or not b:
+        return {}
+    if len(b) < len(a):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _ldivexact(a: dict, b: dict) -> dict:
+    """Exact division a / b by long division from the top exponent down.
+
+    Raises ValueError if b is zero or the division is inexact (which signals
+    an internal bug in callers).  If a = q * b exactly, the lowest exponent of
+    q is min(a) - min(b), so a quotient term below that floor proves the
+    division inexact.  Each step cancels the top term of the remainder, so the
+    quotient exponents strictly decrease and the loop ends after at most
+    max(a) - max(b) - floor + 1 steps, whether or not the leading coefficient
+    of b divides every remainder coefficient (as it does for monic b).
+    """
+    if not b:
+        raise ValueError("division by zero Laurent polynomial")
+    if not a:
+        return {}
+    eb = max(b)
+    cb = b[eb]
+    floor = min(a) - min(b)
+    rem = dict(a)
+    quo = {}
+    while rem:
+        ea = max(rem)
+        ca = rem[ea]
+        k = ea - eb
+        if k < floor or ca % cb:
+            raise ValueError("inexact Laurent division")
+        c = ca // cb
+        quo[k] = c
+        for e2, c2 in b.items():
+            e = e2 + k
+            s = rem.get(e, 0) - c * c2
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return quo
 
 
 class LaurentQ:
@@ -68,39 +114,59 @@ class LaurentQ:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentQ(other)
-        return LaurentQ._raw(_k.ladd(self.coeffs, other.coeffs))
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return LaurentQ._raw(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = LaurentQ(other)
-        return LaurentQ._raw(_k.lsub(self.coeffs, other.coeffs))
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return LaurentQ._raw(out)
 
     def __rsub__(self, other):
         return LaurentQ(other) - self
 
     def __neg__(self):
-        return LaurentQ._raw(_k.lneg(self.coeffs))
+        return LaurentQ._raw({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentQ._raw(_k.lscale(self.coeffs, other))
-        return LaurentQ._raw(_k.lmul(self.coeffs, other.coeffs))
+            if not other:
+                return LaurentQ._raw({})
+            return LaurentQ._raw({e: c * other for e, c in self.coeffs.items()})
+        return LaurentQ._raw(_lmul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentQ":
         """Multiply by q^k."""
-        return LaurentQ._raw(_k.lshift(self.coeffs, k))
+        if k == 0:
+            # a copy shares the key objects; e + 0 makes a new int for every
+            # exponent outside CPython's small-int cache
+            return LaurentQ._raw(dict(self.coeffs))
+        return LaurentQ._raw({e + k: c for e, c in self.coeffs.items()})
 
     def bar(self) -> "LaurentQ":
         """The bar involution q -> q^{-1}."""
-        return LaurentQ._raw(_k.lbar(self.coeffs))
+        return LaurentQ._raw({-e: c for e, c in self.coeffs.items()})
 
     def divexact(self, other: "LaurentQ") -> "LaurentQ":
         """Exact division; inexactness raises ValueError (an internal bug)."""
-        return LaurentQ._raw(_k.ldivexact(self.coeffs, other.coeffs))
+        return LaurentQ._raw(_ldivexact(self.coeffs, other.coeffs))
 
     def eval1(self) -> int:
         """Evaluate at q = 1 (sum of coefficients)."""
@@ -191,7 +257,7 @@ def _cyclotomic_q2(d: int) -> dict:
     c = {2 * d: 1, 0: -1}
     for e in range(1, d):
         if d % e == 0:
-            c = _k.ldivexact(c, _cyclotomic_q2(e))
+            c = _ldivexact(c, _cyclotomic_q2(e))
     return c
 
 
@@ -206,7 +272,7 @@ def _factorial_quotient(net: tuple) -> tuple:
             raise ValueError("inexact Laurent division")
         shift -= net[d] * (d * (d - 1) // 2)
         for _ in range(e):
-            poly = _k.lmul(poly, _cyclotomic_q2(d))
+            poly = _lmul(poly, _cyclotomic_q2(d))
     return shift, LaurentQ._raw(poly)
 
 

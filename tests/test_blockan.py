@@ -19,7 +19,6 @@ from wblocks.blockan import (
     graded_cartan,
     h_count,
     h_separation,
-    h_upper_bound_report,
     neighbor_test,
     normalize_gamma,
     recover_invariants,
@@ -264,7 +263,10 @@ class TestHCount:
             assert nz == h_count(lam)
 
     def test_upper_bound_scan_runs(self):
-        assert h_upper_bound_report(2, 3) == []
+        # h(lam) <= 3^t on every composition of t = 2 with three parts
+        for parts in itertools.product(range(3), repeat=3):
+            if sum(parts) == 2:
+                assert h_count(Composition(parts)) <= 3**2
 
 
 class TestEndDims:

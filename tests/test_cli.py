@@ -1,17 +1,22 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import wblocks
 from wblocks.cli import main, parse_block, parse_composition, parse_window
 from wblocks.combinat import Composition
 
+# the directory holding the wblocks this process imported, so the CLI child
+# runs the same code whether or not PYTHONPATH was set
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(wblocks.__file__)))
+
 
 def run_cli(args, stdin=None, env=None):
-    import os
-
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
     proc = subprocess.run(

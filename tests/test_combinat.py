@@ -17,9 +17,6 @@ from wblocks.combinat import (
     block_key,
     bruhat_leq,
     closure_classes,
-    comp_equal_tdual,
-    comp_strictify,
-    comp_transpose,
     defect,
     deg_entry,
     derived_move,
@@ -163,8 +160,8 @@ class TestBruhat:
 class TestCompositions:
     def test_transpose_strictify(self):
         lam = Composition([2, 4, 0, 0, 1], 0)
-        assert comp_strictify(lam) == (2, 4, 1)
-        assert comp_transpose(lam) == (3, 2, 1, 1)
+        assert lam.strictify() == (2, 4, 1)
+        assert lam.transpose() == (3, 2, 1, 1)
 
     def test_transpose_involution_on_partitions(self):
         for parts in itertools.product(range(4), repeat=3):
@@ -172,15 +169,15 @@ class TestCompositions:
             if not sorted_parts:
                 continue
             lam = Composition(sorted_parts)
-            tt = comp_transpose(Composition(comp_transpose(lam)))
+            tt = Composition(lam.transpose()).transpose()
             assert tt == sorted_parts
 
     def test_equal_tdual_mirror(self):
         lam = Composition([2, 4, 1], 0)
-        assert comp_equal_tdual(lam, Composition([1, 4, 2], 7))
+        assert lam.equal_tdual(Composition([1, 4, 2], 7))
 
     def test_equal_tdual_translation(self):
-        assert comp_equal_tdual(Composition([2, 4, 1], 0), Composition([2, 4, 1], -5))
+        assert Composition([2, 4, 1], 0).equal_tdual(Composition([2, 4, 1], -5))
 
     @given(
         st.lists(st.integers(min_value=0, max_value=3), max_size=4),
@@ -191,12 +188,12 @@ class TestCompositions:
     @settings(max_examples=60)
     def test_equal_tdual_is_equivalence(self, a, b, c, s):
         A, B, C = Composition(a), Composition(b), Composition(c)
-        assert comp_equal_tdual(A, A)
-        assert comp_equal_tdual(A, B) == comp_equal_tdual(B, A)
-        if comp_equal_tdual(A, B) and comp_equal_tdual(B, C):
-            assert comp_equal_tdual(A, C)
-        assert comp_equal_tdual(A, A.shifted(s))
-        assert comp_equal_tdual(A, A.reflected())
+        assert A.equal_tdual(A)
+        assert A.equal_tdual(B) == B.equal_tdual(A)
+        if A.equal_tdual(B) and B.equal_tdual(C):
+            assert A.equal_tdual(C)
+        assert A.equal_tdual(A.shifted(s))
+        assert A.equal_tdual(A.reflected())
 
 
 class TestBlockKeys:

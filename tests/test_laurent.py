@@ -1,18 +1,32 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wblocks import _laurent_py
 from wblocks.laurent import ONE, LaurentQ, qbinom, qfact, qfact_quotient, qint
-
-try:
-    from wblocks import _laurent_cy
-except ImportError:
-    _laurent_cy = None
 
 
 def L(**kw):
     return LaurentQ({int(e): c for e, c in kw.items()})
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds`, so a division that
+    never returns fails the test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 coeff_dicts = st.dictionaries(
@@ -43,11 +57,31 @@ class TestBasics:
         with pytest.raises(ValueError):
             LaurentQ({1: 1, 0: 1}).divexact(LaurentQ({1: 2}))
 
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            (qfact(2), qfact(3)),  # monic divisor
+            (LaurentQ({2: 2, 0: 2}), LaurentQ({1: 2, 0: 2})),  # 2 divides every remainder
+        ],
+        ids=["monic", "non-monic"],
+    )
+    def test_divexact_inexact_terminates(self, num, den):
+        with time_limit(5), pytest.raises(ValueError, match="inexact Laurent division"):
+            num.divexact(den)
+
     @given(laurents, laurents)
     def test_divexact_inverts_mul(self, f, g):
         if g.is_zero():
             return
         assert (f * g).divexact(g) == f
+
+    @given(laurents, laurents, st.integers(min_value=-4, max_value=4))
+    def test_no_zero_coefficient_stored(self, a, b, k):
+        results = [a + b, a - b, a * b, a * k, a + k, a - k, -a, a.shift(k), a.bar()]
+        if not b.is_zero():
+            results.append((a * b).divexact(b))
+        for r in results:
+            assert 0 not in r.coeffs.values()
 
     def test_json_round_trip(self):
         f = LaurentQ({-1: 1, 2: -3})
@@ -79,6 +113,20 @@ class TestRingAxioms:
     @given(laurents, st.integers(min_value=-5, max_value=5))
     def test_shift_is_mul_by_power(self, a, k):
         assert a.shift(k) == a * LaurentQ({k: 1})
+
+    @given(laurents)
+    def test_shift_zero_copies(self, a):
+        b = a.shift(0)
+        assert b == a
+        assert b.coeffs is not a.coeffs
+
+    @given(laurents, laurents)
+    def test_sub_is_add_neg(self, a, b):
+        assert a - b == a + (-b)
+
+    @given(laurents, st.integers(min_value=-50, max_value=50))
+    def test_int_scale_is_mul_by_constant(self, a, k):
+        assert a * k == k * a == a * LaurentQ(k)
 
 
 class TestQuantumNumbers:
@@ -150,7 +198,7 @@ class TestFactorialQuotient:
         st.lists(st.integers(min_value=0, max_value=9), max_size=5),
         st.lists(st.integers(min_value=0, max_value=9), max_size=5),
     )
-    @settings(max_examples=60, deadline=None)  # the first example imports sympy
+    @settings(max_examples=60)
     def test_matches_division(self, num, den):
         top = ONE
         for k in num:
@@ -158,21 +206,15 @@ class TestFactorialQuotient:
         bottom = ONE
         for k in den:
             bottom = bottom * qfact(k)
-        # divexact does not terminate on every inexact division, so decide
-        # divisibility with sympy; both are monic once shifted into Z[q]
-        sympy = pytest.importorskip("sympy")
-        q = sympy.Symbol("q")
-
-        def poly(f):
-            lo = f.min_exp()
-            return sympy.Poly(sum(c * q ** (e - lo) for e, c in f.coeffs.items()), q)
-
-        if sympy.rem(poly(top), poly(bottom)).is_zero:
-            shift, quo = qfact_quotient(num, den)
-            assert quo.shift(shift) * bottom == top
-        else:
+        try:
+            with time_limit(5):
+                top.divexact(bottom)
+        except ValueError:
             with pytest.raises(ValueError, match="inexact Laurent division"):
                 qfact_quotient(num, den)
+        else:
+            shift, quo = qfact_quotient(num, den)
+            assert quo.shift(shift) * bottom == top
 
     def test_qbinom_as_quotient(self):
         for n in range(10):
@@ -188,35 +230,3 @@ class TestFactorialQuotient:
     def test_negative_argument_raises(self):
         with pytest.raises(ValueError):
             qfact_quotient([3], [-1])
-
-
-@pytest.mark.skipif(_laurent_cy is None, reason="compiled kernel not built")
-class TestKernelAgreement:
-    """The compiled and pure kernels must agree operation by operation."""
-
-    @given(coeff_dicts, coeff_dicts)
-    @settings(max_examples=80)
-    def test_binary_ops(self, a, b):
-        a = {e: c for e, c in a.items() if c}
-        b = {e: c for e, c in b.items() if c}
-        assert _laurent_py.ladd(a, b) == _laurent_cy.ladd(a, b)
-        assert _laurent_py.lsub(a, b) == _laurent_cy.lsub(a, b)
-        assert _laurent_py.lmul(a, b) == _laurent_cy.lmul(a, b)
-
-    @given(coeff_dicts, st.integers(min_value=-4, max_value=4))
-    def test_unary_ops(self, a, k):
-        a = {e: c for e, c in a.items() if c}
-        assert _laurent_py.lneg(a) == _laurent_cy.lneg(a)
-        assert _laurent_py.lbar(a) == _laurent_cy.lbar(a)
-        assert _laurent_py.lshift(a, k) == _laurent_cy.lshift(a, k)
-        assert _laurent_py.lscale(a, k) == _laurent_cy.lscale(a, k)
-
-    @given(coeff_dicts, coeff_dicts)
-    @settings(max_examples=60)
-    def test_divexact(self, a, b):
-        a = {e: c for e, c in a.items() if c}
-        b = {e: c for e, c in b.items() if c}
-        if not b:
-            return
-        prod = _laurent_py.lmul(a, b)
-        assert _laurent_py.ldivexact(prod, b) == _laurent_cy.ldivexact(prod, b) == a
