@@ -249,30 +249,27 @@ def cmd_center(args) -> int:
     return 0
 
 
-def _check_key_entries(N: int, top, bottom):
-    for x in top + bottom:
-        if not 1 <= x <= N:
-            raise UsageError(f"key entry {x} outside 1..{N}")
-
-
 def cmd_cb(args) -> int:
-    top, bottom = parse_key(args.key)
-    _check_key_entries(args.N, top, bottom)
-    signs = "+" * len(top) + "-" * len(bottom)
-    keys = qcanon._weight_space_keys(args.N, signs, qcanon._key_weight(signs, top + bottom))
-    if sum(1 for _ in itertools.islice(keys, CB_MAX_VECTORS + 1)) > CB_MAX_VECTORS:
-        raise ResourceError(
-            f"weight space has more than {CB_MAX_VECTORS} vectors; lower N or the key length"
-        )
+    wanted = []
+    for what, text in (("key", args.key), ("--pair-with", args.pair_with)):
+        if text is None:
+            continue
+        top, bottom = parse_key(text)
+        rows = "+" * len(top) + "-" * len(bottom)
+        if args.signs != rows:
+            raise UsageError(f"signs {args.signs!r} do not match {what} rows ({rows!r})")
+        for x in top + bottom:
+            if not 1 <= x <= args.N:
+                raise UsageError(f"key entry {x} outside 1..{args.N}")
+        keys = qcanon._weight_space_keys(args.N, rows, qcanon._key_weight(rows, top + bottom))
+        if sum(1 for _ in itertools.islice(keys, CB_MAX_VECTORS + 1)) > CB_MAX_VECTORS:
+            raise ResourceError(
+                f"weight space has more than {CB_MAX_VECTORS} vectors; lower N or the key length"
+            )
+        wanted.append((top, bottom))
     fn = qcanon.dual_canonical if args.basis == "dual" else qcanon.canonical
-    vec = fn(args.N, top, bottom)
-    if args.pair_with is not None:
-        top2, bottom2 = parse_key(args.pair_with)
-        _check_key_entries(args.N, top2, bottom2)
-        other = fn(args.N, top2, bottom2)
-        _emit({"pairing": qcanon.pairing(vec, other).to_json()})
-    else:
-        _emit(vec.to_json())
+    vecs = [fn(args.N, top, bottom) for top, bottom in wanted]
+    _emit({"pairing": qcanon.pairing(*vecs).to_json()} if len(vecs) == 2 else vecs[0].to_json())
     return 0
 
 
@@ -290,89 +287,89 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly: one table, one builder
+
+# flag spec: (flag, add_argument keyword arguments)
+GLOBAL_FLAGS = (
+    ("--cache-dir", {"help": "result cache directory (overrides WBLOCKS_CACHE)"}),
+    ("--no-cache", {"action": "store_true", "help": "disable the result cache"}),
+    ("--config", {"help": "JSON file with default flag values"}),
+)
+_M = ("--m", {"type": int, "required": True})
+_N = ("--n", {"type": int, "required": True})
+_BLOCK = ("--block", {"required": True})
+_LAMBDA = ("--lambda", {"dest": "lam", "required": True})
+_CARTAN = (
+    _M, _N, _BLOCK,
+    ("--window", {"required": True, "help": "label support window lo..hi"}),
+    ("--format", {"choices": ["csv", "json"], "default": "json"}),
+    ("--q-at-1", {"action": "store_true", "help": "collapse graded entries at q=1"}),
+)
+
+# name -> (handler, help, flag specs), in the order --help lists them
+COMMANDS = {
+    "blocks": (cmd_blocks, "enumerate block keys realized in an entry window",
+               (_M, _N, ("--window", {"required": True, "help": "entry window lo..hi"}))),
+    "char": (cmd_char, "Verma or simple character of a block member",
+             (_M, _N, _BLOCK, _LAMBDA,
+              ("--kind", {"choices": ["verma", "simple"], "default": "verma"}))),
+    "verma-mult": (cmd_verma_mult, "composition multiplicity of a simple in a Verma",
+                   (_M, _N, _BLOCK, _LAMBDA, ("--kappa", {"required": True}))),
+    "cartan": (lambda args: cmd_cartan(args, False), "Cartan matrix over a label window", _CARTAN),
+    "graded-cartan": (lambda args: cmd_cartan(args, True),
+                      "graded Cartan matrix over a label window", _CARTAN),
+    "h": (cmd_h, "lattice count h(lambda)", (_LAMBDA,)),
+    "end-dim": (cmd_end_dim, "endomorphism dimension at t*eps_i",
+                (_M, _N, _BLOCK, ("--i", {"type": int, "required": True}),
+                 ("--d-invariant", {"action": "store_true"}))),
+    "recover": (cmd_recover,
+                "recover (t, gamma) from Cartan data on stdin (JSON with labels and matrix)", ()),
+    "equiv": (cmd_equiv, "equivalence moves, closure and invariant signature",
+              (_M, _N, _BLOCK, ("--closure-width", {"type": int, "default": 6}))),
+    "center": (cmd_center, "supersymmetric generator and membership checks",
+               (_M, _N, ("--s-minus", {"type": int, "default": 0}),
+                ("--r", {"type": int, "required": True}))),
+    "cb": (cmd_cb, "canonical / dual canonical vectors and pairings",
+           (("--N", {"type": int, "required": True}),
+            ("--signs", {"required": True, "help": "sign sequence, e.g. ++-"}),
+            ("--key", {"required": True, "help": "top;bottom entries, e.g. 1,2;2"}),
+            ("--basis", {"choices": ["dual", "canonical"], "default": "dual"}),
+            ("--pair-with", {"help": "second key; output the basis pairing instead"}))),
+    "verify": (cmd_verify, "run the cross-oracle verification suite",
+               (("--profile", {"choices": ["quick", "full"], "default": "quick"}),
+                ("--json", {"action": "store_true", "help": "machine-readable report"}),
+                ("--inject-fault", {"choices": sorted(verify.FAULTS),
+                                    "help": "perturb one formula (harness self-test)"}))),
+}
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with only `command`'s subparser, or with all of them."""
     parser = _Parser(prog="wblocks", description=__doc__)
-    parser.add_argument("--cache-dir", help="result cache directory (overrides WBLOCKS_CACHE)")
-    parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
-    parser.add_argument("--config", help="JSON file with default flag values")
+    for flag, kwargs in GLOBAL_FLAGS:
+        parser.add_argument(flag, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name in COMMANDS if command is None else (command,):
+        fn, help_text, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("blocks", cmd_blocks, help="enumerate block keys realized in an entry window")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", required=True, help="entry window lo..hi")
-
-    p = add("char", cmd_char, help="Verma or simple character of a block member")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--block", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--kind", choices=["verma", "simple"], default="verma")
-
-    p = add("verma-mult", cmd_verma_mult, help="composition multiplicity of a simple in a Verma")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--block", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--kappa", required=True)
-
-    for name, graded in (("cartan", False), ("graded-cartan", True)):
-        p = add(name, lambda a, g=graded: cmd_cartan(a, g),
-                help=("graded " if graded else "") + "Cartan matrix over a label window")
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--block", required=True)
-        p.add_argument("--window", required=True, help="label support window lo..hi")
-        p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.add_argument("--q-at-1", action="store_true", help="collapse graded entries at q=1")
-
-    p = add("h", cmd_h, help="lattice count h(lambda)")
-    p.add_argument("--lambda", dest="lam", required=True)
-
-    p = add("end-dim", cmd_end_dim, help="endomorphism dimension at t*eps_i")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--block", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--d-invariant", action="store_true")
-
-    add("recover", cmd_recover,
-        help="recover (t, gamma) from Cartan data on stdin (JSON with labels and matrix)")
-
-    p = add("equiv", cmd_equiv, help="equivalence moves, closure and invariant signature")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--block", required=True)
-    p.add_argument("--closure-width", type=int, default=6)
-
-    p = add("center", cmd_center, help="supersymmetric generator and membership checks")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s-minus", type=int, default=0)
-    p.add_argument("--r", type=int, required=True)
-
-    p = add("cb", cmd_cb, help="canonical / dual canonical vectors and pairings")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--signs", required=True, help="sign sequence, e.g. ++-")
-    p.add_argument("--key", required=True, help="top;bottom entries, e.g. 1,2;2")
-    p.add_argument("--basis", choices=["dual", "canonical"], default="dual")
-    p.add_argument("--pair-with", help="second key; output the basis pairing instead")
-
-    p = add("verify", cmd_verify, help="run the cross-oracle verification suite")
-    p.add_argument("--profile", choices=["quick", "full"], default="quick")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--inject-fault", choices=sorted(verify.FAULTS),
-                   help="perturb one formula (harness self-test)")
-
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _command_of(argv):
+    """The command argv names, when everything before it is an exact global
+    flag; else None, and the full parser judges the line (abbreviations,
+    help, unknown commands)."""
+    rest = list(argv)
+    while rest and rest[0] not in COMMANDS:
+        tok = rest.pop(0)
+        if tok in ("--cache-dir", "--config") and rest and not rest[0].startswith("-"):
+            rest.pop(0)
+        elif tok != "--no-cache" and not tok.startswith(("--cache-dir=", "--config=")):
+            return None
+    return rest[0] if rest else None
 
 
 def _merge_window_flags(argv):
@@ -390,9 +387,11 @@ def _merge_window_flags(argv):
     return out
 
 
-def _apply_config(argv):
-    """Append flags from the optional JSON config file for any option not
-    given explicitly; explicit flags always win."""
+def _apply_config(argv, command):
+    """Add flags from the optional JSON config file for any option not
+    given explicitly; explicit flags always win.  Global keys go before the
+    command, a command's keys after it, and only when the command has that
+    flag (any command's, if none was recognised)."""
     path = None
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
@@ -403,36 +402,37 @@ def _apply_config(argv):
         return argv
     with open(path) as fh:
         defaults = json.load(fh)
+    if not isinstance(defaults, dict):
+        raise UsageError(f"config {path!r} is not a JSON object")
+    global_flags = {flag for flag, _ in GLOBAL_FLAGS}
+    known = global_flags.union(*({f for f, _ in flags} for _, _, flags in COMMANDS.values()))
+    own = global_flags.union(*({f for f, _ in COMMANDS[name][2]}
+                               for name in (COMMANDS if command is None else (command,))))
+    front, back = [], []
     for key in sorted(defaults):
         flag = "--" + key.replace("_", "-")
-        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
-            continue
+        if flag not in known:
+            raise UsageError(f"config key {key!r} names no flag")
         value = defaults[key]
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
-            argv.append(f"{flag}={value}")
-    return argv
+        if flag in own and value is not False and \
+                not any(tok == flag or tok.startswith(flag + "=") for tok in argv):
+            out = front if flag in global_flags else back
+            out.append(flag if value is True else f"{flag}={value}")
+    return front + argv + back
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_window_flags(list(argv))
+    command = _command_of(argv)
     try:
-        argv = _apply_config(argv)
-        args = parser.parse_args(argv)
+        argv = _apply_config(argv, command)
+        args = build_parser(command).parse_args(argv)
         if args.no_cache:
             cache.configure(None)
         elif args.cache_dir:
             cache.configure(args.cache_dir)
-        if getattr(args, "signs", None) is not None:
-            top, bottom = parse_key(args.key)
-            expected = "+" * len(top) + "-" * len(bottom)
-            if args.signs != expected:
-                raise UsageError(f"signs {args.signs!r} do not match key rows ({expected!r})")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -404,7 +404,9 @@ _family_memo: dict = {}
 def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     """All canonical (dual=False) or dual canonical (dual=True) basis vectors
     of one weight space, computed by Lusztig's-lemma recursion and memoized
-    (in memory, and in the file cache when one is configured)."""
+    (in memory, and in the file cache when one is configured).  A family read
+    from the file cache maps keys to JSON items until _basis_vector decodes
+    them; one whose key set is not the weight space's is recomputed."""
     memo_key = (N, signs, weight, dual)
     if memo_key in _family_memo:
         return _family_memo[memo_key]
@@ -417,12 +419,10 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     }
     cached = _cache.get(request)
     if cached is not None:
-        family = {
-            tuple(item["key"]): TensorVec.from_json(item["vec"])
-            for item in cached["family"]
-        }
-        _family_memo[memo_key] = family
-        return family
+        family = {tuple(item["key"]): item["vec"] for item in cached["family"]}
+        if family.keys() == set(_weight_space_keys(N, signs, weight)):
+            _family_memo[memo_key] = family
+            return family
 
     # processing order: each key's correction terms lie on earlier keys, so
     # the head of the remainder is always its key of largest rank
@@ -465,25 +465,25 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     return family
 
 
-def _key_of(top, bottom):
-    return tuple(top) + tuple(bottom)
+def _basis_vector(N: int, top, bottom, dual: bool) -> TensorVec:
+    signs = "+" * len(top) + "-" * len(bottom)
+    key = tuple(top) + tuple(bottom)
+    family = _basis_family(N, signs, _key_weight(signs, key), dual)
+    vec = family[key]
+    if not isinstance(vec, TensorVec):  # a JSON item from the file cache
+        vec = family[key] = TensorVec.from_json(vec)
+    return vec
 
 
 def dual_canonical(N: int, top, bottom) -> TensorVec:
     """Dual canonical basis vector: the unique psi*-fixed vector equal to
     the monomial plus a q Z[q] combination of lower monomials."""
-    signs = "+" * len(top) + "-" * len(bottom)
-    key = _key_of(top, bottom)
-    weight = _key_weight(signs, key)
-    return _basis_family(N, signs, weight, dual=True)[key]
+    return _basis_vector(N, top, bottom, dual=True)
 
 
 def canonical(N: int, top, bottom) -> TensorVec:
     """Canonical basis vector: psi-fixed, unitriangular the other way."""
-    signs = "+" * len(top) + "-" * len(bottom)
-    key = _key_of(top, bottom)
-    weight = _key_weight(signs, key)
-    return _basis_family(N, signs, weight, dual=False)[key]
+    return _basis_vector(N, top, bottom, dual=False)
 
 
 # ---------------------------------------------------------------------------

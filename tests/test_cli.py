@@ -1,17 +1,33 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wblocks
-from wblocks.cli import main, parse_block, parse_composition, parse_window
+from wblocks import cache, cli, qcanon
+from wblocks.cli import (COMMANDS, UsageError, _command_of, build_parser, main, parse_block,
+                         parse_composition, parse_window)
 from wblocks.combinat import Composition
+from wblocks.qcanon import TensorVec
 
 # the directory holding the wblocks this process imported, so the CLI child
 # runs the same code whether or not PYTHONPATH was set
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wblocks.__file__)))
+
+
+def call_main(argv):
+    """(exit code, stdout, stderr) of one in-process cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_cli(args, stdin=None, env=None):
@@ -171,6 +187,258 @@ class TestExitCodes:
     def test_verify_failure_exit_code(self):
         code = main(["verify", "--profile", "quick", "--inject-fault", "h-count"])
         assert code == 3
+
+
+B11 = "mu=0;nu=0;t=1"
+# per command: a line every parser accepts and a malformed one
+PARSER_LINES = {
+    "blocks": (["blocks", "--m", "1", "--n", "1", "--window=0..2"],
+               ["blocks", "--m", "x", "--n", "1", "--window=0..2"]),
+    "char": (["char", "--m", "1", "--n", "1", "--block", B11, "--lambda", "0", "--kind", "simple"],
+             ["char", "--m", "1", "--n", "1", "--block", B11, "--lambda", "0", "--kind", "odd"]),
+    "verma-mult": (["verma-mult", "--m", "1", "--n", "1", "--block", B11, "--lambda", "0",
+                    "--kappa", "0"],
+                   ["verma-mult", "--m", "1", "--n", "1", "--block", B11, "--lambda", "0"]),
+    "cartan": (["cartan", "--m", "1", "--n", "1", "--block", B11, "--window=0..1", "--format", "csv"],
+               ["cartan", "--m", "1", "--n", "1", "--block", B11, "--window=0..1", "--format", "xml"]),
+    "graded-cartan": (["graded-cartan", "--m", "1", "--n", "1", "--block", B11, "--window=0..1",
+                       "--q-at-1"],
+                      ["graded-cartan", "--m", "1", "--n", "1", "--block", B11, "--window=0..1",
+                       "--q-at-1=yes"]),
+    "h": (["h", "--lambda", "offset=0;parts=1"], ["h"]),
+    "end-dim": (["end-dim", "--m", "1", "--n", "1", "--block", B11, "--i", "1", "--d-invariant"],
+                ["end-dim", "--m", "1", "--n", "1", "--block", B11, "--i", "1.5"]),
+    "recover": (["recover"], ["recover", "--bogus"]),
+    "equiv": (["equiv", "--m", "1", "--n", "1", "--block", B11, "--closure-width", "3"],
+              ["equiv", "--m", "1", "--n", "1", "--block", B11, "--closure-width"]),
+    "center": (["center", "--m", "1", "--n", "1", "--r", "2", "--s-minus", "1"],
+               ["center", "--m", "1", "--n", "1", "--r", "2", "extra"]),
+    "cb": (["cb", "--N", "2", "--signs", "+-", "--key", "1;1", "--pair-with", "2;2"],
+           ["cb", "--N", "2", "--signs", "+-", "--key", "1;1", "--basis", "both"]),
+    "verify": (["verify", "--profile", "quick", "--json", "--inject-fault", "h-count"],
+               ["verify", "--profile", "slow"]),
+}
+
+
+def _parse(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except UsageError as exc:
+        return f"usage error: {exc}"
+
+
+class TestParserTable:
+    def test_table_covers_every_command(self):
+        assert set(PARSER_LINES) == set(COMMANDS) and len(COMMANDS) == 12
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "malformed"])
+    @pytest.mark.parametrize("command", list(PARSER_LINES))
+    def test_one_command_parser_agrees_with_full(self, command, valid):
+        argv = PARSER_LINES[command][0 if valid else 1]
+        for line in (argv, ["--no-cache", "--cache-dir", "d", *argv]):
+            one = _parse(build_parser(command), line)
+            full = _parse(build_parser(), line)
+            assert one == full
+            assert isinstance(one, str) != valid, one
+
+    @pytest.mark.parametrize("argv,command", [
+        (["h", "--lambda", "0"], "h"),
+        (["--cache-dir", "d", "--no-cache", "cb"], "cb"),
+        (["--cache-dir=d", "--config=c.json", "center"], "center"),
+        (["--config", "c.json", "verify", "--json"], "verify"),
+        (["--cache-dir", "h", "end-dim"], "end-dim"),
+    ])
+    def test_command_of_names_the_command(self, argv, command):
+        assert _command_of(argv) == command
+
+    @pytest.mark.parametrize("argv", [
+        ["--cache", "d", "h"], ["--conf", "c.json", "h"], ["--help"], ["-h", "cb"], [],
+        ["frobnicate"], ["--no-cache"], ["--cache-dir", "-d", "h"], ["--no-cache=1", "h"],
+        ["--", "h"],
+    ])
+    def test_command_of_leaves_the_rest_to_argparse(self, argv):
+        assert _command_of(argv) is None
+
+    def test_main_builds_only_the_named_command(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                            or real(command))
+        assert call_main(["h", "--lambda", "0"])[0] == 0
+        assert call_main(["--cache", str(tmp_path), "h", "--lambda", "0"])[0] == 0
+        assert call_main(["frobnicate"])[0] == 1
+        assert built == ["h", None, None]
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, (_, help_text, _) in COMMANDS.items():
+            assert re.search(rf"^    {re.escape(name)} .*{re.escape(help_text[:20])}", out, re.M)
+
+
+class TestConfig:
+    def _config(self, tmp_path, data):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_key_of_another_command_is_skipped(self, tmp_path):
+        cfg = self._config(tmp_path, {"format": "csv"})
+        assert call_main(["--config", cfg, "h", "--lambda", "0"]) == call_main(["h", "--lambda", "0"])
+
+    def test_global_keys(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "_cache_dir", str(tmp_path / "from-env"))
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        argv = ["cb", "--N", "2", "--signs", "+-", "--key", "2;1"]
+        cfg = self._config(tmp_path, {"no_cache": True})
+        assert call_main(["--config", cfg, *argv])[0] == 0
+        assert cache.current_dir() is None
+        assert not (tmp_path / "from-env").exists()
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        cfg = self._config(tmp_path, {"cache_dir": str(tmp_path / "from-config")})
+        assert call_main(["--config", cfg, *argv])[0] == 0
+        assert list((tmp_path / "from-config").iterdir())
+        assert call_main(["--config", cfg, "--cache-dir", str(tmp_path / "explicit"), *argv])[0] == 0
+        assert cache.current_dir() == str(tmp_path / "explicit")
+
+    def test_unknown_key_is_a_usage_error(self, tmp_path):
+        cfg = self._config(tmp_path, {"frobnicate": 1})
+        code, out, err = call_main(["--config", cfg, "h", "--lambda", "0"])
+        assert (code, out) == (1, "") and "'frobnicate' names no flag" in err
+
+    @pytest.mark.parametrize("data", [[1, 2], "csv", 3, None])
+    def test_config_not_an_object(self, tmp_path, data):
+        cfg = self._config(tmp_path, data)
+        code, out, err = call_main(["--config", cfg, "h", "--lambda", "0"])
+        assert (code, out) == (1, "") and err.startswith("usage error: config ")
+
+    def test_missing_config_file(self, tmp_path):
+        code, out, err = call_main(["--config", str(tmp_path / "none.json"), "h", "--lambda", "0"])
+        assert (code, out) == (2, "") and "FileNotFoundError" in err
+
+
+class TestCbLines:
+    def test_pair_with_other_shape(self):
+        argv = ["cb", "--N", "3", "--signs", "+-", "--key", "1;1", "--pair-with", "2;2,1"]
+        code, out, err = call_main(argv)
+        assert (code, out) == (1, "")
+        assert "signs '+-' do not match --pair-with rows ('+--')" in err
+
+    def test_pair_with_weight_space_too_large(self):
+        # the key's weight space has 1 vector, the paired key's 5140
+        argv = ["cb", "--N", "10", "--signs", "+++---", "--key", "1,1,1;2,2,2",
+                "--pair-with", "1,2,3;3,2,1"]
+        code, out, err = call_main(argv)
+        assert (code, out) == (2, "") and "ResourceError" in err
+
+
+CB_ARGV = ["cb", "--N", "3", "--signs", "++--", "--key", "1,2;2,1"]
+
+
+class TestCachedFamilies:
+    """Reads of a family file: one vector decoded per key asked for, and a
+    file whose keys or coefficients are wrong never changes an output byte."""
+
+    @pytest.fixture
+    def warm(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        plain = call_main(["--no-cache", *CB_ARGV])
+        assert plain[0] == 0
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        assert call_main(["--cache-dir", str(tmp_path), *CB_ARGV]) == plain
+        (path,) = tmp_path.iterdir()
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        return path, plain
+
+    def _edit(self, path, change):
+        data = json.loads(path.read_text())
+        change(data["result"]["family"])
+        path.write_text(json.dumps(data, sort_keys=True))
+
+    @pytest.mark.parametrize("extra,decoded", [([], 1), (["--pair-with", "2,1;1,2"], 2)])
+    def test_warm_call_decodes_only_what_it_prints(self, warm, monkeypatch, extra, decoded):
+        path, _ = warm
+        calls = []
+        real = TensorVec.from_json.__func__
+        monkeypatch.setattr(TensorVec, "from_json",
+                            classmethod(lambda cls, data: calls.append(data) or real(cls, data)))
+        code, out, _ = call_main(["--cache-dir", str(path.parent), *CB_ARGV, *extra])
+        assert code == 0 and len(calls) == decoded
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        assert call_main(["--no-cache", *CB_ARGV, *extra])[1] == out
+
+    def test_family_missing_a_key_is_recomputed(self, warm):
+        path, plain = warm
+        original = path.read_bytes()
+        self._edit(path, lambda family: family.pop())
+        assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain
+        assert path.read_bytes() == original
+
+    def _poison(self, path, key):
+        def change(family):
+            (item,) = [it for it in family if it["key"] == key]
+            item["vec"]["terms"][0]["coeff"] = {"0": "x"}
+        self._edit(path, change)
+
+    def test_poisoned_requested_vector_fails(self, warm):
+        path, _ = warm
+        self._poison(path, [1, 2, 2, 1])
+        code, out, err = call_main(["--cache-dir", str(path.parent), *CB_ARGV])
+        assert (code, out) == (2, "") and "ValueError" in err
+
+    def test_poisoned_other_vector_changes_no_byte(self, warm):
+        path, plain = warm
+        self._poison(path, [2, 1, 1, 2])
+        assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain
+
+
+# Flag values built from the value parsers' own vocabulary.  A number is
+# always followed by a non-digit piece, so numbers stay one digit and every
+# well-formed value is cheap to compute.
+_NUMBER = st.integers(-2, 4).map(str)
+_PIECE = st.sampled_from([",", ";", "=", ".", "..", " ", "x", ",,", ";;", "offset=", "parts=",
+                          "mu=", "nu=", "t=", "mu.parts=", "mu.offset=", "nu.parts=",
+                          "nu.offset="])
+VALUES = st.builds(
+    lambda pairs, last: "".join(a + b for a, b in pairs) + last,
+    st.lists(st.tuples(st.one_of(_NUMBER, st.just("")), _PIECE), max_size=8),
+    st.one_of(_NUMBER, st.just("")),
+)
+
+
+def check_outcome(argv):
+    code, out, err = call_main(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    assert code == 0 or out == "", (argv, code, out)
+
+
+class TestValueParsersThroughMain:
+    @settings(max_examples=150, deadline=None)
+    @given(VALUES)
+    def test_composition(self, text):
+        check_outcome(["h", f"--lambda={text}"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(VALUES)
+    def test_block(self, text):
+        check_outcome(["end-dim", "--m", "2", "--n", "2", f"--block={text}", "--i", "1"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(VALUES)
+    def test_window(self, text):
+        check_outcome(["blocks", "--m", "1", "--n", "1", f"--window={text}"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(VALUES, st.one_of(st.none(), VALUES),
+           st.sampled_from(["+-", "++-", "+--", "++--", "+", "-", ""]))
+    def test_key(self, key, pair, signs):
+        pair_flag = [] if pair is None else [f"--pair-with={pair}"]
+        check_outcome(["cb", "--N", "3", f"--signs={signs}", f"--key={key}", *pair_flag])
 
 
 class TestDeterminismAndCache:
