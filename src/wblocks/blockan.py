@@ -260,25 +260,29 @@ def h_separation(lam: Composition, j: int):
     return left, right
 
 
+def _demon_value(t: int, gi: int, gi1: int) -> Fraction:
+    """The sum over r of t! C(t, r) gi! gi1! / ((gi + t - r)! (gi1 + r)!),
+    strictly decreasing in gi."""
+    total = Fraction(0)
+    for r in range(t + 1):
+        total += Fraction(
+            comb(t, r) * factorial(t) * factorial(gi) * factorial(gi1),
+            factorial(gi + t - r) * factorial(gi1 + r),
+        )
+    return total
+
+
 def end_dim(xi: BlockKey, i: int) -> int:
-    """Endomorphism dimension of the projective at t*eps_i, by the explicit
-    binomial sum in gamma_i, gamma_{i+1}."""
+    """Endomorphism dimension of the projective at t*eps_i: m! n!
+    _demon_value(t, gamma_i, gamma_{i+1}) / (t!^2 prod_j gamma_j!)."""
     t = xi.t
     if t < 1:
         raise ValueError("end_dim requires atypicality t >= 1")
     gamma = xi.gamma
-    gi, gi1 = gamma[i], gamma[i + 1]
-    total = Fraction(0)
-    for r in range(t + 1):
-        total += Fraction(
-            comb(t, r) * factorial(gi) * factorial(gi1),
-            factorial(gi + t - r) * factorial(gi1 + r),
-        )
-    pre = Fraction(factorial(xi.m) * factorial(xi.n), factorial(t))
-    lo, hi = gamma.support_bounds()
-    for j in range(lo, hi + 1):
-        pre /= factorial(gamma[j])
-    out = pre * total
+    out = Fraction(factorial(xi.m) * factorial(xi.n), factorial(t) ** 2)
+    out *= _demon_value(t, gamma[i], gamma[i + 1])
+    for g in gamma.parts:
+        out /= factorial(g)
     if out.denominator != 1:
         raise ArithmeticError("end_dim came out non-integral (internal bug)")
     return int(out)
@@ -302,16 +306,6 @@ def d_invariant(xi: BlockKey, i: int) -> Fraction:
     depends only on (gamma_i, gamma_{i+1}) and is monotone in each."""
     t = xi.t
     return Fraction(comb(2 * t, t) * end_dim(xi, i), stable_end_dim(xi))
-
-
-def _demon_value(t: int, gi: int, gi1: int) -> Fraction:
-    total = Fraction(0)
-    for r in range(t + 1):
-        total += Fraction(
-            comb(t, r) * factorial(t) * factorial(gi) * factorial(gi1),
-            factorial(gi + t - r) * factorial(gi1 + r),
-        )
-    return total
 
 
 def neighbor_test(xi: BlockKey, i: int, j: int) -> bool:
@@ -469,18 +463,7 @@ def recover_invariants(data):
             g += 1
             if g > 10000:
                 raise BlockDataError("inconsistent End-dim data")
-    gamma = Composition(gamma_slots)
-    return t, normalize_gamma(gamma)
-
-
-def normalize_gamma(gamma: Composition) -> Composition:
-    """Canonical representative modulo translation and duality: support
-    shifted to start at 0, lexicographically smaller reading direction."""
-    if gamma.is_zero():
-        return gamma
-    fwd = gamma.parts
-    rev = gamma.parts[::-1]
-    return Composition(min(fwd, rev))
+    return t, Composition(gamma_slots).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def get(request):
             stored = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if stored.get("request") != request:
+    if not isinstance(stored, dict) or stored.get("request") != request:
         return None
     return stored.get("result")
 

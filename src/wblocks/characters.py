@@ -4,13 +4,12 @@ composition-indexed characters on the W side, with decomposition into simples.
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 from .combinat import BlockKey, Composition, Pyramid, Tableau
 
 # ---------------------------------------------------------------------------
-# weights, rho shifts and parity
+# weights and rho shifts
 
 
 def natural_order(p: Pyramid):
@@ -61,13 +60,6 @@ def weight_coords(p: Pyramid, form_vals):
     """Convert a form-value vector to delta-basis coordinates (the form is
     +1 on the first m coordinates and -1 on the last n)."""
     return tuple(v if j < p.m else -v for j, v in enumerate(form_vals))
-
-
-def parity_of(p: Pyramid, weight) -> int:
-    """Parity (mod 2) in which the weight space is concentrated: the odd
-    coordinate sum plus the ceil((n-m)/2) + m*s_minus correction."""
-    odd_sum = sum(weight[p.m:])
-    return (odd_sum + (p.n - p.m + 1) // 2 + p.m * p.s_minus) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +156,6 @@ def verma_char_trunc(p: Pyramid, order, A: Tableau, D: int) -> WeightChar:
     return WeightChar(out, D)
 
 
-def hw_scalars(A: Tableau):
-    """Elementary symmetric evaluations of the two rows: the scalars by which
-    the d-series generators act on the highest weight vector."""
-
-    def elem(vals):
-        out = []
-        for r in range(1, len(vals) + 1):
-            out.append(sum(_prod(c) for c in itertools.combinations(vals, r)))
-        return tuple(out)
-
-    return elem(A.top), elem(A.bottom)
-
-
-def _prod(vals):
-    out = 1
-    for v in vals:
-        out *= v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # W-side characters over compositions
 
@@ -258,20 +230,10 @@ def _alpha_expand(base: Composition, exponents: dict) -> CompChar:
         for c, v in terms.items():
             for r in range(e + 1):
                 # alpha_i shifts r units from slot i+1 to slot i
-                items = {j: c[j] for j in range(*_span(c, i))}
-                items[i] = c[i] + r
-                items[i + 1] = c[i + 1] - r
-                c2 = Composition.from_items(items)
+                c2 = Composition.from_items({**c.items(), i: c[i] + r, i + 1: c[i + 1] - r})
                 new[c2] = new.get(c2, 0) + v * comb(e, r)
         terms = new
     return CompChar(terms)
-
-
-def _span(c: Composition, i: int):
-    lo, hi = c.support_bounds()
-    if hi < lo:
-        return (i, i + 2)
-    return (min(lo, i), max(hi, i + 1) + 1)
 
 
 def ch_verma_w(xi: BlockKey, lam: Composition) -> CompChar:
@@ -321,7 +283,7 @@ def decompose_char(c: CompChar, xi: BlockKey) -> dict:
             residue.terms, key=lambda comp: (comp.partial_sums_key(lo, hi), comp.parts)
         )
         mult = residue.terms[head]
-        items = {i: head[i] - xi.mu[i] for i in range(*_span2(head, xi.mu))}
+        items = {i: head[i] - xi.mu[i] for i in {**head.items(), **xi.mu.items()}}
         if any(v < 0 for v in items.values()):
             raise NotInBlockSpan(f"leading term {head!r} is not of the form lambda + mu")
         lam = Composition.from_items(items)
@@ -330,11 +292,3 @@ def decompose_char(c: CompChar, xi: BlockKey) -> dict:
         residue = residue - ch_simple_w(xi, lam).scaled(mult)
         out[lam] = out.get(lam, 0) + mult
     return out
-
-
-def _span2(a: Composition, b: Composition):
-    lo = min(a.support_bounds()[0], b.support_bounds()[0])
-    hi = max(a.support_bounds()[1], b.support_bounds()[1])
-    if hi < lo:
-        return (0, 0)
-    return (lo, hi + 1)

@@ -387,35 +387,56 @@ def _merge_window_flags(argv):
     return out
 
 
-def _apply_config(argv, command):
+def _option(tok, names):
+    """The option among names that argparse reads tok as, alone or with
+    '=value': its exact spelling or a prefix of no other option; else None."""
+    name = tok.split("=", 1)[0]
+    if name in names:
+        return name
+    hits = [n for n in names if n.startswith(name)] if name.startswith("--") else []
+    return hits[0] if len(hits) == 1 else None
+
+
+def _apply_config(argv):
     """Add flags from the optional JSON config file for any option not
     given explicitly; explicit flags always win.  Global keys go before the
     command, a command's keys after it, and only when the command has that
-    flag (any command's, if none was recognised)."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
+    flag (any command's, if none was recognised).  A flag counts in every
+    spelling argparse accepts, abbreviations included."""
+    global_flags = {flag for flag, _ in GLOBAL_FLAGS}
+    takes_value = {flag for flag, kwargs in GLOBAL_FLAGS if "action" not in kwargs}
+    given = {}  # flag -> value of the global flags before the command
+    i = 0
+    while i < len(argv) and (flag := _option(argv[i], ["-h", "--help", *global_flags])):
+        if "=" in argv[i]:
+            given[flag] = argv[i].split("=", 1)[1]
+        elif flag in takes_value:
+            i += 1
+            given[flag] = argv[i] if i < len(argv) else None
+        else:
+            given[flag] = None
+        i += 1
+    path = given.get("--config")
     if path is None:
         return argv
     with open(path) as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
         raise UsageError(f"config {path!r} is not a JSON object")
-    global_flags = {flag for flag, _ in GLOBAL_FLAGS}
+    command = argv[i] if i < len(argv) and argv[i] in COMMANDS else None
     known = global_flags.union(*({f for f, _ in flags} for _, _, flags in COMMANDS.values()))
-    own = global_flags.union(*({f for f, _ in COMMANDS[name][2]}
-                               for name in (COMMANDS if command is None else (command,))))
+    flags = {f for name in (COMMANDS if command is None else (command,))
+             for f, _ in COMMANDS[name][2]}
+    own = global_flags | flags
+    explicit = set(given).union(_option(tok, ["-h", "--help", *flags])
+                                for tok in argv[i + (command is not None):])
     front, back = [], []
     for key in sorted(defaults):
         flag = "--" + key.replace("_", "-")
         if flag not in known:
             raise UsageError(f"config key {key!r} names no flag")
         value = defaults[key]
-        if flag in own and value is not False and \
-                not any(tok == flag or tok.startswith(flag + "=") for tok in argv):
+        if flag in own and value is not False and flag not in explicit:
             out = front if flag in global_flags else back
             out.append(flag if value is True else f"{flag}={value}")
     return front + argv + back
@@ -427,7 +448,7 @@ def main(argv=None) -> int:
     argv = _merge_window_flags(list(argv))
     command = _command_of(argv)
     try:
-        argv = _apply_config(argv, command)
+        argv = _apply_config(argv)
         args = build_parser(command).parse_args(argv)
         if args.no_cache:
             cache.configure(None)

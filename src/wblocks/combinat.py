@@ -1,4 +1,4 @@
-"""Pyramids, tableaux, compositions, Bruhat order, linkage and block keys.
+"""Pyramids, tableaux, compositions, linkage and block keys.
 
 All values here are immutable after construction and every operation is a
 pure function, so everything is safe for unrestricted concurrent use.
@@ -96,12 +96,13 @@ class Composition:
             return self
         return Composition(self.parts[::-1], -(self.offset + len(self.parts) - 1))
 
+    def items(self) -> dict:
+        """{position: part} over the nonzero parts, in position order."""
+        return {self.offset + k: p for k, p in enumerate(self.parts) if p}
+
     def swap_adjacent(self, i: int) -> "Composition":
         """Interchange parts i and i+1."""
-        return Composition.from_items(
-            {**{j: self[j] for j in range(*_pad_range(self, i))},
-             i: self[i + 1], i + 1: self[i]}
-        )
+        return Composition.from_items({**self.items(), i: self[i + 1], i + 1: self[i]})
 
     def transpose(self):
         """Conjugate partition of the multiset of nonzero parts, as a tuple."""
@@ -110,14 +111,10 @@ class Composition:
             return ()
         return tuple(sum(1 for p in nz if p >= i) for i in range(1, nz[0] + 1))
 
-    def strictify(self):
-        """The nonzero parts in position order."""
-        return tuple(p for p in self.parts if p)
-
-    def equal_tdual(self, other: "Composition") -> bool:
-        """Equality up to translation and duality: some shift s with
-        other_i = self_{s+i} for all i, or other_i = self_{s-i} for all i."""
-        return (self.parts == other.parts) or (self.parts == other.parts[::-1])
+    def normalized(self) -> "Composition":
+        """Canonical representative modulo translation and duality (i ->
+        s - i): support starting at 0, lexicographically smaller reading."""
+        return Composition(min(self.parts, self.parts[::-1]))
 
     def dominance_leq(self, other: "Composition") -> bool:
         """lambda <= mu iff all partial sums of lambda are <= those of mu
@@ -155,13 +152,6 @@ class Composition:
         if self.is_zero():
             return "Composition()"
         return f"Composition({list(self.parts)}, offset={self.offset})"
-
-
-def _pad_range(c: Composition, i: int):
-    lo, hi = c.support_bounds()
-    if hi < lo:
-        return (i, i)
-    return (min(lo, i), max(hi, i + 1) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +192,6 @@ class Pyramid:
             raise IndexError(f"box index {i} out of range 1..{self.m + self.n}")
 
 
-def deg_entry(p: Pyramid, i: int, j: int) -> int:
-    """Degree col(j) - col(i) of the ij matrix unit in the good grading."""
-    return p.col(j) - p.col(i)
-
-
 @dataclass(frozen=True)
 class Window:
     lo: int
@@ -215,9 +200,6 @@ class Window:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("window needs lo <= hi")
-
-    def __contains__(self, v: int) -> bool:
-        return self.lo <= v <= self.hi
 
     def values(self):
         return range(self.lo, self.hi + 1)
@@ -242,12 +224,6 @@ class Tableau:
         self.pyramid._check_box(j)
         m = self.pyramid.m
         return self.top[j - 1] if j <= m else self.bottom[j - m - 1]
-
-    def row_sums(self):
-        return (sum(self.top), sum(self.bottom))
-
-    def entries_within(self, w: Window) -> bool:
-        return all(v in w for v in self.top + self.bottom)
 
     def to_json(self) -> dict:
         return {
@@ -288,18 +264,6 @@ def atyp(A: Tableau) -> int:
     return sum(min(c, bot[v]) for v, c in top.items())
 
 
-def is_dominant(A: Tableau) -> bool:
-    return all(a > b for a, b in zip(A.top, A.top[1:])) and all(
-        a < b for a, b in zip(A.bottom, A.bottom[1:])
-    )
-
-
-def is_antidominant(A: Tableau) -> bool:
-    return all(a <= b for a, b in zip(A.top, A.top[1:])) and all(
-        a >= b for a, b in zip(A.bottom, A.bottom[1:])
-    )
-
-
 def down_up(A: Tableau):
     """All 2^defect tableaux obtained by subtracting 1 from both members of
     a subset of the matched pairs of A."""
@@ -314,67 +278,6 @@ def down_up(A: Tableau):
                 bottom[j - 1] -= 1
             out.add(Tableau(A.pyramid, tuple(top), tuple(bottom)))
     return out
-
-
-def bruhat_covers_down(A: Tableau):
-    """Tableaux B with B covered-below A by one of the three Bruhat moves."""
-    m = len(A.top)
-    n = len(A.bottom)
-    out = set()
-    for i in range(m):
-        for j in range(i + 1, m):
-            if A.top[i] > A.top[j]:
-                top = list(A.top)
-                top[i], top[j] = top[j], top[i]
-                out.add(Tableau(A.pyramid, tuple(top), A.bottom))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A.bottom[i] < A.bottom[j]:
-                bottom = list(A.bottom)
-                bottom[i], bottom[j] = bottom[j], bottom[i]
-                out.add(Tableau(A.pyramid, A.top, tuple(bottom)))
-    for i in range(m):
-        for j in range(n):
-            if A.top[i] == A.bottom[j]:
-                top = list(A.top)
-                bottom = list(A.bottom)
-                top[i] -= 1
-                bottom[j] -= 1
-                out.add(Tableau(A.pyramid, tuple(top), tuple(bottom)))
-    return out
-
-
-class WindowTooSmall(ValueError):
-    """Raised when a Bruhat comparison is requested outside the window."""
-
-
-def bruhat_leq(A: Tableau, B: Tableau, w: Window) -> bool:
-    """Decide A <= B in the Bruhat order by downward search from B.
-
-    Entry values only ever decrease along cover moves, so any branch whose
-    minimum drops below w.lo <= min(A) can never reach A; pruning there is
-    exact.  A and B must lie inside the window.
-    """
-    if A.pyramid != B.pyramid:
-        raise ValueError("tableaux live on different pyramids")
-    if not (A.entries_within(w) and B.entries_within(w)):
-        raise WindowTooSmall("undecidable in window: entries leave [lo, hi]")
-    if A == B:
-        return True
-    seen = {B}
-    queue = deque([B])
-    while queue:
-        cur = queue.popleft()
-        for nxt in bruhat_covers_down(cur):
-            if nxt in seen:
-                continue
-            if nxt == A:
-                return True
-            if min(nxt.top + nxt.bottom, default=w.lo) < w.lo:
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +341,7 @@ def block_key(A: Tableau) -> BlockKey:
     return BlockKey(mu, nu, t, A.pyramid.m, A.pyramid.n)
 
 
-def tableau_of(xi: BlockKey, lam: Composition, s_minus: int = 0) -> Tableau:
+def tableau_of(xi: BlockKey, lam: Composition) -> Tableau:
     """The anti-dominant tableau with lam_i + mu_i entries i on top and
     lam_i + nu_i entries i on the bottom."""
     if lam.total != xi.t:
@@ -451,12 +354,7 @@ def tableau_of(xi: BlockKey, lam: Composition, s_minus: int = 0) -> Tableau:
         top.extend([i] * (lam[i] + xi.mu[i]))
         bottom.extend([i] * (lam[i] + xi.nu[i]))
     bottom.reverse()
-    return Tableau(Pyramid(xi.m, xi.n, s_minus), tuple(top), tuple(bottom))
-
-
-def antidominant_rep(A: Tableau) -> Tableau:
-    """The unique anti-dominant tableau row-equivalent to A."""
-    return Tableau(A.pyramid, tuple(sorted(A.top)), tuple(sorted(A.bottom, reverse=True)))
+    return Tableau(Pyramid(xi.m, xi.n), tuple(top), tuple(bottom))
 
 
 def aligned_tableau(xi: BlockKey, lam: Composition, s_minus: int = 0) -> Tableau:

@@ -94,10 +94,6 @@ class LaurentQ:
         out.coeffs = d
         return out
 
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentQ":
-        return cls._raw({exp: coeff} if coeff else {})
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -171,11 +167,6 @@ class LaurentQ:
     def eval1(self) -> int:
         """Evaluate at q = 1 (sum of coefficients)."""
         return sum(self.coeffs.values())
-
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
 
     def max_exp(self) -> int:
         if not self.coeffs:

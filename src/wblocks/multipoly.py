@@ -169,11 +169,6 @@ class MultiPoly:
         out = {tuple(k[p] for p in perm): c for k, c in self.terms.items()}
         return MultiPoly._raw(self.m, self.n, out)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(k) for k in self.terms)
-
     def to_json(self) -> dict:
         items = sorted(self.terms.items())
         return {

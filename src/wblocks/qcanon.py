@@ -110,23 +110,8 @@ class TensorVec:
             v.terms = {k: x * c for k, x in self.terms.items()}
         return v
 
-    def bar_coeffs(self) -> "TensorVec":
-        v = TensorVec(self.N, self.signs)
-        v.terms = {k: c.bar() for k, c in self.terms.items()}
-        return v
-
     def coeff(self, key) -> LaurentQ:
         return self.terms.get(tuple(key), ZERO)
-
-    def weight(self):
-        """Common weight of the support as a dict eps-index -> int; raises if
-        the support is not weight-homogeneous or empty."""
-        if not self.terms:
-            raise ValueError("zero vector has no weight")
-        weights = {_key_weight(self.signs, k) for k in self.terms}
-        if len(weights) > 1:
-            raise ValueError("vector is not weight-homogeneous")
-        return dict(weights.pop())
 
     def to_json(self) -> dict:
         items = sorted(self.terms.items(), key=lambda kc: kc[0], reverse=True)
@@ -343,20 +328,19 @@ def _split_signs(signs: str):
     return m, len(signs) - m
 
 
-def key_stat(signs: str, key) -> tuple:
-    """Statistic compatible with the Bruhat order: (entry sum, number of
-    top inversions plus bottom co-inversions, the key itself)."""
-    m, _ = _split_signs(signs)
-    top, bottom = key[:m], key[m:]
-    ell = sum(
-        1 for a in range(len(top)) for b in range(a + 1, len(top)) if top[a] > top[b]
-    ) + sum(
-        1
-        for a in range(len(bottom))
-        for b in range(a + 1, len(bottom))
-        if bottom[a] < bottom[b]
+def _inversions(top, bottom) -> int:
+    """Top inversions plus bottom co-inversions: the number of adjacent
+    swaps that sort a key anti-dominant (top ascending, bottom descending)."""
+    return sum(1 for a, b in itertools.combinations(top, 2) if a > b) + sum(
+        1 for a, b in itertools.combinations(bottom, 2) if a < b
     )
-    return (sum(key), ell, key)
+
+
+def key_stat(signs: str, key) -> tuple:
+    """Statistic compatible with the Bruhat order: (entry sum, inversions,
+    the key itself)."""
+    m, _ = _split_signs(signs)
+    return (sum(key), _inversions(key[:m], key[m:]), key)
 
 
 def _arrangements(items):
@@ -406,7 +390,8 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     of one weight space, computed by Lusztig's-lemma recursion and memoized
     (in memory, and in the file cache when one is configured).  A family read
     from the file cache maps keys to JSON items until _basis_vector decodes
-    them; one whose key set is not the weight space's is recomputed."""
+    them; one that is not a list of {key, vec} items, or whose key set is not
+    the weight space's, is recomputed."""
     memo_key = (N, signs, weight, dual)
     if memo_key in _family_memo:
         return _family_memo[memo_key]
@@ -418,11 +403,13 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
         "weight": [list(p) for p in weight],
     }
     cached = _cache.get(request)
-    if cached is not None:
+    try:
         family = {tuple(item["key"]): item["vec"] for item in cached["family"]}
-        if family.keys() == set(_weight_space_keys(N, signs, weight)):
-            _family_memo[memo_key] = family
-            return family
+    except (KeyError, TypeError):  # no file (None), or not shaped like a family
+        family = None
+    if family is not None and family.keys() == set(_weight_space_keys(N, signs, weight)):
+        _family_memo[memo_key] = family
+        return family
 
     # processing order: each key's correction terms lie on earlier keys, so
     # the head of the remainder is always its key of largest rank
@@ -551,16 +538,7 @@ def straighten(top, bottom):
     """Straightening data of a monomial: (ell, anti-dominant key) with
     ell counting top inversions plus bottom co-inversions, so that the
     monomial equals q^ell times the sorted one."""
-    top, bottom = tuple(top), tuple(bottom)
-    ell = sum(
-        1 for a in range(len(top)) for b in range(a + 1, len(top)) if top[a] > top[b]
-    ) + sum(
-        1
-        for a in range(len(bottom))
-        for b in range(a + 1, len(bottom))
-        if bottom[a] < bottom[b]
-    )
-    return ell, (tuple(sorted(top)), tuple(sorted(bottom, reverse=True)))
+    return _inversions(top, bottom), (tuple(sorted(top)), tuple(sorted(bottom, reverse=True)))
 
 
 def word_to_svec(N: int, word, coeff: LaurentQ = ONE) -> SVec:

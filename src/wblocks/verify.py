@@ -17,7 +17,7 @@ from math import comb, factorial
 
 from . import blockan, center, characters, combinat, qcanon
 from .combinat import BlockKey, Composition, Pyramid, Tableau, Window
-from .laurent import LaurentQ
+from .laurent import LaurentQ, qfact
 from .multipoly import MultiPoly
 
 # ---------------------------------------------------------------------------
@@ -37,9 +37,9 @@ def _gamma_splits(gamma: Composition, target_mu: int):
     return out
 
 
-def iter_blocks(m_max: int, t_max: int, gamma_width: int, gamma_lo: int = 0):
+def iter_blocks(m_max: int, t_max: int, gamma_width: int):
     """Blocks (one per distinct gamma) with m <= n <= m_max, t <= t_max and
-    gamma supported in a width-bounded window starting at gamma_lo."""
+    gamma starting at 0, supported in a window of width gamma_width."""
     for m in range(m_max + 1):
         for n in range(m, m_max + 1):
             for t in range(0, min(m, t_max) + 1):
@@ -47,7 +47,7 @@ def iter_blocks(m_max: int, t_max: int, gamma_width: int, gamma_lo: int = 0):
                 for parts in itertools.product(range(g_total + 1), repeat=gamma_width):
                     if sum(parts) != g_total:
                         continue
-                    gamma = Composition(parts, gamma_lo)
+                    gamma = Composition(parts)
                     if gamma.parts and parts[0] == 0:
                         continue  # avoid translated duplicates
                     splits = _gamma_splits(gamma, m - t)
@@ -61,40 +61,40 @@ def iter_blocks(m_max: int, t_max: int, gamma_width: int, gamma_lo: int = 0):
 # criteria
 
 
-def _lam_windows(width: int):
-    """Width-bounded lambda windows left of, straddling and right of the
-    gamma support (which iter_blocks pins at offset 0)."""
-    return [(lo, lo + width - 1) for lo in range(-width, width, 2)] + [(0, width - 1)]
+def _window_pairs(scale: dict):
+    """(xi, lam, kap) for each block of the scale and each unordered pair of
+    labels in a width-bounded lambda window left of, straddling or right of
+    the gamma support (which iter_blocks pins at offset 0)."""
+    width = scale["lam_width"]
+    windows = [(lo, lo + width - 1) for lo in range(-width, width, 2)] + [(0, width - 1)]
+    for xi in iter_blocks(scale["mn"], scale["t"], scale["gamma_width"]):
+        for lo, hi in windows:
+            lams = blockan.compositions_in_window(xi.t, lo, hi)
+            for a, lam in enumerate(lams):
+                for kap in lams[a:]:
+                    yield xi, lam, kap
 
 
 def crit_cartan_vs_oracle(scale: dict) -> str:
     pairs = 0
-    for xi in iter_blocks(scale["mn"], scale["t"], scale["gamma_width"]):
-        for lo, hi in _lam_windows(scale["lam_width"]):
-            lams = blockan.compositions_in_window(xi.t, lo, hi)
-            for a, lam in enumerate(lams):
-                for kap in lams[a:]:
-                    closed = blockan.cartan_entry(xi, lam, kap)
-                    oracle = blockan.cartan_oracle(xi, lam, kap)
-                    assert closed == oracle, (xi, lam, kap, closed, oracle)
-                    sym = blockan.cartan_entry(xi, kap, lam)
-                    assert closed == sym, (xi, lam, kap, "symmetry")
-                    pairs += 1
+    for xi, lam, kap in _window_pairs(scale):
+        closed = blockan.cartan_entry(xi, lam, kap)
+        oracle = blockan.cartan_oracle(xi, lam, kap)
+        assert closed == oracle, (xi, lam, kap, closed, oracle)
+        sym = blockan.cartan_entry(xi, kap, lam)
+        assert closed == sym, (xi, lam, kap, "symmetry")
+        pairs += 1
     return f"{pairs} (lambda, kappa) pairs, closed formula == BGG oracle == transpose"
 
 
 def crit_graded_vs_ungraded(scale: dict) -> str:
     pairs = 0
-    for xi in iter_blocks(scale["mn"], scale["t"], scale["gamma_width"]):
-      for lo, hi in _lam_windows(scale["lam_width"]):
-        lams = blockan.compositions_in_window(xi.t, lo, hi)
-        for a, lam in enumerate(lams):
-            for kap in lams[a:]:
-                graded = blockan.graded_cartan(xi, lam, kap)
-                plain = blockan.cartan_entry(xi, lam, kap)
-                assert graded.eval1() == plain, (xi, lam, kap)
-                assert graded == blockan.graded_cartan(xi, kap, lam), (xi, lam, kap)
-                pairs += 1
+    for xi, lam, kap in _window_pairs(scale):
+        graded = blockan.graded_cartan(xi, lam, kap)
+        plain = blockan.cartan_entry(xi, lam, kap)
+        assert graded.eval1() == plain, (xi, lam, kap)
+        assert graded == blockan.graded_cartan(xi, kap, lam), (xi, lam, kap)
+        pairs += 1
     return f"{pairs} pairs, graded entry at q=1 == ungraded entry"
 
 
@@ -230,8 +230,6 @@ def crit_top_degree(scale: dict) -> str:
                 for i in range(lo, hi + 1)
             ):
                 continue
-            from .laurent import ONE, qfact
-
             expect = qfact(xi.m) * qfact(xi.n)
             for i in range(lo, hi + 1):
                 expect = expect.divexact(qfact(gamma[i]))
@@ -299,7 +297,7 @@ def crit_recovery(scale: dict) -> str:
             continue
         data = blockan.FormulaBlockData(xi, -3, 4)
         t, gamma = blockan.recover_invariants(data)
-        assert t == xi.t and gamma == blockan.normalize_gamma(xi.gamma), (xi, t, gamma)
+        assert t == xi.t and gamma == xi.gamma.normalized(), (xi, t, gamma)
         data_rev = blockan.FormulaBlockData(xi, -3, 4, reverse=True)
         assert blockan.recover_invariants(data_rev) == (t, gamma)
         count += 1

@@ -20,7 +20,6 @@ from wblocks.blockan import (
     h_count,
     h_separation,
     neighbor_test,
-    normalize_gamma,
     recover_invariants,
     stable_end_dim,
     verma_mult,
@@ -28,7 +27,7 @@ from wblocks.blockan import (
 from wblocks import blockan
 from wblocks.combinat import BlockKey, Composition
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom, qfact
-from wblocks.verify import _gamma_splits
+from wblocks.verify import _gamma_splits, iter_blocks
 
 
 def comp(parts, offset=0):
@@ -284,6 +283,15 @@ class TestEndDims:
             for i in range(-1, 4):
                 lam = Composition.eps(i, xi.t)
                 assert end_dim(xi, i) == cartan_entry(xi, lam, lam)
+        cases = 0
+        for xi in iter_blocks(3, 3, 3):
+            if xi.t < 1:
+                continue
+            for i in range(-2, 5):
+                lam = Composition.eps(i, xi.t)
+                assert end_dim(xi, i) == cartan_entry(xi, lam, lam), (xi, i)
+                cases += 1
+        assert cases == 154
 
     def test_d_invariant_normalization(self):
         xi = key([2], 1, [1], 0, 2, 4, 3)
@@ -312,7 +320,7 @@ class TestRecovery:
             data = FormulaBlockData(xi, -3, 4, reverse=reverse)
             t, gamma = recover_invariants(data)
             assert t == xi.t
-            assert gamma == normalize_gamma(xi.gamma)
+            assert gamma == xi.gamma.normalized()
 
     def test_window_too_narrow(self):
         xi = key([2], 0, [1], 1, 2, 4, 3)

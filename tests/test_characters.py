@@ -9,9 +9,7 @@ from wblocks.characters import (
     ch_simple_w,
     ch_verma_w,
     decompose_char,
-    hw_scalars,
     natural_order,
-    parity_of,
     revlex_order,
     rho_order,
     tableau_weight,
@@ -57,24 +55,6 @@ class TestRhoAndWeights:
             rho_order(p, (1, 3))
 
 
-class TestParity:
-    def test_matches_bottom_row_sum(self):
-        # the W-side order gives p(weight of A) == parity of the bottom row sum
-        for m, n, s_minus in [(1, 1, 0), (2, 2, 0), (1, 3, 1), (0, 2, 2)]:
-            p = Pyramid(m, n, s_minus)
-            for top in itertools.product([0, 1, 2], repeat=m):
-                for bottom in itertools.product([0, 1, 2], repeat=n):
-                    A = Tableau(p, top, bottom)
-                    w = tableau_weight(p, revlex_order(p), A)
-                    assert parity_of(p, w) == sum(bottom) % 2
-
-    def test_flips_under_odd_coordinate_step(self):
-        p = Pyramid(1, 1, 0)
-        w = (3, 2)
-        w2 = (3, 3)
-        assert parity_of(p, w) != parity_of(p, w2)
-
-
 class TestVermaTruncated:
     def test_height_zero(self):
         p = Pyramid(1, 1, 0)
@@ -115,22 +95,6 @@ class TestVermaTruncated:
         with pytest.raises(ValueError):
             # top boxes out of sequence: not a normal order
             verma_char_trunc(p, (2, 1, 3, 4), A, 1)
-
-
-class TestHwScalars:
-    def test_elementary_values(self):
-        A = Tableau(Pyramid(2, 2, 0), (1, 2), (0, 0))
-        top, _ = hw_scalars(A)
-        assert top == (3, 2)
-
-    def test_row_permutation_invariant(self):
-        A = Tableau(Pyramid(3, 3, 0), (1, 5, 2), (0, 0, 0))
-        B = Tableau(Pyramid(3, 3, 0), (5, 2, 1), (0, 0, 0))
-        assert hw_scalars(A) == hw_scalars(B)
-
-    def test_bottom_first_scalar_is_row_sum(self):
-        _, bottom = hw_scalars(Tableau(Pyramid(1, 1, 0), (5,), (5,)))
-        assert bottom[0] == 5
 
 
 class TestWCharacters:

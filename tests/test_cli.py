@@ -319,6 +319,39 @@ class TestConfig:
         code, out, err = call_main(["--config", str(tmp_path / "none.json"), "h", "--lambda", "0"])
         assert (code, out) == (2, "") and "FileNotFoundError" in err
 
+    @pytest.mark.parametrize("argv", [["--config"], ["--conf"], ["--no-cache", "--co"]])
+    def test_config_without_a_path(self, argv):
+        code, out, err = call_main(argv)
+        assert (code, out) == (1, "") and "expected one argument" in err
+
+    CARTAN = ["cartan", "--m", "1", "--n", "1", "--block", "mu=0;nu=0;t=1", "--window", "0..1"]
+
+    @pytest.mark.parametrize("spelling", [["--co", "{}"], ["--con", "{}"], ["--conf", "{}"],
+                                          ["--conf={}"], ["--config={}"]])
+    def test_abbreviated_config_is_read(self, tmp_path, spelling):
+        cfg = self._config(tmp_path, {"format": "csv"})
+        expected = call_main(["--config", cfg, *self.CARTAN])
+        assert expected[0] == 0 and expected[1].startswith(',"offset=0;parts=1"')
+        assert call_main([s.format(cfg) for s in spelling] + self.CARTAN) == expected
+
+    @pytest.mark.parametrize("explicit", [["--format", "json"], ["--form", "json"], ["--fo=json"],
+                                          ["--f", "json"]])
+    def test_explicit_flag_in_any_spelling_beats_the_config(self, tmp_path, explicit):
+        cfg = self._config(tmp_path, {"format": "csv"})
+        expected = call_main(self.CARTAN)
+        assert expected[0] == 0 and expected[1].startswith('{"block"')
+        assert call_main(["--conf", cfg, *self.CARTAN, *explicit]) == expected
+        assert call_main(["--config", cfg, *self.CARTAN, *explicit]) == expected
+
+    def test_abbreviated_global_flag_beats_the_config(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        cfg = self._config(tmp_path, {"cache_dir": str(tmp_path / "from-config")})
+        argv = ["cb", "--N", "2", "--signs", "+-", "--key", "2;1"]
+        assert call_main(["--con", cfg, "--cache", str(tmp_path / "explicit"), *argv])[0] == 0
+        assert cache.current_dir() == str(tmp_path / "explicit")
+        assert not (tmp_path / "from-config").exists()
+
 
 class TestCbLines:
     def test_pair_with_other_shape(self):
@@ -370,6 +403,26 @@ class TestCachedFamilies:
         assert code == 0 and len(calls) == decoded
         monkeypatch.setattr(qcanon, "_family_memo", {})
         assert call_main(["--no-cache", *CB_ARGV, *extra])[1] == out
+
+    @pytest.mark.parametrize("result", [{"fam": []}, [], {"family": 3}, {"family": {"k": 1}},
+                                        {"family": [[1, 2]]}, {"family": [{"key": [1, 2, 2, 1]}]},
+                                        {"family": [{"key": 5, "vec": {}}]}])
+    def test_family_of_another_shape_is_recomputed(self, warm, result):
+        path, plain = warm
+        original = path.read_bytes()
+        data = json.loads(original)
+        data["result"] = result
+        path.write_text(json.dumps(data, sort_keys=True))
+        assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain
+        assert path.read_bytes() == original
+
+    @pytest.mark.parametrize("stored", [[], "family", 3, None])
+    def test_file_that_is_not_an_object_is_a_miss(self, warm, stored):
+        path, plain = warm
+        original = path.read_bytes()
+        path.write_text(json.dumps(stored))
+        assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain
+        assert path.read_bytes() == original
 
     def test_family_missing_a_key_is_recomputed(self, warm):
         path, plain = warm
