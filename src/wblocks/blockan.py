@@ -272,33 +272,30 @@ def _demon_value(t: int, gi: int, gi1: int) -> Fraction:
     return total
 
 
-def end_dim(xi: BlockKey, i: int) -> int:
-    """Endomorphism dimension of the projective at t*eps_i: m! n!
-    _demon_value(t, gamma_i, gamma_{i+1}) / (t!^2 prod_j gamma_j!)."""
+def _end_dim_value(xi: BlockKey, gi: int, gi1: int) -> int:
+    """m! n! _demon_value(t, gi, gi1) / (t!^2 prod_j gamma_j!): the End
+    dimension at t*eps_i of a block whose gamma reads (gi, gi1) at (i, i+1)."""
     t = xi.t
     if t < 1:
         raise ValueError("end_dim requires atypicality t >= 1")
-    gamma = xi.gamma
     out = Fraction(factorial(xi.m) * factorial(xi.n), factorial(t) ** 2)
-    out *= _demon_value(t, gamma[i], gamma[i + 1])
-    for g in gamma.parts:
+    out *= _demon_value(t, gi, gi1)
+    for g in xi.gamma.parts:
         out /= factorial(g)
     if out.denominator != 1:
         raise ArithmeticError("end_dim came out non-integral (internal bug)")
     return int(out)
 
 
+def end_dim(xi: BlockKey, i: int) -> int:
+    """Endomorphism dimension of the projective at t*eps_i."""
+    return _end_dim_value(xi, xi.gamma[i], xi.gamma[i + 1])
+
+
 def stable_end_dim(xi: BlockKey) -> int:
-    """The value of end_dim far from the gamma support."""
-    t = xi.t
-    if t < 1:
-        raise ValueError("requires t >= 1")
-    gamma = xi.gamma
-    num = Fraction(factorial(xi.m) * factorial(xi.n) * comb(2 * t, t), factorial(t) ** 2)
-    lo, hi = gamma.support_bounds()
-    for j in range(lo, hi + 1):
-        num /= factorial(gamma[j])
-    return int(num)
+    """The value of end_dim far from the gamma support, where gamma_i =
+    gamma_{i+1} = 0 and _demon_value(t, 0, 0) = C(2t, t)."""
+    return _end_dim_value(xi, 0, 0)
 
 
 def d_invariant(xi: BlockKey, i: int) -> Fraction:

@@ -12,6 +12,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import blockan, cache, center, characters, combinat, qcanon, verify
 from .combinat import BlockKey, Composition, Window
@@ -358,20 +359,6 @@ def build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
-def _command_of(argv):
-    """The command argv names, when everything before it is an exact global
-    flag; else None, and the full parser judges the line (abbreviations,
-    help, unknown commands)."""
-    rest = list(argv)
-    while rest and rest[0] not in COMMANDS:
-        tok = rest.pop(0)
-        if tok in ("--cache-dir", "--config") and rest and not rest[0].startswith("-"):
-            rest.pop(0)
-        elif tok != "--no-cache" and not tok.startswith(("--cache-dir=", "--config=")):
-            return None
-    return rest[0] if rest else None
-
-
 def _merge_window_flags(argv):
     """Fold '--window -2..2' into '--window=-2..2' so argparse does not
     mistake the negative bound for an option."""
@@ -397,59 +384,80 @@ def _option(tok, names):
     return hits[0] if len(hits) == 1 else None
 
 
-def _apply_config(argv):
+class _Front(NamedTuple):
+    """The global flags before the command, read the way argparse reads
+    them (any spelling it accepts, '=value' or a value in the next token)."""
+
+    config: str | None  # the --config path, if given with one
+    given: dict  # each global flag given (and -h/--help) -> its value or None
+    command: str | None  # the command after them, if the next token names one
+    rest: list  # the tokens after the command (after the flags, if none)
+    exact: bool  # every flag spelled in full, no value that looks like a flag
+
+
+def _scan_front(argv) -> _Front:
+    """One pass over the global flags before the command.  When `exact` is
+    false (abbreviations, help, a value like '-d'), only the full parser
+    reads the line as argparse would, so main builds that one."""
+    takes_value = {flag for flag, kwargs in GLOBAL_FLAGS if "action" not in kwargs}
+    names = ["-h", "--help", *(flag for flag, _ in GLOBAL_FLAGS)]
+    given, exact, i = {}, True, 0
+    while i < len(argv) and (flag := _option(argv[i], names)):
+        tok = argv[i]
+        if "=" in tok:
+            given[flag] = tok.split("=", 1)[1]
+            exact = exact and flag in takes_value and tok.startswith(flag + "=")
+        elif flag in takes_value:
+            i += 1
+            given[flag] = argv[i] if i < len(argv) else None
+            exact = exact and tok == flag and given[flag] is not None \
+                and not given[flag].startswith("-")
+        else:
+            given[flag] = None
+            exact = exact and tok == flag and flag not in ("-h", "--help")
+        i += 1
+    command = argv[i] if i < len(argv) and argv[i] in COMMANDS else None
+    return _Front(given.get("--config"), given, command, argv[i + (command is not None):], exact)
+
+
+def _apply_config(argv, front: _Front):
     """Add flags from the optional JSON config file for any option not
     given explicitly; explicit flags always win.  Global keys go before the
     command, a command's keys after it, and only when the command has that
     flag (any command's, if none was recognised).  A flag counts in every
     spelling argparse accepts, abbreviations included."""
-    global_flags = {flag for flag, _ in GLOBAL_FLAGS}
-    takes_value = {flag for flag, kwargs in GLOBAL_FLAGS if "action" not in kwargs}
-    given = {}  # flag -> value of the global flags before the command
-    i = 0
-    while i < len(argv) and (flag := _option(argv[i], ["-h", "--help", *global_flags])):
-        if "=" in argv[i]:
-            given[flag] = argv[i].split("=", 1)[1]
-        elif flag in takes_value:
-            i += 1
-            given[flag] = argv[i] if i < len(argv) else None
-        else:
-            given[flag] = None
-        i += 1
-    path = given.get("--config")
-    if path is None:
+    if front.config is None:
         return argv
-    with open(path) as fh:
+    with open(front.config) as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
-        raise UsageError(f"config {path!r} is not a JSON object")
-    command = argv[i] if i < len(argv) and argv[i] in COMMANDS else None
+        raise UsageError(f"config {front.config!r} is not a JSON object")
+    global_flags = {flag for flag, _ in GLOBAL_FLAGS}
     known = global_flags.union(*({f for f, _ in flags} for _, _, flags in COMMANDS.values()))
-    flags = {f for name in (COMMANDS if command is None else (command,))
+    flags = {f for name in (COMMANDS if front.command is None else (front.command,))
              for f, _ in COMMANDS[name][2]}
     own = global_flags | flags
-    explicit = set(given).union(_option(tok, ["-h", "--help", *flags])
-                                for tok in argv[i + (command is not None):])
-    front, back = [], []
+    explicit = set(front.given).union(_option(tok, ["-h", "--help", *flags]) for tok in front.rest)
+    out_front, back = [], []
     for key in sorted(defaults):
         flag = "--" + key.replace("_", "-")
         if flag not in known:
             raise UsageError(f"config key {key!r} names no flag")
         value = defaults[key]
         if flag in own and value is not False and flag not in explicit:
-            out = front if flag in global_flags else back
+            out = out_front if flag in global_flags else back
             out.append(flag if value is True else f"{flag}={value}")
-    return front + argv + back
+    return out_front + argv + back
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_window_flags(list(argv))
-    command = _command_of(argv)
+    front = _scan_front(argv)
     try:
-        argv = _apply_config(argv)
-        args = build_parser(command).parse_args(argv)
+        argv = _apply_config(argv, front)
+        args = build_parser(front.command if front.exact else None).parse_args(argv)
         if args.no_cache:
             cache.configure(None)
         elif args.cache_dir:

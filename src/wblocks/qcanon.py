@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import comb
 
 from .combinat import Composition
-from .laurent import ONE, ZERO, LaurentQ, qbinom, qfact
+from .laurent import ONE, ZERO, LaurentQ, _lmul, qbinom, qfact
 from . import cache as _cache
 
 # q - q^{-1}, used throughout the R-matrix formulas
@@ -68,7 +68,9 @@ class TensorVec:
 
     @classmethod
     def unit(cls, N: int, signs: str, key) -> "TensorVec":
-        return cls(N, signs, {tuple(key): ONE})
+        """The pure tensor at key, with a coefficient of its own (not ONE),
+        so that a caller may take over its dict."""
+        return cls(N, signs, {tuple(key): LaurentQ._raw({0: 1})})
 
     @classmethod
     def _from_raw(cls, N: int, signs: str, raw: dict) -> "TensorVec":
@@ -254,17 +256,59 @@ def r_apply(slot: int, v: TensorVec, inverse: bool = False) -> TensorVec:
     return TensorVec._from_raw(v.N, new_signs, out)
 
 
-def _w0_word(k: int):
-    """Canonical reduced word for the longest element: s1, s2 s1, s3 s2 s1,..."""
-    word = []
-    for top in range(1, k):
-        word.extend(range(top, 0, -1))
-    return word
+# While a family is built (see _basis_family): (N, inverse) -> the memo of
+# _w0_unit that its keys share.  None at all other times.
+_w0_memo = None
 
 
-def _psi_key(v_key, signs, N, inverse: bool, word=None) -> dict:
+def _w0_parts(N: int, signs: str, key: tuple, inverse: bool, memo) -> list:
+    """R_{w0} of the unit vector at key as parts (a, tail, image): the sum of
+    a * (image x tail), with a a coefficient dict and image raw terms on the
+    first k-1 slots, to be read only.
+
+    The reduced word for w0 is s_1, s_2 s_1, ..., s_{k-1} ... s_1, applied
+    right to left: first s_1, s_2, ..., s_{k-1}, then the same word for k-1
+    on slots 1..k-1.  So the first factor moves to the end by k-1 R-steps,
+    and the first k-1 factors of each resulting term have their image looked
+    up in memo.
+    """
+    moved = {key: {0: 1}}
+    for idx in range(1, len(signs)):
+        signs, moved = _r_step(N, signs, moved, idx, inverse)
+    return [(a, k2[-1:], _w0_unit(N, signs[:-1], k2[:-1], inverse, memo))
+            for k2, a in moved.items()]
+
+
+def _w0_unit(N: int, signs: str, key: tuple, inverse: bool, memo) -> dict:
+    """R_{w0} of the unit vector at key as raw terms, to be read only.
+    memo = (images, coeffs) maps (signs, key) to its image, and each
+    coefficient's items to the one dict that all images share for it: the
+    images of a family hold only a few dozen distinct coefficients."""
+    images, coeffs = memo
+    out = images.get((signs, key))
+    if out is None:
+        if len(key) <= 1:
+            return {key: {0: 1}}
+        out = {}
+        for a, tail, image in _w0_parts(N, signs, key, inverse, memo):
+            _acc(out, ((k2 + tail, x) for k2, x in image.items()), a)
+        for k2, x in out.items():
+            out[k2] = coeffs.setdefault(tuple(x.items()), x)
+        images[(signs, key)] = out
+    return out
+
+
+def _psi_key(v_key, signs, N, inverse: bool, word, memo):
     """R_{w0} (or its inverse version) applied to the reversed pure tensor,
-    with the q-prefactor from the pairwise form values, as raw terms."""
+    as (parts, e): the image is q^e times the sum over parts (a, tail, terms)
+    of a * (terms x tail), and e is the exponent of the q-prefactor from the
+    pairwise form values.
+
+    With word None the image is built factor by factor (_w0_parts), with
+    the images of sub-keys memoized in memo, an (images, coeffs) pair that
+    keys sharing sub-keys can share.  An explicit word is applied R-step by
+    R-step instead, as one part with an empty tail.
+    """
     k = len(signs)
     e = 0
     for r in range(k):
@@ -273,23 +317,30 @@ def _psi_key(v_key, signs, N, inverse: bool, word=None) -> dict:
                 sr = 1 if signs[r] == "+" else -1
                 ss = 1 if signs[s] == "+" else -1
                 e += sr * ss
+    e = e if inverse else -e
+    cur_signs, cur = signs[::-1], tuple(reversed(v_key))
     if word is None:
-        word = _w0_word(k)
-    # the prefactor is a scalar, so it can ride along from the start
-    cur_signs = signs[::-1]
-    cur = {tuple(reversed(v_key)): {e if inverse else -e: 1}}
+        return _w0_parts(N, cur_signs, cur, inverse, memo), e
+    cur = {cur: {0: 1}}
     for idx in reversed(word):
         cur_signs, cur = _r_step(N, cur_signs, cur, idx, inverse)
     if cur_signs != signs:
         raise AssertionError("reduced word did not restore the sign sequence")
-    return cur
+    return [({0: 1}, (), cur)], e
 
 
 def _bar(v: TensorVec, inverse: bool, word) -> TensorVec:
-    """Anti-linear extension of _psi_key: sum of bar(c) * psi(key)."""
+    """Anti-linear extension of _psi_key: the sum of bar(c) * psi(key), with
+    bar(c) * q^e accumulated straight into one dict per output key.  The
+    keys share one memo of sub-key images, that of the family being built
+    if there is one."""
+    memo = ({}, {}) if _w0_memo is None else _w0_memo.setdefault((v.N, inverse), ({}, {}))
     acc: dict = {}
     for key, c in v.terms.items():
-        _acc(acc, _psi_key(key, v.signs, v.N, inverse, word).items(), c.bar().coeffs)
+        parts, e = _psi_key(key, v.signs, v.N, inverse, word, memo)
+        b = {e - x: y for x, y in c.coeffs.items()}
+        for a, tail, terms in parts:
+            _acc(acc, ((k2 + tail, x) for k2, x in terms.items()), _lmul(a, b))
     return TensorVec._from_raw(v.N, v.signs, acc)
 
 
@@ -382,16 +433,92 @@ def _weight_space_keys(N: int, signs: str, weight: tuple):
                 yield top + bottom
 
 
+def _lusztig(N: int, signs: str, keys: list, bar):
+    """Lusztig's lemma on ranks: for each key in order, its bar-invariant
+    vector b = key + (a q Z[q] combination of earlier keys), as the
+    correction {rank: coeff-dict} without the unit term.  The corrections
+    share coefficient dicts, which must not be written.
+
+    c is the correction being built and d = bar(b) - b, reduced to zero.  The
+    head of d has the largest rank, below i, and its coefficient r is
+    antisymmetric under bar, so r = p - bar(p) with p its part of positive
+    degree.  b gains
+    p * b_head and d loses r * b_head.  b_head is 1 at head, so d's head term
+    is popped, not cancelled; at every other rank j, c gains a p and d gains
+    a (bar(p) - p), where a is the coefficient of b_head, in one pass.  d
+    takes ownership of the coefficient dicts of bar(unit), so bar must
+    return a vector of its own, as psi and psi_star do; the unit vector has
+    a coefficient of its own, so even a bar that returns its input is safe.
+    """
+    rank = {key: i for i, key in enumerate(keys)}
+    lower: list = []  # lower[j]: the correction of keys[j]
+    for i, key in enumerate(keys):
+        c: dict = {}
+        d = {rank[k2]: x.coeffs for k2, x in bar(TensorVec.unit(N, signs, key)).terms.items()}
+        _acc(d, ((i, {0: 1}),), {0: -1})
+        while d:
+            head = max(d)
+            r = d.pop(head)
+            if head >= i or any(r.get(-e, 0) != -x for e, x in r.items()):
+                raise ArithmeticError("non-triangular bar involution (internal bug)")
+            p = LaurentQ._raw(r).positive_part().coeffs
+            _acc(c, ((head, p),), {0: 1})
+            p = p.items()
+            for j, a in lower[head].items():
+                cj = c.get(j)
+                if cj is None:
+                    cj = c[j] = {}
+                dj = d.get(j)
+                if dj is None:
+                    dj = d[j] = {}
+                for ea, ca in a.items():
+                    for ep, cp in p:
+                        v = ca * cp
+                        e = ea + ep
+                        s = cj.get(e, 0) + v
+                        if s:
+                            cj[e] = s
+                        else:
+                            del cj[e]
+                        s = dj.get(e, 0) - v
+                        if s:
+                            dj[e] = s
+                        else:
+                            del dj[e]
+                        e = ea - ep
+                        s = dj.get(e, 0) + v
+                        if s:
+                            dj[e] = s
+                        else:
+                            del dj[e]
+                if not cj:
+                    del c[j]
+                if not dj:
+                    del d[j]
+        if not all(LaurentQ._raw(x).in_q_zq() for x in c.values()):
+            raise ArithmeticError("basis coefficient not in qZ[q] (internal bug)")
+        lower.append(c)
+    return lower
+
+
 _family_memo: dict = {}
 
 
 def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     """All canonical (dual=False) or dual canonical (dual=True) basis vectors
-    of one weight space, computed by Lusztig's-lemma recursion and memoized
-    (in memory, and in the file cache when one is configured).  A family read
-    from the file cache maps keys to JSON items until _basis_vector decodes
-    them; one that is not a list of {key, vec} items, or whose key set is not
-    the weight space's, is recomputed."""
+    of one weight space, memoized (in memory, and in the file cache when one
+    is configured).  A family read from the file cache maps keys to JSON
+    items until _basis_vector decodes them; one that is not a list of
+    {key, vec} items, or whose key set is not the weight space's, is
+    recomputed.
+
+    A computed family comes from Lusztig's lemma on ranks (_lusztig), with
+    the keys sorted by key_stat.  psi or psi_star of each key's unit vector
+    is built factor by factor, and the images of sub-keys are memoized in
+    _w0_memo, which the keys of this family share and which is dropped as
+    soon as the family is done.  Tuple keys come back only when a vector is
+    stored."""
+    global _w0_memo
     memo_key = (N, signs, weight, dual)
     if memo_key in _family_memo:
         return _family_memo[memo_key]
@@ -412,33 +539,20 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
         return family
 
     # processing order: each key's correction terms lie on earlier keys, so
-    # the head of the remainder is always its key of largest rank
+    # the head of the remainder is always its entry of largest rank
     keys = sorted(_weight_space_keys(N, signs, weight), key=lambda k: key_stat(signs, k))
     if not dual:
         keys.reverse()
-    rank = {key: i for i, key in enumerate(keys)}
     bar = psi_star if dual else psi
-    family: dict = {}
-    raw: dict = {}  # key -> terms of family[key] as coeff dicts, read-only
-    for key in keys:
-        # c: the vector being built; d = bar(c) - c, reduced to zero
-        c = {key: {0: 1}}
-        d = {k2: dict(x.coeffs) for k2, x in bar(TensorVec.unit(N, signs, key)).terms.items()}
-        _acc(d, ((key, {0: 1}),), {0: -1})
-        while d:
-            head = max(d, key=rank.__getitem__)
-            r = LaurentQ(d[head])  # a copy: d[head] is still written below
-            if not (r + r.bar()).is_zero():
-                raise ArithmeticError("non-triangular bar involution (internal bug)")
-            p = r.positive_part().coeffs
-            _acc(c, raw[head].items(), p)
-            _acc(d, raw[head].items(), (-r).coeffs)
-        vec = TensorVec._from_raw(N, signs, c)
-        for k2, coeff in vec.terms.items():
-            if k2 != key and not coeff.in_q_zq():
-                raise ArithmeticError("basis coefficient not in qZ[q] (internal bug)")
-        family[key] = vec
-        raw[key] = c
+    _w0_memo = {}
+    try:
+        family = {}
+        for key, c in zip(keys, _lusztig(N, signs, keys, bar)):
+            terms = {keys[j]: x for j, x in c.items()}
+            terms[key] = {0: 1}
+            family[key] = TensorVec._from_raw(N, signs, terms)
+    finally:
+        _w0_memo = None
     if _cache.current_dir() is not None:
         _cache.put(
             request,

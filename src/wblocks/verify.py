@@ -405,7 +405,7 @@ def _row_blocks(mn: int):
 FULL_SCALES = {
     "cartan-vs-oracle": {"mn": 3, "t": 3, "gamma_width": 3, "lam_width": 4},
     "graded-vs-ungraded": {"mn": 3, "t": 3, "gamma_width": 3, "lam_width": 4},
-    "appendixb-pairing": {"mn": 2, "t": 2},
+    "appendixb-pairing": {"mn": 3, "t": 3},
     "character-identities": {"mn": 3, "t": 3, "gamma_width": 2, "lam_width": 3},
     "verma-order-independence": {"entry_hi": 3, "D": 4},
     "h-laws": {"t_eps": 6, "t_strict": 4, "width": 3, "row_mn": 3, "row_blocks": None},

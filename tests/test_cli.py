@@ -1,7 +1,9 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import wblocks
 from wblocks import cache, cli, qcanon
-from wblocks.cli import (COMMANDS, UsageError, _command_of, build_parser, main, parse_block,
+from wblocks.cli import (COMMANDS, UsageError, _scan_front, build_parser, main, parse_block,
                          parse_composition, parse_window)
 from wblocks.combinat import Composition
 from wblocks.qcanon import TensorVec
@@ -249,7 +251,8 @@ class TestParserTable:
         (["--cache-dir", "h", "end-dim"], "end-dim"),
     ])
     def test_command_of_names_the_command(self, argv, command):
-        assert _command_of(argv) == command
+        front = _scan_front(argv)
+        assert front.exact and front.command == command
 
     @pytest.mark.parametrize("argv", [
         ["--cache", "d", "h"], ["--conf", "c.json", "h"], ["--help"], ["-h", "cb"], [],
@@ -257,7 +260,20 @@ class TestParserTable:
         ["--", "h"],
     ])
     def test_command_of_leaves_the_rest_to_argparse(self, argv):
-        assert _command_of(argv) is None
+        front = _scan_front(argv)
+        assert not (front.exact and front.command)
+
+    @pytest.mark.parametrize("argv", [
+        ["--cache-dir", "d", "--no-cache", "h"], ["--cache", "d", "h"], ["--no", "--cache-d=e", "h"],
+        ["--conf", "c.json", "--cach", "h", "h"], ["--config=c.json", "h"], ["h"],
+    ])
+    def test_front_reads_the_global_flags_as_argparse(self, argv):
+        front = _scan_front(argv)
+        args = build_parser().parse_args([*argv, "--lambda", "0"])
+        assert front.command == args.command == "h" and front.rest == []
+        assert front.config == args.config
+        assert front.given.get("--cache-dir") == args.cache_dir
+        assert ("--no-cache" in front.given) == args.no_cache
 
     def test_main_builds_only_the_named_command(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cache, "_cache_dir", None)
@@ -533,3 +549,44 @@ def test_verify_quick_passes(capsys):
     assert main(["verify", "--profile", "quick"]) == 0
     out = capsys.readouterr().out
     assert "12/12 criteria passed" in out
+
+
+class TestStdoutHoldsOnlyCommandOutput:
+    """Only a CLI command's output goes to stdout: importing the package,
+    computing with it in process and exiting write nothing there."""
+
+    def test_import_writes_nothing(self, capsys):
+        # a second copy of the package under another name, so that every
+        # module body runs again without replacing the modules tests use
+        pkg_dir = os.path.dirname(wblocks.__file__)
+        name = "_wblocks_fresh_copy"
+        spec = importlib.util.spec_from_file_location(
+            name, wblocks.__file__, submodule_search_locations=[pkg_dir])
+        try:
+            sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[name])
+            modules = [m.name for m in pkgutil.iter_modules([pkg_dir])]
+            for module in modules:
+                importlib.import_module(f"{name}.{module}")
+        finally:
+            for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+                del sys.modules[key]
+        assert "qcanon" in modules and "cli" in modules
+        assert capsys.readouterr().out == ""
+
+    def test_basis_families_write_nothing(self, capsys):
+        qcanon._family_memo.clear()
+        try:
+            qcanon.canonical(3, (1, 2, 3), (3, 2, 1))
+            qcanon.dual_canonical(4, (1, 2), (2, 1))
+        finally:
+            qcanon._family_memo.clear()
+        assert capsys.readouterr().out == ""
+
+    def test_import_compute_and_exit_write_nothing(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        code = "import wblocks\nfrom wblocks import qcanon\nqcanon.canonical(3, (1, 2), (2, 1))\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""

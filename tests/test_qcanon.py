@@ -36,6 +36,11 @@ def unit(N, signs, key):
     return TensorVec.unit(N, signs, key)
 
 
+def w0_word(k):
+    """s1, s2 s1, s3 s2 s1, ...: a reduced word for the longest element."""
+    return [i for top in range(1, k) for i in range(top, 0, -1)]
+
+
 def rand_vec(rng, N, signs, nterms=3):
     terms = {}
     for _ in range(nterms):
@@ -153,6 +158,24 @@ class TestBarInvolutions:
             v = rand_vec(rng, 2, "++--")
             outs = {repr(sorted(psi_star(v, word=w).to_json()["terms"], key=str)) for w in words4}
             assert len(outs) == 1
+        # word=None builds psi factor by factor from memoized sub-key images;
+        # an explicit word is the plain R-step loop
+        for k in range(1, 5):
+            for signs in map("".join, itertools.product("+-", repeat=k)):
+                for key in itertools.product(range(1, 4), repeat=k):
+                    v = unit(3, signs, key)
+                    assert psi(v) == psi(v, word=w0_word(k)), (signs, key)
+                    assert psi_star(v) == psi_star(v, word=w0_word(k)), (signs, key)
+        rng = random.Random(17)
+        for signs in ("+++--", "-+-+-", "+++---", "--++-+"):
+            word = w0_word(len(signs))
+            for _ in range(12):
+                key = tuple(rng.randint(1, 4) for _ in signs)
+                v = unit(4, signs, key)
+                assert psi(v) == psi(v, word=word), (signs, key)
+                assert psi_star(v) == psi_star(v, word=word), (signs, key)
+            v = rand_vec(rng, 4, signs, nterms=4)
+            assert psi(v) == psi(v, word=word), signs
 
     def test_psi_star_triangular(self):
         N, signs = 3, "++--"
@@ -312,6 +335,14 @@ class TestAlgebraS:
                 assert lhs == rhs.scaled(LaurentQ({shift: 1}))
 
     def test_projection_intertwines_bar(self):
+        # word=None builds psi factor by factor from memoized sub-key images;
+        # an explicit word is the plain R-step loop
+        for k in range(1, 5):
+            for signs in map("".join, itertools.product("+-", repeat=k)):
+                for key in itertools.product(range(1, 4), repeat=k):
+                    v = unit(3, signs, key)
+                    assert psi(v) == psi(v, word=w0_word(k)), (signs, key)
+                    assert psi_star(v) == psi_star(v, word=w0_word(k)), (signs, key)
         rng = random.Random(17)
         for m, n in [(1, 1), (2, 1), (1, 2)]:
             signs = "+" * m + "-" * n
@@ -454,6 +485,45 @@ class TestJsonAndCache:
             qc._family_memo.clear()
         got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
         assert got == expected
+
+    def test_psi_memo_lives_only_while_a_family_is_built(self, monkeypatch):
+        # the keys of one family share the memo of sub-key images; it is
+        # dropped when the family is done, also when building it fails
+        sizes = []
+
+        def spy(real):
+            def bar(v, word=None):
+                out = real(v, word)
+                sizes.append(sum(len(images) for images, _ in qc._w0_memo.values()))
+                return out
+            return bar
+
+        monkeypatch.setattr(qc, "psi", spy(qc.psi))
+        monkeypatch.setattr(qc, "psi_star", spy(qc.psi_star))
+        qc._family_memo.clear()
+        try:
+            for fn in (dual_canonical, canonical):
+                sizes.clear()
+                fn(3, (1, 2, 3), (3, 2, 1))
+                assert qc._w0_memo is None
+                assert len(sizes) == 93 and sizes[-1] > sizes[0] > 0
+            monkeypatch.setattr(qc, "psi", lambda v, word=None: v.scaled(LaurentQ({1: 1})))
+            with pytest.raises(ArithmeticError, match="non-triangular"):
+                canonical(3, (1, 2), (2, 1))
+            assert qc._w0_memo is None
+        finally:
+            qc._family_memo.clear()
+
+    def test_bar_returning_its_input_leaves_constants_intact(self, monkeypatch):
+        # the Lusztig loop writes into the coefficient dicts bar returns
+        monkeypatch.setattr(qc, "psi", lambda v, word=None: v)
+        qc._family_memo.clear()
+        try:
+            b = canonical(3, (1, 2), (2, 1))
+        finally:
+            qc._family_memo.clear()
+        assert b == unit(3, "++--", (1, 2, 2, 1))
+        assert ONE.coeffs == {0: 1}
 
     def test_no_cache_payload_without_cache_dir(self, monkeypatch):
         monkeypatch.setattr(cache, "_cache_dir", None)
