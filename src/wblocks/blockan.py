@@ -10,43 +10,32 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .combinat import BlockKey, Composition
-from .laurent import ZERO, LaurentQ, qfact_quotient
+from .laurent import LaurentQ, qfact_quotient
 
 # ---------------------------------------------------------------------------
 # Verma multiplicities
 
 
-def theta_between(lam: Composition, kap: Composition):
-    """The unique theta with kap - lam = sum theta_i alpha_i, as a dict, or
-    None when the difference is not a root-lattice element with finite
-    support (never happens for equal totals)."""
-    if lam.total != kap.total:
-        return None
-    lo = min(lam.support_bounds()[0], kap.support_bounds()[0])
-    hi = max(lam.support_bounds()[1], kap.support_bounds()[1])
-    theta = {}
-    run = 0
-    for i in range(lo, hi + 1):
-        run += kap[i] - lam[i]
-        if run:
-            theta[i] = run
-    return theta
-
-
 def verma_mult(xi: BlockKey, lam: Composition, kap: Composition) -> int:
     """Multiplicity of the simple kap in the Verma lam: the product of
     binomial(lam_{i+1}, theta_i) when kap = lam + sum theta_i alpha_i with
-    0 <= theta_i <= lam_{i+1}, else 0."""
+    0 <= theta_i <= lam_{i+1}, else 0.
+
+    theta_i is the running sum of kap_j - lam_j over j <= i, which vanishes
+    outside the supports because the totals agree.  This reading of the
+    parts belongs to the BGG oracle alone: the closed forms below share no
+    helper with it, so a fault in one route cannot move the other."""
     if lam.total != xi.t or kap.total != xi.t:
         raise ValueError("lambda and kappa must be compositions of t")
-    theta = theta_between(lam, kap)
-    if theta is None:
-        return 0
+    lo = min(lam.support_bounds()[0], kap.support_bounds()[0])
+    hi = max(lam.support_bounds()[1], kap.support_bounds()[1])
     out = 1
-    for i, th in theta.items():
-        if not 0 <= th <= lam[i + 1]:
+    theta = 0
+    for i in range(lo, hi + 1):
+        theta += kap[i] - lam[i]
+        if not 0 <= theta <= lam[i + 1]:
             return 0
-        out *= comb(lam[i + 1], th)
+        out *= comb(lam[i + 1], theta)
     return out
 
 
@@ -54,86 +43,76 @@ def verma_mult(xi: BlockKey, lam: Composition, kap: Composition) -> int:
 # Cartan entries: closed formula, BGG oracle, graded refinement
 
 
-def rho_between(lam: Composition, kap: Composition):
-    """The rho with kap = lam + sum (lam_{i+1} - rho_{i+1}) alpha_i, as a
-    dict over the padded support, or None if some part is negative or the
-    recursive inequalities fail."""
-    theta = theta_between(lam, kap)
-    if theta is None:
-        return None
-    lo = min(lam.support_bounds()[0], kap.support_bounds()[0]) - 1
-    hi = max(lam.support_bounds()[1], kap.support_bounds()[1]) + 1
-    rho = {}
-    for i in range(lo, hi + 1):
-        r = lam[i] - theta.get(i - 1, 0)
-        if r < 0:
+def _tau_choices(lam: Composition, kap: Composition, gamma: Composition):
+    """The rows of the tau-sum for [P(lam) : L(kap)]: a list of pairs
+    ((lam_i, lam_{i+1}, rho_i, gamma_i), range of tau_i), one per position
+    from the first of the supports of lam, kap and gamma to one past their
+    last, or None when the sum is empty.
+
+    rho_i = sum_{j <= i} lam_j - sum_{j < i} kap_j, so that kap = lam +
+    sum_i (lam_{i+1} - rho_{i+1}) alpha_i, and tau_i runs over
+    max(lam_i, rho_i) <= tau_i <= lam_i + min(lam_{i-1}, rho_{i-1}).  The sum
+    is empty when rho has a negative part or a range is empty (a failed
+    recursive inequality rho_i <= lam_i + min(lam_{i-1}, rho_{i-1})).  Past
+    either end of the window tau_i = 0, and every row there contributes the
+    factor 1: at the first position tau_i = rho_i = lam_i."""
+    bounds = [c.support_bounds() for c in (lam, kap, gamma) if c.parts]
+    if not bounds:
+        return []
+    lo = min(b[0] for b in bounds)
+    size = max(b[1] for b in bounds) - lo + 2
+    lam_w, kap_w, gamma_w = ([0] * (size + 1) for _ in range(3))
+    for c, w in ((lam, lam_w), (kap, kap_w), (gamma, gamma_w)):
+        w[c.offset - lo:c.offset - lo + len(c.parts)] = c.parts
+    rows = []
+    rho_i = lam_prev = rho_prev = 0
+    for lam_i, lam_next, kap_i, gamma_i in zip(lam_w, lam_w[1:], kap_w, gamma_w):
+        rho_i += lam_i
+        low, high = max(lam_i, rho_i), lam_i + min(lam_prev, rho_prev)
+        if rho_i < 0 or low > high:
             return None
-        if r:
-            rho[i] = r
-    # recursive inequalities 0 <= rho_{i+1} <= lam_{i+1} + min(lam_i, rho_i)
-    for i in range(lo - 1, hi + 1):
-        if rho.get(i + 1, 0) > lam[i + 1] + min(lam[i], rho.get(i, 0)):
-            return None
-    return rho
+        rows.append(((lam_i, lam_next, rho_i, gamma_i), range(low, high + 1)))
+        lam_prev, rho_prev = lam_i, rho_i
+        rho_i -= kap_i
+    return rows
 
 
-def _active_range(lam: Composition, rho: dict, gamma: Composition):
-    los = []
-    his = []
-    for c in (lam, gamma):
-        lo, hi = c.support_bounds()
-        if hi >= lo:
-            los.append(lo)
-            his.append(hi)
-    if rho:
-        los.append(min(rho))
-        his.append(max(rho))
-    if not los:
-        return -1, 1
-    return min(los) - 1, max(his) + 1
+def _tau_terms(xi: BlockKey, lam: Composition, kap: Composition):
+    """For each tau of the Cartan entry [P(lam) : L(kap)], the list of
+    (beta_i, a_i, b_i, beta_i + gamma_i) over the rows of _tau_choices, with
+    beta_i = lam_{i+1} + tau_i - tau_{i+1}, a_i = tau_i - lam_i and
+    b_i = tau_i - rho_i.
 
-
-def _tau_choices(lam: Composition, rho: dict, lo: int, hi: int):
-    """Ranges max(lam_{i+1}, rho_{i+1}) <= tau_{i+1} <= lam_{i+1} +
-    min(lam_i, rho_i) per position; empty product when any range is empty."""
-    spans = []
-    for i in range(lo, hi + 1):
-        a = max(lam[i], rho.get(i, 0))
-        b = lam[i] + min(lam[i - 1], rho.get(i - 1, 0))
-        if a > b:
-            return None
-        spans.append((i, range(a, b + 1)))
-    return spans
+    0 <= a_i, b_i <= beta_i always, so no term needs a sign check: the
+    ranges give tau_i >= max(lam_i, rho_i), hence a_i, b_i >= 0, and
+    tau_{i+1} <= lam_{i+1} + min(lam_i, rho_i), hence beta_i - a_i =
+    lam_i + lam_{i+1} - tau_{i+1} >= 0 and beta_i - b_i = rho_i + lam_{i+1}
+    - tau_{i+1} >= 0."""
+    if lam.total != xi.t or kap.total != xi.t:
+        raise ValueError("lambda and kappa must be compositions of t")
+    choices = _tau_choices(lam, kap, xi.gamma)
+    if choices is None:
+        return
+    rows = [row for row, _ in choices]
+    for taus in itertools.product(*(rng for _, rng in choices)):
+        yield [
+            (beta := lam_next + tau_i - tau_next, tau_i - lam_i, tau_i - rho_i, beta + gamma_i)
+            for (lam_i, lam_next, rho_i, gamma_i), tau_i, tau_next
+            in zip(rows, taus, taus[1:] + (0,))
+        ]
 
 
 def cartan_entry(xi: BlockKey, lam: Composition, kap: Composition) -> int:
-    """Closed formula for the Cartan entry [P(lam) : L(kap)] of the block."""
-    if lam.total != xi.t or kap.total != xi.t:
-        raise ValueError("lambda and kappa must be compositions of t")
-    rho = rho_between(lam, kap)
-    if rho is None:
-        return 0
-    gamma = xi.gamma
-    lo, hi = _active_range(lam, rho, gamma)
-    spans = _tau_choices(lam, rho, lo, hi)
-    if spans is None:
-        return 0
+    """Closed formula for the Cartan entry [P(lam) : L(kap)] of the block:
+    m! n! times the sum over tau of prod_i C(beta_i, a_i) C(beta_i, b_i) /
+    (beta_i! (beta_i + gamma_i)!), with the terms of _tau_terms."""
     total = Fraction(0)
-    rows = [(i, lam[i], lam[i + 1], rho.get(i, 0), gamma[i]) for i in range(lo - 1, hi + 1)]
-    positions = [i for i, _ in spans]
-    for values in itertools.product(*(rng for _, rng in spans)):
-        tau = dict(zip(positions, values))
+    for terms in _tau_terms(xi, lam, kap):
         num = den = 1
-        for i, lam_i, lam_next, rho_i, gamma_i in rows:
-            tau_i = tau.get(i, 0)
-            beta = lam_next + tau_i - tau.get(i + 1, 0)
-            if beta < 0:
-                num = 0
-                break
-            num *= comb(beta, tau_i - lam_i) * comb(beta, tau_i - rho_i)
-            den *= factorial(beta) * factorial(beta + gamma_i)
-        if num:
-            total += Fraction(num, den)
+        for beta, a, b, g in terms:
+            num *= comb(beta, a) * comb(beta, b)
+            den *= factorial(beta) * factorial(g)
+        total += Fraction(num, den)
     total *= factorial(xi.m) * factorial(xi.n)
     if total.denominator != 1:
         raise ArithmeticError("Cartan entry came out non-integral (internal bug)")
@@ -176,7 +155,7 @@ def cartan_oracle(xi: BlockKey, lam: Composition, kap: Composition) -> int:
 def graded_cartan(xi: BlockKey, lam: Composition, kap: Composition) -> LaurentQ:
     """Graded Cartan entry: the sum over tau of q^{s(tau)} [m]! [n]! times
     prod_i qbinom(beta_i, a_i) qbinom(beta_i, b_i) / ([beta_i]! [beta_i +
-    gamma_i]!), with a_i = tau_i - lam_i and b_i = tau_i - rho_i.
+    gamma_i]!), with the terms of _tau_terms.
 
     Each term cancels to a quotient of quantum factorials,
     [m]! [n]! prod [beta_i]! / prod [a_i]! [beta_i - a_i]! [b_i]! [beta_i -
@@ -185,29 +164,13 @@ def graded_cartan(xi: BlockKey, lam: Composition, kap: Composition) -> LaurentQ:
     cyclotomic polynomials in q^2 (laurent.qfact_quotient), with no
     polynomial division.  The result is asserted to be a polynomial in q with
     non-negative coefficients (positive grading)."""
-    if lam.total != xi.t or kap.total != xi.t:
-        raise ValueError("lambda and kappa must be compositions of t")
-    rho = rho_between(lam, kap)
-    if rho is None:
-        return ZERO
-    gamma = xi.gamma
-    lo, hi = _active_range(lam, rho, gamma)
-    spans = _tau_choices(lam, rho, lo, hi)
-    if spans is None:
-        return ZERO
     total: dict = {}
     s0 = comb(xi.m, 2) + comb(xi.n, 2)
-    rows = [(i, lam[i], lam[i + 1], rho.get(i, 0), gamma[i]) for i in range(lo - 1, hi + 1)]
-    positions = [i for i, _ in spans]
-    for values in itertools.product(*(rng for _, rng in spans)):
-        tau = dict(zip(positions, values))
+    for terms in _tau_terms(xi, lam, kap):
         num = [xi.m, xi.n]
         den = []
         s = s0
-        for i, lam_i, lam_next, rho_i, gamma_i in rows:
-            tau_i = tau.get(i, 0)
-            beta = lam_next + tau_i - tau.get(i + 1, 0)
-            a, b, g = tau_i - lam_i, tau_i - rho_i, beta + gamma_i
+        for beta, a, b, g in terms:
             num.append(beta)
             den += (a, beta - a, b, beta - b, g)
             s += (a + b) * g - comb(beta, 2) - comb(g, 2)

@@ -409,7 +409,7 @@ FULL_SCALES = {
     "character-identities": {"mn": 3, "t": 3, "gamma_width": 2, "lam_width": 3},
     "verma-order-independence": {"entry_hi": 3, "D": 4},
     "h-laws": {"t_eps": 6, "t_strict": 4, "width": 3, "row_mn": 3, "row_blocks": None},
-    "top-degree": {"mn": 3, "t": 3, "gamma_width": 2, "lam_width": 2,
+    "top-degree": {"mn": 4, "t": 4, "gamma_width": 3, "lam_width": 3,
                    "generic_blocks": None, "generic_lams": _generic_lams},
     "linkage-weight-fibers": {"entry_hi": 4, "shapes": [(1, 1), (1, 2), (2, 2)]},
     "center": {"mn": 3, "r_max": 6, "random_polys": 200,

@@ -97,3 +97,13 @@ def test_fault_injection_hits_only_the_dependent_criterion(fault, victims):
     results = run_suite("quick", fault=fault)
     red = {r["name"] for r in results if not r["ok"]}
     assert red == victims
+
+
+def test_perturbed_ungraded_closed_form_turns_its_dependents_red(monkeypatch):
+    from wblocks import blockan
+    from wblocks.verify import _perturb, run_suite
+
+    monkeypatch.setattr(blockan, "cartan_entry", _perturb(blockan.cartan_entry))
+    red = {r["name"] for r in run_suite("quick") if not r["ok"]}
+    assert red == {"cartan-vs-oracle", "graded-vs-ungraded", "h-laws", "m1n1-sanity",
+                   "recovery-round-trip"}

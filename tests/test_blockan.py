@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 from fractions import Fraction
@@ -27,7 +28,7 @@ from wblocks.blockan import (
 from wblocks import blockan
 from wblocks.combinat import BlockKey, Composition
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom, qfact
-from wblocks.verify import _gamma_splits, iter_blocks
+from wblocks.verify import QUICK_SCALES, _gamma_splits, _window_pairs, iter_blocks
 
 
 def comp(parts, offset=0):
@@ -104,6 +105,32 @@ class TestCartan:
             for kap in lams:
                 assert cartan_entry(xi, lam, kap) == cartan_oracle(xi, lam, kap)
 
+    def test_closed_forms_share_no_helper_with_the_oracle(self, monkeypatch):
+        # a helper on both routes would let one fault move both sides of
+        # verify's cartan-vs-oracle criterion together
+        pairs = list(_window_pairs(QUICK_SCALES["cartan-vs-oracle"]))
+        called = {"closed": set(), "oracle": set()}
+        route = []
+
+        def recorder(name, fn):
+            def wrapped(*args, **kwargs):
+                called[route[-1]].add(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name, fn in list(vars(blockan).items()):
+            if inspect.isfunction(fn) and fn.__module__ == blockan.__name__:
+                monkeypatch.setattr(blockan, name, recorder(name, fn))
+        for xi, lam, kap in pairs:
+            for name, fn in [("closed", blockan.cartan_entry), ("closed", blockan.graded_cartan),
+                             ("oracle", blockan.cartan_oracle)]:
+                route.append(name)
+                fn(xi, lam, kap)
+                route.pop()
+        assert not called["closed"] & called["oracle"]
+        assert called["closed"] - {"cartan_entry", "graded_cartan"}
+        assert called["oracle"] - {"cartan_oracle"}
+
     def test_symmetry(self):
         xi = key([1], 2, [1], 0, 2, 3, 3)
         lams = compositions_in_window(2, 0, 2)
@@ -115,29 +142,16 @@ class TestCartan:
 def graded_cartan_by_division(xi, lam, kap):
     """Reference route for graded_cartan: each tau-term assembled from
     quantum binomials and factorials, then one exact polynomial division."""
-    rho = blockan.rho_between(lam, kap)
-    if rho is None:
-        return ZERO
-    gamma = xi.gamma
-    lo, hi = blockan._active_range(lam, rho, gamma)
-    spans = blockan._tau_choices(lam, rho, lo, hi)
-    if spans is None:
-        return ZERO
     total = ZERO
     mn_fact = qfact(xi.m) * qfact(xi.n)
-    positions = [i for i, _ in spans]
-    for values in itertools.product(*(rng for _, rng in spans)):
-        tau = dict(zip(positions, values))
+    for terms in blockan._tau_terms(xi, lam, kap):
         num = mn_fact
         den = ONE
         s = comb(xi.m, 2) + comb(xi.n, 2)
-        for i in range(lo - 1, hi + 1):
-            beta = lam[i + 1] + tau.get(i, 0) - tau.get(i + 1, 0)
-            num = num * qbinom(beta, tau.get(i, 0) - lam[i])
-            num = num * qbinom(beta, tau.get(i, 0) - rho.get(i, 0))
-            den = den * qfact(beta) * qfact(beta + gamma[i])
-            s += (2 * tau.get(i, 0) - lam[i] - rho.get(i, 0)) * (beta + gamma[i])
-            s -= comb(beta, 2) + comb(beta + gamma[i], 2)
+        for beta, a, b, g in terms:
+            num = num * qbinom(beta, a) * qbinom(beta, b)
+            den = den * qfact(beta) * qfact(g)
+            s += (a + b) * g - comb(beta, 2) - comb(g, 2)
         total = total + num.divexact(den).shift(s)
     return total
 
@@ -188,6 +202,21 @@ class TestGradedCartanRoute:
         # window 0..3, as computed by the division route
         matrix = cartan_matrix(xi, compositions_in_window(xi.t, 0, 3), graded=True)
         assert _digest([[v.to_json() for v in row] for row in matrix]) == digest
+
+    @pytest.mark.parametrize(
+        "xi,digest",
+        [
+            (BlockKey(Composition(), Composition(), 4, 4, 4),
+             "5330087f0d7e9d01c5444d3dcbb680a5bb78ea4a432ab1ee657175681783066d"),
+            (BlockKey(Composition(), Composition([2], 1), 4, 4, 6),
+             "347266be099e783b4c1526621480bfe5b39160d7566ef574c9fd1dc41349d863"),
+        ],
+        ids=["t4m4n4", "t4m4n6nu2@1"],
+    )
+    def test_pinned_ungraded_matrix_digest(self, xi, digest):
+        # sha256 of the sorted, compact JSON of the ungraded matrix over the
+        # window 0..3
+        assert _digest(cartan_matrix(xi, compositions_in_window(xi.t, 0, 3))) == digest
 
 
 class TestGradedCartan:
