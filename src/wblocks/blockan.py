@@ -56,19 +56,23 @@ def _tau_choices(lam: Composition, kap: Composition, gamma: Composition):
     recursive inequality rho_i <= lam_i + min(lam_{i-1}, rho_{i-1})).  Past
     either end of the window tau_i = 0, and every row there contributes the
     factor 1: at the first position tau_i = rho_i = lam_i."""
-    bounds = [c.support_bounds() for c in (lam, kap, gamma) if c.parts]
-    if not bounds:
+    lo = hi = None
+    for c in (lam, kap, gamma):
+        if c.parts:
+            end = c.offset + len(c.parts)
+            lo = c.offset if lo is None or c.offset < lo else lo
+            hi = end if hi is None or end > hi else hi
+    if lo is None:
         return []
-    lo = min(b[0] for b in bounds)
-    size = max(b[1] for b in bounds) - lo + 2
-    lam_w, kap_w, gamma_w = ([0] * (size + 1) for _ in range(3))
+    lam_w, kap_w, gamma_w = ([0] * (hi - lo + 2) for _ in range(3))
     for c, w in ((lam, lam_w), (kap, kap_w), (gamma, gamma_w)):
         w[c.offset - lo:c.offset - lo + len(c.parts)] = c.parts
     rows = []
     rho_i = lam_prev = rho_prev = 0
     for lam_i, lam_next, kap_i, gamma_i in zip(lam_w, lam_w[1:], kap_w, gamma_w):
         rho_i += lam_i
-        low, high = max(lam_i, rho_i), lam_i + min(lam_prev, rho_prev)
+        low = rho_i if rho_i > lam_i else lam_i
+        high = lam_i + (lam_prev if lam_prev < rho_prev else rho_prev)
         if rho_i < 0 or low > high:
             return None
         rows.append(((lam_i, lam_next, rho_i, gamma_i), range(low, high + 1)))
@@ -105,18 +109,23 @@ def _tau_terms(xi: BlockKey, lam: Composition, kap: Composition):
 def cartan_entry(xi: BlockKey, lam: Composition, kap: Composition) -> int:
     """Closed formula for the Cartan entry [P(lam) : L(kap)] of the block:
     m! n! times the sum over tau of prod_i C(beta_i, a_i) C(beta_i, b_i) /
-    (beta_i! (beta_i + gamma_i)!), with the terms of _tau_terms."""
-    total = Fraction(0)
+    (beta_i! (beta_i + gamma_i)!), with the terms of _tau_terms.
+
+    The beta_i sum to t and the beta_i + gamma_i to t + |gamma|, so every
+    term's denominator divides t! (t + |gamma|)!, and the sum is taken in
+    integers over that one denominator."""
+    den = factorial(xi.t) * factorial(xi.t + xi.gamma.total)
+    total = 0
     for terms in _tau_terms(xi, lam, kap):
-        num = den = 1
+        num = term_den = 1
         for beta, a, b, g in terms:
             num *= comb(beta, a) * comb(beta, b)
-            den *= factorial(beta) * factorial(g)
-        total += Fraction(num, den)
-    total *= factorial(xi.m) * factorial(xi.n)
-    if total.denominator != 1:
+            term_den *= factorial(beta) * factorial(g)
+        total += num * (den // term_den)
+    out, rest = divmod(total * factorial(xi.m) * factorial(xi.n), den)
+    if rest:
         raise ArithmeticError("Cartan entry came out non-integral (internal bug)")
-    return int(total)
+    return out
 
 
 def cartan_oracle(xi: BlockKey, lam: Composition, kap: Composition) -> int:
@@ -445,9 +454,19 @@ def compositions_in_window(t: int, lo: int, hi: int):
 def cartan_matrix(xi: BlockKey, lams, graded: bool = False):
     """Matrix of (graded) Cartan entries over the given row/column labels.
 
+    Only the cells with column >= row are evaluated; each is mirrored into
+    its transpose.  This is exact: by BGG reciprocity C = D^T D, with D the
+    matrix of Verma multiplicities, so [P(lam) : L(kap)] = [P(kap) : L(lam)],
+    graded or not.  verify checks that symmetry cell by cell through the
+    per-cell functions (cartan-vs-oracle and graded-vs-ungraded).
+
     graded_cartan and cartan_entry are looked up as module attributes on
     every call, so a perturbed one (verify's fault injection) reaches every
     cell."""
     lams = list(lams)
     fn = graded_cartan if graded else cartan_entry
-    return [[fn(xi, a, b) for b in lams] for a in lams]
+    rows = [[None] * len(lams) for _ in lams]
+    for a, lam in enumerate(lams):
+        for b in range(a, len(lams)):
+            rows[a][b] = rows[b][a] = fn(xi, lam, lams[b])
+    return rows

@@ -11,30 +11,26 @@ from fractions import Fraction
 from .multipoly import MultiPoly
 
 
+def _monomial_sum(m: int, n: int, combos) -> MultiPoly:
+    """The sum of the monomials prod_{k in combo} v_k, each with coefficient
+    1, over combos of distinct multisets of exponent-tuple slots k."""
+    terms = {}
+    for combo in combos:
+        e = [0] * (m + n)
+        for k in combo:
+            e[k] += 1
+        terms[tuple(e)] = 1
+    return MultiPoly(m, n, terms)
+
+
 def e_sym(m: int, n: int, r: int) -> MultiPoly:
     """Elementary symmetric polynomial e_r in the x variables."""
-    out = MultiPoly(m, n)
-    if r == 0:
-        return MultiPoly.constant(m, n, 1)
-    for combo in itertools.combinations(range(1, m + 1), r):
-        term = MultiPoly.constant(m, n, 1)
-        for i in combo:
-            term = term * MultiPoly.x(m, n, i)
-        out = out + term
-    return out
+    return _monomial_sum(m, n, itertools.combinations(range(m), r))
 
 
 def h_sym(m: int, n: int, r: int) -> MultiPoly:
     """Complete homogeneous symmetric polynomial h_r in the y variables."""
-    if r == 0:
-        return MultiPoly.constant(m, n, 1)
-    out = MultiPoly(m, n)
-    for combo in itertools.combinations_with_replacement(range(1, n + 1), r):
-        term = MultiPoly.constant(m, n, 1)
-        for j in combo:
-            term = term * MultiPoly.y(m, n, j)
-        out = out + term
-    return out
+    return _monomial_sum(m, n, itertools.combinations_with_replacement(range(m, m + n), r))
 
 
 def e_super(r: int, m: int, n: int) -> MultiPoly:
@@ -55,31 +51,32 @@ def e_super(r: int, m: int, n: int) -> MultiPoly:
     return out
 
 
-def _transposition_perm(m: int, n: int, a: int, b: int):
-    """Variable-slot permutation swapping slots a and b (0-based)."""
-    perm = list(range(m + n))
-    perm[a], perm[b] = perm[b], perm[a]
-    return perm
-
-
 def is_symmetric(f: MultiPoly) -> bool:
     """S_m x S_n symmetry, checked on adjacent transpositions (they generate
     the group)."""
-    m, n = f.m, f.n
-    for a in range(m - 1):
-        if f.permute_vars(_transposition_perm(m, n, a, a + 1)) != f:
-            return False
-    for a in range(n - 1):
-        if f.permute_vars(_transposition_perm(m, n, m + a, m + a + 1)) != f:
+    for a in itertools.chain(range(f.m - 1), range(f.m, f.m + f.n - 1)):
+        perm = list(range(f.m + f.n))
+        perm[a], perm[a + 1] = a + 1, a
+        if f.permute_vars(perm) != f:
             return False
     return True
 
 
 def _congruence_holds(f: MultiPoly, i: int, j: int) -> bool:
-    """Whether df/dx_i + df/dy_j vanishes mod (x_i - y_j), tested by
-    substituting x_i <- y_j (the quotient ring is a polynomial ring)."""
-    g = f.partial_x(i) + f.partial_y(j)
-    return g.subst(i - 1, MultiPoly.y(f.m, f.n, j)).is_zero()
+    """Whether df/dx_i + df/dy_j vanishes mod (x_i - y_j).
+
+    The quotient ring is a polynomial ring: substitute x_i <- y_j.  A term
+    c x_i^a y_j^b rest then becomes (a + b) c y_j^{a+b-1} rest, so the
+    congruence holds iff, for every s >= 1 and every rest, the coefficients
+    of the monomials x_i^a y_j^{s-a} rest sum to 0."""
+    xi, yj = i - 1, f.m + j - 1
+    sums: dict = {}
+    for k, c in f.terms.items():
+        s = k[xi] + k[yj]
+        if s:
+            key = k[:xi] + (s,) + k[xi + 1:yj] + k[yj + 1:]
+            sums[key] = sums.get(key, 0) + c
+    return not any(sums.values())
 
 
 def in_I(f: MultiPoly, m: int, n: int) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from collections import Counter, deque
+from functools import cached_property
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +307,10 @@ class BlockKey:
             if self.mu[i] and self.nu[i]:
                 raise ValueError("mu and nu must have disjoint supports")
 
-    @property
+    @cached_property
     def gamma(self) -> Composition:
+        """mu + nu, computed on first read and kept on the key; it is not a
+        field, so equality, hashing and to_json do not see it."""
         return self.mu + self.nu
 
     def to_json(self) -> dict:

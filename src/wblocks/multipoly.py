@@ -131,38 +131,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def partial(self, var: int) -> "MultiPoly":
-        """Partial derivative with respect to variable index var (0-based
-        over the combined tuple; use partial_x/partial_y for labels)."""
-        out: dict = {}
-        for k, c in self.terms.items():
-            e = k[var]
-            if e:  # distinct monomials stay distinct
-                out[k[:var] + (e - 1,) + k[var + 1:]] = _coeff(c * e)
-        return MultiPoly._raw(self.m, self.n, out)
-
-    def partial_x(self, i: int) -> "MultiPoly":
-        if not 1 <= i <= self.m:
-            raise ValueError(f"x index {i} out of range")
-        return self.partial(i - 1)
-
-    def partial_y(self, j: int) -> "MultiPoly":
-        if not 1 <= j <= self.n:
-            raise ValueError(f"y index {j} out of range")
-        return self.partial(self.m + j - 1)
-
-    def subst(self, var: int, g: "MultiPoly") -> "MultiPoly":
-        """Substitute polynomial g for the variable at index var."""
-        self._check(g)
-        out: dict = {}
-        powers = [MultiPoly.constant(self.m, self.n, 1).terms]
-        for k, c in self.terms.items():
-            e = k[var]
-            while len(powers) <= e:
-                powers.append((MultiPoly._raw(self.m, self.n, powers[-1]) * g).terms)
-            _acc(out, powers[e], k[:var] + (0,) + k[var + 1:], c)
-        return MultiPoly._raw(self.m, self.n, out)
-
     def permute_vars(self, perm) -> "MultiPoly":
         """Apply a permutation of the m+n variable slots: new slot i gets the
         exponent of old slot perm[i]."""

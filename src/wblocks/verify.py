@@ -404,7 +404,7 @@ def _row_blocks(mn: int):
 
 FULL_SCALES = {
     "cartan-vs-oracle": {"mn": 3, "t": 3, "gamma_width": 3, "lam_width": 4},
-    "graded-vs-ungraded": {"mn": 3, "t": 3, "gamma_width": 3, "lam_width": 4},
+    "graded-vs-ungraded": {"mn": 4, "t": 4, "gamma_width": 3, "lam_width": 4},
     "appendixb-pairing": {"mn": 3, "t": 3},
     "character-identities": {"mn": 3, "t": 3, "gamma_width": 2, "lam_width": 3},
     "verma-order-independence": {"entry_hi": 3, "D": 4},

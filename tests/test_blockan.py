@@ -28,7 +28,7 @@ from wblocks.blockan import (
 from wblocks import blockan
 from wblocks.combinat import BlockKey, Composition
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom, qfact
-from wblocks.verify import QUICK_SCALES, _gamma_splits, _window_pairs, iter_blocks
+from wblocks.verify import QUICK_SCALES, _gamma_splits, _perturb, _window_pairs, iter_blocks
 
 
 def comp(parts, offset=0):
@@ -217,6 +217,41 @@ class TestGradedCartanRoute:
         # sha256 of the sorted, compact JSON of the ungraded matrix over the
         # window 0..3
         assert _digest(cartan_matrix(xi, compositions_in_window(xi.t, 0, 3))) == digest
+
+
+PINNED_BLOCKS = [BlockKey(Composition(), Composition(), 4, 4, 4),
+                 BlockKey(Composition(), Composition([2], 1), 4, 4, 6)]
+
+
+class TestCartanMatrix:
+    def test_mirrored_matrix_equals_every_cell(self):
+        for xi in iter_blocks(3, 3, 2):
+            lams = compositions_in_window(xi.t, -1, 1)
+            for graded, fn in ((False, cartan_entry), (True, graded_cartan)):
+                full = [[fn(xi, a, b) for b in lams] for a in lams]
+                assert cartan_matrix(xi, lams, graded=graded) == full, (xi, graded)
+
+    @pytest.mark.parametrize("xi", PINNED_BLOCKS, ids=["t4m4n4", "t4m4n6nu2@1"])
+    @pytest.mark.parametrize("graded", [False, True], ids=["ungraded", "graded"])
+    def test_each_computed_cell_goes_through_the_module_attribute(self, monkeypatch, xi, graded):
+        name = "graded_cartan" if graded else "cartan_entry"
+        lams = compositions_in_window(xi.t, 0, 3)
+        plain = cartan_matrix(xi, lams, graded=graded)
+        calls = []
+        fn = getattr(blockan, name)
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(blockan, name, counted)
+        assert cartan_matrix(xi, lams, graded=graded) == plain
+        n = len(lams)
+        assert len(calls) == n * (n + 1) // 2 == 630
+        # verify's fault injection moves every cell, mirrored ones too
+        monkeypatch.setattr(blockan, name, _perturb(fn))
+        perturbed = cartan_matrix(xi, lams, graded=graded)
+        assert all(p != q for prow, qrow in zip(perturbed, plain) for p, q in zip(prow, qrow))
 
 
 class TestGradedCartan:

@@ -1,11 +1,15 @@
 import hashlib
+import inspect
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from wblocks import center
 from wblocks.center import (
+    _congruence_holds,
     e_super,
     e_sym,
     h_sym,
@@ -44,6 +48,172 @@ class TestESuper:
     def test_symmetric(self, m, n):
         for r in range(1, 5):
             assert is_symmetric(e_super(r, m, n))
+
+
+def _product_of_variables(m, n, slots):
+    out = MultiPoly.constant(m, n, 1)
+    for k in slots:
+        out = out * (MultiPoly.x(m, n, k + 1) if k < m else MultiPoly.y(m, n, k - m + 1))
+    return out
+
+
+class TestSymmetricPieces:
+    @pytest.mark.parametrize("m,n", list(itertools.product(range(5), repeat=2)))
+    def test_match_products_of_variables(self, m, n):
+        # the reference route multiplies the variables of each monomial
+        for r in range(7):
+            e_ref = MultiPoly(m, n)
+            for combo in itertools.combinations(range(m), r):
+                e_ref = e_ref + _product_of_variables(m, n, combo)
+            h_ref = MultiPoly(m, n)
+            for combo in itertools.combinations_with_replacement(range(m, m + n), r):
+                h_ref = h_ref + _product_of_variables(m, n, combo)
+            assert e_sym(m, n, r) == e_ref, (m, n, r)
+            assert h_sym(m, n, r) == h_ref, (m, n, r)
+            assert (r <= m) == bool(e_ref) and (r == 0 or n > 0) == bool(h_ref)
+            for f in (e_sym(m, n, r), h_sym(m, n, r)):
+                assert all(type(c) is int for c in f.terms.values())
+
+
+def _calls_into_center(monkeypatch, fn, *args):
+    """Names of the center functions that fn(*args) reaches through the
+    module's attributes."""
+    called = set()
+
+    def recorder(name, f):
+        def wrapped(*a, **k):
+            called.add(name)
+            return f(*a, **k)
+        return wrapped
+
+    for name, f in list(vars(center).items()):
+        if inspect.isfunction(f) and f.__module__ == center.__name__:
+            monkeypatch.setattr(center, name, recorder(name, f))
+    getattr(center, fn)(*args)
+    return called
+
+
+def test_series_route_shares_no_piece_with_e_super(monkeypatch):
+    # hc_series_coeff is the independent route to e_super: a fault in e_sym
+    # or h_sym must not move both sides of verify's center criterion
+    assert {"e_sym", "h_sym"} <= _calls_into_center(monkeypatch, "e_super", 5, 3, 4)
+    for r in range(1, 6):
+        assert not {"e_sym", "h_sym"} & _calls_into_center(monkeypatch, "hc_series_coeff", r, 3, 4)
+
+
+# The derivative-and-substitute route to the congruence, kept here as the
+# reference for center._congruence_holds: build df/dx_i + df/dy_j, substitute
+# the polynomial y_j for x_i, and test for zero.
+
+def _power(f, k):
+    out = MultiPoly.constant(f.m, f.n, 1)
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def _ref_partial(f, var):
+    out = {}
+    for k, c in f.terms.items():
+        if k[var]:
+            out[k[:var] + (k[var] - 1,) + k[var + 1:]] = c * k[var]
+    return MultiPoly(f.m, f.n, out)
+
+
+def _ref_subst(f, var, g):
+    out = MultiPoly(f.m, f.n)
+    for k, c in f.terms.items():
+        out = out + MultiPoly(f.m, f.n, {k[:var] + (0,) + k[var + 1:]: c}) * _power(g, k[var])
+    return out
+
+
+def _ref_congruence(f, i, j):
+    g = _ref_partial(f, i - 1) + _ref_partial(f, f.m + j - 1)
+    return _ref_subst(g, i - 1, MultiPoly.y(f.m, f.n, j)).is_zero()
+
+
+class TestReferenceCalculus:
+    # the reference route must itself be right for the comparison below to
+    # mean anything
+    def x(self, i):
+        return MultiPoly.x(2, 2, i)
+
+    def y(self, j):
+        return MultiPoly.y(2, 2, j)
+
+    def test_partial_x_of_product(self):
+        assert _ref_partial(self.x(1) * self.y(1), 0) == self.y(1)
+
+    def test_partial_wrong_variable(self):
+        assert _ref_partial(self.x(1) * self.x(1), 2).is_zero()
+
+    def test_subst_kills_difference(self):
+        assert _ref_subst(self.x(1) - self.y(1), 0, self.y(1)).is_zero()
+
+    def test_partial_leibniz(self):
+        f = self.x(1) * self.x(1) * self.y(2) + 3 * self.x(2)
+        g = self.x(1) * self.y(2)
+        lhs = _ref_partial(f * g, 0)
+        assert lhs == _ref_partial(f, 0) * g + f * _ref_partial(g, 0)
+
+    def test_rational_coefficients(self):
+        f = MultiPoly(1, 1, {(2, 0): Fraction(1, 3)})
+        assert _ref_partial(f, 0) == MultiPoly(1, 1, {(1, 0): Fraction(2, 3)})
+
+
+def _random_poly(rng, m, n, max_exp=2):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = tuple(rng.randint(0, max_exp) for _ in range(m + n))
+        terms[e] = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+    return MultiPoly(m, n, terms)
+
+
+def _random_case(rng):
+    """(m, n, f): a sparse random polynomial (mostly outside I and J), a
+    combination of e_super products (in I), one of those plus a random
+    polynomial, or a member of the congruence for one pair only: (x_i -
+    y_j)^2 g + x_i^k - y_j^k with g random."""
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return m, n, _random_poly(rng, m, n)
+    if kind == 3:
+        x, y = MultiPoly.x(m, n, rng.randint(1, m)), MultiPoly.y(m, n, rng.randint(1, n))
+        k = rng.randint(1, 3)
+        return m, n, (x - y) * (x - y) * _random_poly(rng, m, n, 1) + _power(x, k) - _power(y, k)
+    f = MultiPoly(m, n)
+    for _ in range(rng.randint(1, 3)):
+        term = MultiPoly.constant(m, n, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 2)):
+            term = term * e_super(rng.randint(1, 3), m, n)
+        f = f + term
+    if kind == 2:
+        f = f + _random_poly(rng, m, n)
+    return m, n, f
+
+
+def test_congruence_matches_reference_route():
+    rng = random.Random(20261018)
+    verdicts = {True: 0, False: 0}
+    members = {"I": 0, "symmetric I": 0}
+    for _ in range(600):
+        m, n, f = _random_case(rng)
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                got = _congruence_holds(f, i, j)
+                assert got == _ref_congruence(f, i, j), (m, n, i, j, f)
+                verdicts[got] += 1
+        members["I"] += in_I(f, m, n)
+        # the intersection law on the symmetrized polynomial, for every
+        # diagonal that fits
+        g = symmetrize(f)
+        in_i = in_I(g, m, n)
+        members["symmetric I"] += in_i
+        for s_minus in range(n - m + 1):
+            assert in_J(g, m, n, s_minus) == in_i, (m, n, s_minus, f)
+    assert min(verdicts.values()) > 500, verdicts
+    assert min(members.values()) > 100, members
 
 
 class TestMembership:

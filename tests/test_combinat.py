@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +190,27 @@ class TestBlockKeys:
             A = aligned_tableau(xi, Composition.eps(2), s_minus)
             assert defect(A) == atyp(A) == 1
             assert block_key(A) == xi
+
+    def test_gamma_is_kept_and_stays_out_of_identity(self):
+        keys = list(iter_blocks(4, 4, 3))
+        assert [f.name for f in dataclasses.fields(BlockKey)] == ["mu", "nu", "t", "m", "n"]
+        for xi in keys:
+            twin = BlockKey(xi.mu, xi.nu, xi.t, xi.m, xi.n)
+            fields = {"mu": xi.mu.to_json(), "nu": xi.nu.to_json(), "t": xi.t, "m": xi.m, "n": xi.n}
+            gamma = xi.gamma
+            assert xi.gamma is gamma
+            assert gamma == xi.mu + xi.nu == twin.gamma
+            # twin has read gamma too now; a third key has not
+            other = BlockKey(xi.mu, xi.nu, xi.t, xi.m, xi.n)
+            assert xi == twin == other
+            assert hash(xi) == hash(other) == hash((xi.mu, xi.nu, xi.t, xi.m, xi.n))
+            assert xi.to_json() == other.to_json() == fields
+        assert len(set(keys)) == len(keys) == 179
+        # sha256 of the compact, sorted JSON of the key list, as written
+        # when gamma was rebuilt on every read
+        text = json.dumps([xi.to_json() for xi in keys], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "30294848028f1e1cd7107a9f163941afd79f82c75599e320923cfa007fd3b78f")
 
     def test_weight_of(self):
         assert weight_of(T((5,), (5,))) == {}

@@ -20,30 +20,6 @@ polys = st.dictionaries(exps, st.integers(min_value=-9, max_value=9), max_size=5
 )
 
 
-class TestCalculus:
-    def test_partial_x_of_product(self):
-        f = x(1) * y(1)
-        assert f.partial_x(1) == y(1)
-
-    def test_partial_wrong_variable(self):
-        assert (x(1) * x(1)).partial_y(1).is_zero()
-
-    def test_subst_kills_difference(self):
-        f = x(1) - y(1)
-        assert f.subst(0, y(1)).is_zero()
-
-    def test_partial_leibniz(self):
-        f = x(1) * x(1) * y(2) + 3 * x(2)
-        g = x(1) * y(2)
-        lhs = (f * g).partial_x(1)
-        rhs = f.partial_x(1) * g + f * g.partial_x(1)
-        assert lhs == rhs
-
-    def test_rational_coefficients(self):
-        f = MultiPoly(1, 1, {(2, 0): Fraction(1, 3)})
-        assert f.partial_x(1) == MultiPoly(1, 1, {(1, 0): Fraction(2, 3)})
-
-
 class TestRingAxioms:
     @given(polys, polys, polys)
     @settings(max_examples=40)
@@ -69,8 +45,6 @@ class TestCoefficientTypes:
     def test_integer_polynomials_keep_int_coefficients(self):
         f = (x(1) - 2 * y(2)) * (x(2) + y(1)) * 3
         assert f.terms and all(type(c) is int for c in f.terms.values())
-        assert all(type(c) is int for c in f.partial_x(1).terms.values())
-        assert all(type(c) is int for c in f.subst(0, y(1)).terms.values())
 
     def test_symmetrize_yields_fractions(self):
         from wblocks.center import symmetrize
