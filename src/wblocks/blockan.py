@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt, perm
 
 from .combinat import BlockKey, Composition
-from .laurent import LaurentQ, qfact_quotient
+from .laurent import LaurentQ, _addmul, qfact_quotient
 
 # ---------------------------------------------------------------------------
 # Verma multiplicities
@@ -184,13 +184,7 @@ def graded_cartan(xi: BlockKey, lam: Composition, kap: Composition) -> LaurentQ:
             den += (a, beta - a, b, beta - b, g)
             s += (a + b) * g - comb(beta, 2) - comb(g, 2)
         shift, poly = qfact_quotient(num, den)
-        s += shift
-        for e, c in poly.coeffs.items():
-            c += total.get(e + s, 0)
-            if c:
-                total[e + s] = c
-            else:
-                del total[e + s]
+        _addmul(total, poly.coeffs, {s + shift: 1})
     out = LaurentQ._raw(total)
     if not (out.is_poly_in_q() and out.has_nonneg_coeffs()):
         raise ArithmeticError("graded Cartan entry not in N[q] (internal bug)")
@@ -234,13 +228,13 @@ def h_separation(lam: Composition, j: int):
 
 def _demon_value(t: int, gi: int, gi1: int) -> Fraction:
     """The sum over r of t! C(t, r) gi! gi1! / ((gi + t - r)! (gi1 + r)!),
-    strictly decreasing in gi."""
+    strictly decreasing in gi.  gi! / (gi + t - r)! and gi1! / (gi1 + r)!
+    are the reciprocals of falling products of t - r and r factors, so no
+    factorial of gi or gi1 is taken."""
+    ft = factorial(t)
     total = Fraction(0)
     for r in range(t + 1):
-        total += Fraction(
-            comb(t, r) * factorial(t) * factorial(gi) * factorial(gi1),
-            factorial(gi + t - r) * factorial(gi1 + r),
-        )
+        total += Fraction(comb(t, r) * ft, perm(gi + t - r, t - r) * perm(gi1 + r, r))
     return total
 
 
@@ -360,6 +354,14 @@ class MatrixBlockData:
         return self._matrix[self._index[x]][self._index[y]] != 0
 
 
+def _atypicality_of_h(h: int):
+    """The t >= 1 with binomial(t + 2, 2) = h, or None if there is none.
+    (t + 1)(t + 2) / 2 = h means t = (sqrt(8h + 1) - 3) / 2; 8h + 1 is odd,
+    so an exact square root is odd and t an integer."""
+    s = isqrt(8 * h + 1)
+    return (s - 3) // 2 if s * s == 8 * h + 1 and s >= 5 else None
+
+
 def recover_invariants(data):
     """Recover (t, gamma up to translation and duality) from abstract block
     data, following the minimal-h / chain-ordering / monotone-inversion
@@ -377,10 +379,8 @@ def recover_invariants(data):
         counts[v] = counts.get(v, 0) + 1
     candidates = []
     for v, c in counts.items():
-        if c < 3:
-            continue
-        t = next((t for t in range(1, 200) if comb(t + 2, 2) == v), None)
-        if t is not None:
+        t = _atypicality_of_h(v)
+        if c >= 3 and t is not None:
             candidates.append((v, t))
     if not candidates:
         raise BlockDataError("no h value of the form binomial(t+2, 2) with multiplicity >= 3")

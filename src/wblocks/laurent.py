@@ -4,8 +4,10 @@ A Laurent polynomial sum c_e q^e is a plain dict {e: c} from exponent (int)
 to coefficient (Python int, so arbitrary precision).  Zero coefficients are
 never stored; the zero polynomial is the empty dict.  ``LaurentQ`` wraps one
 such dict, and every operation builds a fresh dict without mutating its
-arguments.  ``_lmul`` and ``_ldivexact`` also serve the closed forms at the
-end of the module, which work on raw dicts.
+arguments.  ``_addmul`` is the one multiply-accumulate loop on raw dicts:
+LaurentQ's sums, differences and products, the long division of
+``_ldivexact``, the closed forms at the end of the module and the raw sums of
+qcanon and blockan all go through it.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-def _lmul(a: dict, b: dict) -> dict:
-    if not a or not b:
-        return {}
+def _addmul(out: dict, a: dict, b: dict) -> dict:
+    """out += a * b on coefficient dicts {exponent: int}, in place, dropping
+    coefficients that cancel to zero; returns out.  a and b are only read,
+    so they may be the coefficients of live LaurentQ values, but neither may
+    be out itself."""
     if len(b) < len(a):
         a, b = b, a
-    out = {}
+    b = b.items()
     for ea, ca in a.items():
-        for eb, cb in b.items():
+        for eb, cb in b:
             e = ea + eb
             s = out.get(e, 0) + ca * cb
             if s:
@@ -58,13 +62,7 @@ def _ldivexact(a: dict, b: dict) -> dict:
             raise ValueError("inexact Laurent division")
         c = ca // cb
         quo[k] = c
-        for e2, c2 in b.items():
-            e = e2 + k
-            s = rem.get(e, 0) - c * c2
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
+        _addmul(rem, b, {k: -c})
     return quo
 
 
@@ -72,8 +70,10 @@ class LaurentQ:
     """A Laurent polynomial sum c_e q^e, stored sparsely as {e: c}.
 
     Values are immutable by convention: no method mutates self, and the
-    coefficient dict must not be modified by callers; qcanon._acc writes
-    only to dicts it created, never to a live coeffs.
+    coefficient dict must not be modified by callers.  Sums, differences and
+    products are built by _addmul into a fresh dict; _addmul writes only to
+    the dict it is handed, which its callers create themselves, never to a
+    live coeffs.
     """
 
     __slots__ = ("coeffs",)
@@ -110,28 +110,14 @@ class LaurentQ:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentQ(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentQ._raw(out)
+        return LaurentQ._raw(_addmul(dict(self.coeffs), other.coeffs, {0: 1}))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = LaurentQ(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentQ._raw(out)
+        return LaurentQ._raw(_addmul(dict(self.coeffs), other.coeffs, {0: -1}))
 
     def __rsub__(self, other):
         return LaurentQ(other) - self
@@ -144,7 +130,7 @@ class LaurentQ:
             if not other:
                 return LaurentQ._raw({})
             return LaurentQ._raw({e: c * other for e, c in self.coeffs.items()})
-        return LaurentQ._raw(_lmul(self.coeffs, other.coeffs))
+        return LaurentQ._raw(_addmul({}, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -263,7 +249,7 @@ def _factorial_quotient(net: tuple) -> tuple:
             raise ValueError("inexact Laurent division")
         shift -= net[d] * (d * (d - 1) // 2)
         for _ in range(e):
-            poly = _lmul(poly, _cyclotomic_q2(d))
+            poly = _addmul({}, poly, _cyclotomic_q2(d))
     return shift, LaurentQ._raw(poly)
 
 

@@ -400,6 +400,39 @@ class TestRecovery:
         t, gamma = recover_invariants(data)
         assert t == 1 and gamma.is_zero()
 
+    @pytest.mark.parametrize("t", [1, 2, 5, 199, 200, 201, 250, 10**6])
+    def test_atypicality_of_h_in_closed_form(self, t):
+        h = comb(t + 2, 2)
+        assert blockan._atypicality_of_h(h) == t
+        assert blockan._atypicality_of_h(h + 1) is None
+        assert blockan._atypicality_of_h(h - 1) is None
+
+    def test_atypicality_of_h_small(self):
+        # binomial(t + 2, 2) for t >= 1 is 3, 6, 10, ...; t = 0 (h = 1) is no block
+        got = [h for h in range(40) if blockan._atypicality_of_h(h) is not None]
+        assert got == [3, 6, 10, 15, 21, 28, 36]
+
+    def test_recovers_t_beyond_200(self):
+        # a chain of five minimal simples with h = binomial(t+2, 2), all at the
+        # stable End dim, so gamma = 0; no window holds that many rows
+        t = 250
+
+        class ChainData:
+            def labels(self):
+                return list(range(5))
+
+            def h(self, x):
+                return comb(t + 2, 2)
+
+            def end_dim(self, x):
+                return 7
+
+            def cartan_nonzero(self, x, y):
+                return abs(x - y) <= 1
+
+        got_t, gamma = recover_invariants(ChainData())
+        assert got_t == t and gamma.is_zero()
+
     def test_inconsistent_data(self):
         lams = compositions_in_window(1, -3, 3)
         matrix = cartan_matrix(XI_11, lams)

@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,19 @@ class TestExitCodes:
         argv = ["cb", "--N", "3", "--signs", "+-", "--key", "1;2", "--pair-with", "2;4"]
         assert main(argv) == 1
         assert "key entry 4 outside 1..3" in capsys.readouterr().err
+
+    def test_recover_inconsistent_end_dims_fails_fast(self):
+        # the middle End dim is far below the others, so the inversion
+        # searches many gamma values before it reports the data inconsistent
+        data = {"labels": ["a", "b", "c", "d", "e"],
+                "matrix": [[100, 1, 0, 0, 0], [1, 100, 1, 0, 0], [0, 1, 1, 1, 0],
+                           [0, 0, 1, 100, 1], [0, 0, 0, 1, 100]]}
+        start = time.perf_counter()
+        proc = run_cli(["recover"], stdin=json.dumps(data))
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2
+        assert "inconsistent End-dim data" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_verify_failure_exit_code(self):
         code = main(["verify", "--profile", "quick", "--inject-fault", "h-count"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wblocks.laurent import ONE, LaurentQ, qbinom, qfact, qfact_quotient, qint
+from wblocks.laurent import ONE, LaurentQ, _addmul, qbinom, qfact, qfact_quotient, qint
 
 
 def L(**kw):
@@ -93,6 +93,31 @@ class TestBasics:
         g = f * f
         assert g.coeffs[0] == 10**80
         assert g.coeffs[2] == 3**100
+
+
+class TestAddmul:
+    """_addmul(out, a, b) is out += a * b in place on coefficient dicts."""
+
+    @given(laurents, laurents, laurents)
+    def test_matches_reference_sum(self, out, a, b):
+        out, a, b = dict(out.coeffs), a.coeffs, b.coeffs
+        a0, b0 = dict(a), dict(b)
+        ref = dict(out)
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                ref[ea + eb] = ref.get(ea + eb, 0) + ca * cb
+        assert _addmul(out, a, b) is out
+        assert out == {e: c for e, c in ref.items() if c}
+        assert 0 not in out.values()
+        assert a == a0 and b == b0
+
+    @given(laurents, laurents)
+    def test_exact_cancellation_leaves_no_zero(self, a, b):
+        assert _addmul(dict((a * b).coeffs), a.coeffs, (-b).coeffs) == {}
+
+    def test_cancelling_term_is_dropped(self):
+        assert _addmul({1: 1}, {1: 1}, {0: -1}) == {}
+        assert _addmul({2: 3}, {1: 1}, {0: -1}) == {1: -1, 2: 3}
 
 
 class TestRingAxioms:
