@@ -416,11 +416,16 @@ def recover_invariants(data):
         d = Fraction(c2t * dim, stable)
         dvals.append(d)
     # invert the monotone formula from the right: gamma at chain slot k+1
-    # known, solve for slot k
+    # known, solve for slot k.  _demon_value(t, g, gi1) decreases strictly in
+    # g towards its r = t term 1/C(gi1 + t, t), so a target at or below that
+    # limit has no solution, and for any larger one the walk up from g = 0
+    # ends once the value falls to the target or below it.
     K = len(chain)
     gamma_slots = [0] * (K + 1)
     for k in range(K - 1, -1, -1):
         target = dvals[k]
+        if target <= Fraction(1, comb(gamma_slots[k + 1] + t, t)):
+            raise BlockDataError("inconsistent End-dim data")
         g = 0
         while True:
             val = _demon_value(t, g, gamma_slots[k + 1])
@@ -430,8 +435,6 @@ def recover_invariants(data):
             if val < target:
                 raise BlockDataError("inconsistent End-dim data")
             g += 1
-            if g > 10000:
-                raise BlockDataError("inconsistent End-dim data")
     return t, Composition(gamma_slots).normalized()
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from .multipoly import MultiPoly
 
@@ -51,15 +52,34 @@ def e_super(r: int, m: int, n: int) -> MultiPoly:
     return out
 
 
+def _orderings(block: tuple) -> int:
+    """The number of distinct orderings of a sorted exponent block."""
+    out = factorial(len(block))
+    for e in set(block):
+        out //= factorial(block.count(e))
+    return out
+
+
 def is_symmetric(f: MultiPoly) -> bool:
-    """S_m x S_n symmetry, checked on adjacent transpositions (they generate
-    the group)."""
-    for a in itertools.chain(range(f.m - 1), range(f.m, f.m + f.n - 1)):
-        perm = list(range(f.m + f.n))
-        perm[a], perm[a + 1] = a + 1, a
-        if f.permute_vars(perm) != f:
+    """S_m x S_n symmetry, in one pass over the terms: group them by their
+    sorted x-block and sorted y-block.  f is symmetric iff each group has one
+    coefficient and is its whole orbit, whose size is the product of the
+    two blocks' numbers of orderings (the terms of a group are distinct
+    monomials of that orbit)."""
+    m = f.m
+    groups: dict = {}
+    for k, c in f.terms.items():
+        orbit = (tuple(sorted(k[:m])), tuple(sorted(k[m:])))
+        group = groups.get(orbit)
+        if group is None:
+            groups[orbit] = [c, 1]
+        elif group[0] != c:
             return False
-    return True
+        else:
+            group[1] += 1
+    return all(
+        size == _orderings(x) * _orderings(y) for (x, y), (_, size) in groups.items()
+    )
 
 
 def _congruence_holds(f: MultiPoly, i: int, j: int) -> bool:

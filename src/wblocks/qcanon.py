@@ -7,6 +7,7 @@ evaluations of the canonical-basis pairing.
 from __future__ import annotations
 
 import itertools
+import json
 from functools import lru_cache
 from math import comb
 
@@ -123,14 +124,6 @@ class TensorVec:
                 for k, v in items
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TensorVec":
-        terms = {
-            tuple(t["key"]): LaurentQ({int(e): int(c) for e, c in t["coeff"].items()})
-            for t in data["terms"]
-        }
-        return cls(data["N"], data["signs"], terms)
 
     def __repr__(self):
         return f"TensorVec({self.N}, {self.signs!r}, {len(self.terms)} terms)"
@@ -509,13 +502,62 @@ def _lusztig(N: int, signs: str, keys: list, bar):
 _family_memo: dict = {}
 
 
+def _encode_vec(rank: dict, vec: TensorVec) -> str:
+    """One vector of a family file: a compact JSON list of items
+    [rank, e1, c1, e2, c2, ...], one per term, in ascending rank order, with
+    the term's exponents ascending; rank maps each key to its index in the
+    file's keys."""
+    items = sorted(
+        [rank[k], *itertools.chain.from_iterable(sorted(c.coeffs.items()))]
+        for k, c in vec.terms.items()
+    )
+    return json.dumps(items, separators=(",", ":"))
+
+
+def _decode_vec(N: int, signs: str, keys: list, text: str) -> TensorVec:
+    """The inverse of _encode_vec, given the file's keys.  Raises ValueError
+    unless text is a list of such items with ranks in range and ascending,
+    exponents ascending, and every exponent and coefficient an int (not a
+    bool) with no coefficient zero."""
+    try:
+        items = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cached family vector is not JSON: {exc}") from None
+    if type(items) is not list:
+        raise ValueError("cached family vector is not a list of terms")
+    terms = {}
+    last = -1
+    for item in items:
+        if type(item) is not list or len(item) < 3 or len(item) % 2 == 0:
+            raise ValueError("cached family term is not [rank, e1, c1, ...]")
+        r = item[0]
+        if type(r) is not int or not last < r < len(keys):
+            raise ValueError(f"cached family term has rank {r!r} out of order or range")
+        last = r
+        coeffs = {}
+        prev = None
+        for e, c in zip(item[1::2], item[2::2]):
+            if type(e) is not int or type(c) is not int or not c or not (prev is None or prev < e):
+                raise ValueError(f"cached family term has a bad pair {e!r}, {c!r}")
+            coeffs[e] = c
+            prev = e
+        terms[keys[r]] = coeffs
+    return TensorVec._from_raw(N, signs, terms)
+
+
 def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     """All canonical (dual=False) or dual canonical (dual=True) basis vectors
-    of one weight space, memoized (in memory, and in the file cache when one
-    is configured).  A family read from the file cache maps keys to JSON
-    items until _basis_vector decodes them; one that is not a list of
-    {key, vec} items, or whose key set is not the weight space's, is
-    recomputed.
+    of one weight space, memoized in memory, and in the file cache when one
+    is configured.
+
+    The file's request is {"kind", "N", "signs", "weight", "format": 2}.  Its
+    result is {"keys": the weight space in sorted tuple order, "vecs": one
+    _encode_vec string per key}, so a read parses only the key list and
+    keeps each vector as a string until _basis_vector decodes it.  A file is
+    used only when its keys are exactly that sorted list and it holds one
+    string per key; anything else is recomputed and rewritten.  A family
+    read from the file keeps the file's key order, so list(family) is the
+    rank table of its strings.
 
     A computed family comes from Lusztig's lemma on ranks (_lusztig), with
     the keys sorted by key_stat.  psi or psi_star of each key's unit vector
@@ -533,19 +575,24 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
         "N": N,
         "signs": signs,
         "weight": [list(p) for p in weight],
+        "format": 2,
     }
+    space = sorted(_weight_space_keys(N, signs, weight))
     cached = _cache.get(request)
-    try:
-        family = {tuple(item["key"]): item["vec"] for item in cached["family"]}
-    except (KeyError, TypeError):  # no file (None), or not shaped like a family
-        family = None
-    if family is not None and family.keys() == set(_weight_space_keys(N, signs, weight)):
-        _family_memo[memo_key] = family
-        return family
+    if type(cached) is dict:
+        vecs = cached.get("vecs")
+        if (
+            cached.get("keys") == [list(k) for k in space]
+            and type(vecs) is list
+            and len(vecs) == len(space)
+            and all(type(v) is str for v in vecs)
+        ):
+            family = _family_memo[memo_key] = dict(zip(space, vecs))
+            return family
 
     # processing order: each key's correction terms lie on earlier keys, so
     # the head of the remainder is always its entry of largest rank
-    keys = sorted(_weight_space_keys(N, signs, weight), key=lambda k: key_stat(signs, k))
+    keys = sorted(space, key=lambda k: key_stat(signs, k))
     if not dual:
         keys.reverse()
     bar = psi_star if dual else psi
@@ -559,14 +606,9 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     finally:
         _w0_memo = None
     if _cache.current_dir() is not None:
-        _cache.put(
-            request,
-            {
-                "family": [
-                    {"key": list(k), "vec": vec.to_json()} for k, vec in sorted(family.items())
-                ]
-            },
-        )
+        rank = {k: i for i, k in enumerate(space)}
+        vecs = [_encode_vec(rank, family[k]) for k in space]
+        _cache.put(request, {"keys": [list(k) for k in space], "vecs": vecs})
     _family_memo[memo_key] = family
     return family
 
@@ -576,8 +618,8 @@ def _basis_vector(N: int, top, bottom, dual: bool) -> TensorVec:
     key = tuple(top) + tuple(bottom)
     family = _basis_family(N, signs, _key_weight(signs, key), dual)
     vec = family[key]
-    if not isinstance(vec, TensorVec):  # a JSON item from the file cache
-        vec = family[key] = TensorVec.from_json(vec)
+    if type(vec) is str:  # undecoded, from the file cache
+        vec = family[key] = _decode_vec(N, signs, list(family), vec)
     return vec
 
 

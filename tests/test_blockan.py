@@ -400,6 +400,35 @@ class TestRecovery:
         t, gamma = recover_invariants(data)
         assert t == 1 and gamma.is_zero()
 
+    @pytest.mark.parametrize("t", [1, 2, 3, 5])
+    def test_demon_value_falls_strictly_towards_its_limit(self, t):
+        # the bound recover_invariants rejects targets by
+        for gi1 in range(4):
+            limit = Fraction(1, comb(gi1 + t, t))
+            values = [blockan._demon_value(t, g, gi1) for g in range(60)]
+            assert all(a > b > limit for a, b in zip(values, values[1:]))
+            assert values[-1] - limit < Fraction(t * t + t, 60)
+
+    def test_inconsistent_end_dims_rejected_without_a_search(self, monkeypatch):
+        # the middle target (0.02) is below the limit 1 at t = 1, gi1 = 0;
+        # with a cap of g <= 10000 this made 10,001 _demon_value calls
+        labels = ["a", "b", "c", "d", "e"]
+        matrix = [[100, 1, 0, 0, 0], [1, 100, 1, 0, 0], [0, 1, 1, 1, 0],
+                  [0, 0, 1, 100, 1], [0, 0, 0, 1, 100]]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 100:
+                raise AssertionError("the search for gamma did not stop")
+            return real(*args)
+
+        real = blockan._demon_value
+        monkeypatch.setattr(blockan, "_demon_value", counted)
+        with pytest.raises(BlockDataError, match="inconsistent End-dim data"):
+            recover_invariants(MatrixBlockData(labels, matrix))
+        assert len(calls) == 1  # the last slot's g = 0; the middle one needs none
+
     @pytest.mark.parametrize("t", [1, 2, 5, 199, 200, 201, 250, 10**6])
     def test_atypicality_of_h_in_closed_form(self, t):
         h = comb(t + 2, 2)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wblocks import center
 from wblocks.center import (
@@ -48,6 +50,72 @@ class TestESuper:
     def test_symmetric(self, m, n):
         for r in range(1, 5):
             assert is_symmetric(e_super(r, m, n))
+
+
+def _symmetric_by_transpositions(f):
+    """The reference check: f is fixed by every adjacent transposition of
+    the x block and of the y block, each applied with permute_vars."""
+    for a in itertools.chain(range(f.m - 1), range(f.m, f.m + f.n - 1)):
+        perm = list(range(f.m + f.n))
+        perm[a], perm[a + 1] = a + 1, a
+        if f.permute_vars(perm) != f:
+            return False
+    return True
+
+
+@st.composite
+def _polys_near_symmetric(draw):
+    """A random polynomial, its symmetrization, or that symmetrization with
+    one term removed, rescaled or added."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * (m + n))
+    f = MultiPoly(m, n, draw(st.dictionaries(exps, st.integers(-2, 2), max_size=5)))
+    how = draw(st.sampled_from(["raw", "sym", "drop", "scale", "add"]))
+    if how == "raw":
+        return f
+    f = symmetrize(f)
+    terms = dict(f.terms)
+    if how != "sym" and terms:
+        k = draw(st.sampled_from(sorted(terms)))
+        if how == "drop":
+            del terms[k]
+        elif how == "scale":
+            terms[k] *= 2
+    if how == "add":
+        terms[draw(exps)] = draw(st.integers(1, 2))
+    return MultiPoly(m, n, terms)
+
+
+class TestIsSymmetric:
+    @given(_polys_near_symmetric())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_transposition_check(self, f):
+        assert is_symmetric(f) == _symmetric_by_transpositions(f)
+
+    def test_e_super_and_symmetrized(self):
+        for m, n in itertools.product(range(4), repeat=2):
+            for r in range(1, 6):
+                assert is_symmetric(e_super(r, m, n))
+        f = MultiPoly(2, 2, {(2, 0, 1, 0): 1, (0, 1, 0, 3): Fraction(1, 3)})
+        assert is_symmetric(symmetrize(f)) and not is_symmetric(f)
+
+    @pytest.mark.parametrize("m,n,terms", [
+        (2, 0, {(1, 0): 1}),  # x1 alone
+        (2, 0, {(1, 0): 1, (0, 1): 2}),  # whole orbit, two coefficients
+        (3, 1, {(2, 0, 0, 1): 1, (0, 2, 0, 1): 1}),  # x3^2 y1 missing
+        (1, 3, {(0, 1, 1, 0): 1, (0, 0, 1, 1): 1}),  # y1 y3 missing
+        (2, 2, {(1, 0, 1, 0): 1, (0, 1, 1, 0): 1}),  # symmetric in x, not in y
+        (2, 2, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1}),  # symmetric in y, not in x
+        (2, 1, {(1, 1, 0): 1, (2, 0, 0): 1, (0, 2, 0): Fraction(1, 2)}),
+    ])
+    def test_not_symmetric(self, m, n, terms):
+        f = MultiPoly(m, n, terms)
+        assert not is_symmetric(f) and not _symmetric_by_transpositions(f)
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (2, 0), (0, 3), (2, 2)])
+    def test_constants_and_zero(self, m, n):
+        assert is_symmetric(MultiPoly(m, n))
+        assert is_symmetric(MultiPoly.constant(m, n, 5))
 
 
 def _product_of_variables(m, n, slots):

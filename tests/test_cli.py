@@ -417,32 +417,49 @@ class TestCachedFamilies:
         monkeypatch.setattr(qcanon, "_family_memo", {})
         return path, plain
 
-    def _edit(self, path, change):
+    def _edit(self, path, result):
+        """Rewrite the file with its result replaced by result, or changed in
+        place by it when it is a function."""
         data = json.loads(path.read_text())
-        change(data["result"]["family"])
+        if callable(result):
+            result(data["result"])
+        else:
+            data["result"] = result
         path.write_text(json.dumps(data, sort_keys=True))
 
     @pytest.mark.parametrize("extra,decoded", [([], 1), (["--pair-with", "2,1;1,2"], 2)])
     def test_warm_call_decodes_only_what_it_prints(self, warm, monkeypatch, extra, decoded):
         path, _ = warm
         calls = []
-        real = TensorVec.from_json.__func__
-        monkeypatch.setattr(TensorVec, "from_json",
-                            classmethod(lambda cls, data: calls.append(data) or real(cls, data)))
+        real = qcanon._decode_vec
+        monkeypatch.setattr(qcanon, "_decode_vec", lambda *a: calls.append(a) or real(*a))
         code, out, _ = call_main(["--cache-dir", str(path.parent), *CB_ARGV, *extra])
         assert code == 0 and len(calls) == decoded
         monkeypatch.setattr(qcanon, "_family_memo", {})
         assert call_main(["--no-cache", *CB_ARGV, *extra])[1] == out
 
-    @pytest.mark.parametrize("result", [{"fam": []}, [], {"family": 3}, {"family": {"k": 1}},
-                                        {"family": [[1, 2]]}, {"family": [{"key": [1, 2, 2, 1]}]},
-                                        {"family": [{"key": 5, "vec": {}}]}])
+    @staticmethod
+    def _permuted(result):
+        result["keys"][:2] = result["keys"][1::-1]
+        result["vecs"][:2] = result["vecs"][1::-1]
+
+    # a whole result of another shape, or a change to the file's own result
+    @pytest.mark.parametrize("result", [
+        {"fam": []}, [], {"keys": 3, "vecs": []}, {"keys": {"k": 1}, "vecs": {}},
+        {"keys": [[1, 2]], "vecs": ["[]"]}, {"keys": [[1, 2, 2, 1]]}, {"keys": 5, "vecs": {}},
+        pytest.param(_permuted, id="permuted-keys"),
+        pytest.param(lambda r: r["vecs"].pop(), id="vecs-short"),
+        pytest.param(lambda r: r["vecs"].append("[]"), id="vecs-long"),
+        pytest.param(lambda r: r["vecs"].__setitem__(0, []), id="vec-list"),
+        pytest.param(lambda r: r["vecs"].__setitem__(-1, None), id="vec-null"),
+        pytest.param(lambda r: r.pop("vecs"), id="no-vecs"),
+        pytest.param(lambda r: r["keys"].__setitem__(0, 5), id="key-int"),
+        pytest.param(lambda r: r["keys"][0].append(1), id="key-long"),
+    ])
     def test_family_of_another_shape_is_recomputed(self, warm, result):
         path, plain = warm
         original = path.read_bytes()
-        data = json.loads(original)
-        data["result"] = result
-        path.write_text(json.dumps(data, sort_keys=True))
+        self._edit(path, result)
         assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain
         assert path.read_bytes() == original
 
@@ -457,26 +474,74 @@ class TestCachedFamilies:
     def test_family_missing_a_key_is_recomputed(self, warm):
         path, plain = warm
         original = path.read_bytes()
-        self._edit(path, lambda family: family.pop())
+
+        def drop_last(result):
+            result["keys"].pop()
+            result["vecs"].pop()
+        self._edit(path, drop_last)
         assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain
         assert path.read_bytes() == original
 
-    def _poison(self, path, key):
-        def change(family):
-            (item,) = [it for it in family if it["key"] == key]
-            item["vec"]["terms"][0]["coeff"] = {"0": "x"}
-        self._edit(path, change)
-
-    def test_poisoned_requested_vector_fails(self, warm):
-        path, _ = warm
-        self._poison(path, [1, 2, 2, 1])
-        code, out, err = call_main(["--cache-dir", str(path.parent), *CB_ARGV])
-        assert (code, out) == (2, "") and "ValueError" in err
-
-    def test_poisoned_other_vector_changes_no_byte(self, warm):
+    def test_old_format_file_is_ignored(self, warm, monkeypatch):
+        # a file in the layout before "format": 2, at the path of its request
+        # and with every coefficient wrong: never read, never rewritten
         path, plain = warm
-        self._poison(path, [2, 1, 1, 2])
+        path.unlink()
+        weight = qcanon._key_weight("++--", (1, 2, 2, 1))
+        request = {"kind": "dual_family", "N": 3, "signs": "++--",
+                   "weight": [list(p) for p in weight]}
+        family = [{"key": list(k), "vec": TensorVec.unit(3, "++--", k).scaled(7).to_json()}
+                  for k in sorted(qcanon._weight_space_keys(3, "++--", weight))]
+        monkeypatch.setattr(cache, "_cache_dir", str(path.parent))
+        old = path.parent / os.path.basename(cache._path(request))
+        old.write_text(json.dumps({"request": request, "result": {"family": family}}))
+        blob = old.read_bytes()
         assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain
+        assert path.exists() and old.read_bytes() == blob
+
+    # poisons of one vector string, each found only when that vector is decoded
+    POISONS = {
+        "coeff-string": lambda items: items[0].__setitem__(2, "x"),
+        "coeff-true": lambda items: items[0].__setitem__(2, True),
+        "coeff-zero": lambda items: items[0].__setitem__(2, 0),
+        "exp-float": lambda items: items[0].__setitem__(1, 0.5),
+        "rank-high": lambda items: items[-1].__setitem__(0, 15),  # the space has 15 keys
+        "rank-negative": lambda items: items[0].__setitem__(0, -1),
+        "rank-bool": lambda items: items[0].__setitem__(0, False),
+        "rank-repeated": lambda items: items.append(list(items[-1])),
+        "pair-incomplete": lambda items: items[0].append(1),
+        "exp-repeated": lambda items: items[0].extend(items[0][1:3]),
+        "not-items": lambda items: items.__setitem__(0, 1),
+        "not-json": None,
+    }
+
+    def _each_poison(self, path, key, monkeypatch):
+        """Yield the name of each poison after writing it into key's vector
+        of a fresh copy of the file."""
+        original = path.read_bytes()
+        for name, poison in self.POISONS.items():
+            data = json.loads(original)
+            i = data["result"]["keys"].index(key)
+            if poison is None:
+                data["result"]["vecs"][i] = data["result"]["vecs"][i][:-1]
+            else:
+                items = json.loads(data["result"]["vecs"][i])
+                poison(items)
+                data["result"]["vecs"][i] = json.dumps(items)
+            path.write_text(json.dumps(data, sort_keys=True))
+            monkeypatch.setattr(qcanon, "_family_memo", {})
+            yield name
+
+    def test_poisoned_requested_vector_fails(self, warm, monkeypatch):
+        path, _ = warm
+        for name in self._each_poison(path, [1, 2, 2, 1], monkeypatch):
+            code, out, err = call_main(["--cache-dir", str(path.parent), *CB_ARGV])
+            assert (code, out) == (2, "") and "ValueError" in err, name
+
+    def test_poisoned_other_vector_changes_no_byte(self, warm, monkeypatch):
+        path, plain = warm
+        for name in self._each_poison(path, [2, 1, 1, 2], monkeypatch):
+            assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain, name
 
 
 # Flag values built from the value parsers' own vocabulary.  A number is

@@ -1,10 +1,12 @@
 import hashlib
+import importlib.util
 import itertools
+import os
 import random
 
 import pytest
 
-from wblocks import cache
+from wblocks import cache, cli
 from wblocks import qcanon as qc
 from wblocks.combinat import Composition
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom
@@ -434,13 +436,19 @@ class TestExpansionsAndPairing:
 
 class TestJsonAndCache:
     def test_tensorvec_json_round_trip(self):
-        v = dual_canonical(2, (2,), (2,))
-        data = v.to_json()
-        assert data["terms"][0]["key"] == [2, 2]
-        assert TensorVec.from_json(data) == v
+        # a family file's vector string: encoded, decoded, the same vector
+        keys = sorted(qc._weight_space_keys(3, "++--", ((1, 1), (2, -1))))
+        rank = {k: i for i, k in enumerate(keys)}
+        for k in keys:
+            for v in (dual_canonical(3, k[:2], k[2:]), canonical(3, k[:2], k[2:])):
+                text = qc._encode_vec(rank, v)
+                assert qc._decode_vec(3, "++--", keys, text) == v
+        v = TensorVec(3, "++--", {keys[2]: LaurentQ({-3: 2, 5: -1}), keys[0]: ONE})
+        assert qc._encode_vec(rank, v) == "[[0,0,1],[2,-3,2,5,-1]]"
+        assert qc._decode_vec(3, "++--", keys, "[]") == TensorVec(3, "++--")
 
     def test_file_cache_round_trip(self, tmp_path):
-        from wblocks import cache
+        from wblocks import cache, cli
         from wblocks import qcanon as qc
 
         old = cache.current_dir()
@@ -461,10 +469,10 @@ class TestJsonAndCache:
         # sha256 of both family files of N=3 +++--- at weight 0 (93 vectors
         # each): file names pin the request format, contents every coefficient
         expected = {
-            "3b8556a04081932eda95e667db1faa8129d3e363403429ff10e0e86e9a1e31b4.json":
-                "bdd5ee3156d5022cacd943f58e67b4bbbec0c56d9bb4bf7427e6b6cf4c1760aa",
-            "c5d71929b58344af81a61770628ff09e2cd5051d395f6477cd89b777fc75fa0e.json":
-                "c5865e65f4fa359b733677342cdfbdf7171a843c9962adc59ac8bd4013ea2e16",
+            "b59e1e2a58928f570ee759052c9e567a68e511f96765196d8afeb89c7b756d23.json":
+                "b20aa9f15143905aa16e832c5281daf80da36c835c5845fd19e3d9c7def31515",
+            "e007103ccf9f24978a5e0d9013899e66483b8f064f764166693f569dc88f74cc.json":
+                "1edc6ef4a5dd3ed556706c06c9ddc876b997e2e1f1f0341f905672e849085146",
         }
         old = cache.current_dir()
         cache.configure(str(tmp_path))
@@ -520,10 +528,49 @@ class TestJsonAndCache:
     def test_no_cache_payload_without_cache_dir(self, monkeypatch):
         monkeypatch.setattr(cache, "_cache_dir", None)
         serialized = []
-        monkeypatch.setattr(TensorVec, "to_json", lambda self: serialized.append(self))
+        monkeypatch.setattr(qc, "_encode_vec", lambda rank, vec: serialized.append(vec))
         qc._family_memo.clear()
         try:
             dual_canonical(3, (1, 2), (2, 1))
         finally:
             qc._family_memo.clear()
         assert not serialized
+
+
+def _bench_cb_spaces():
+    """(N, signs, weight) of every weight space a cb workload of the
+    benchmark reads: the cb-families spaces and those of the cb lines of
+    cli-session."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rows = [(N, top, bottom) for N, top, bottom in workloads.CB_SPACES]
+    for uid, argv, _, _ in workloads._cli_lines():
+        if uid.startswith("cb/"):
+            args = cli.build_parser().parse_args(argv)
+            rows += [(args.N, *cli.parse_key(t)) for t in (args.key, args.pair_with) if t]
+    spaces = set()
+    for N, top, bottom in rows:
+        signs = "+" * len(top) + "-" * len(bottom)
+        spaces.add((N, signs, qc._key_weight(signs, tuple(top) + tuple(bottom))))
+    return [pytest.param(*s, id=f"N{s[0]}{s[1]}" + "".join(f"_{i}:{c}" for i, c in s[2]))
+            for s in sorted(spaces)]
+
+
+class TestFamilyFile:
+    @pytest.mark.parametrize("N,signs,weight", _bench_cb_spaces())
+    def test_decoded_vectors_equal_computed(self, tmp_path, monkeypatch, N, signs, weight):
+        # every vector decoded from a freshly written file, in both bases
+        monkeypatch.setattr(cache, "_cache_dir", str(tmp_path))
+        monkeypatch.setattr(qc, "_family_memo", {})
+        for dual in (True, False):
+            computed = qc._basis_family(N, signs, weight, dual)
+            monkeypatch.setattr(qc, "_family_memo", {})
+            read = qc._basis_family(N, signs, weight, dual)
+            assert all(type(v) is str for v in read.values())
+            assert read.keys() == computed.keys()
+            for key, vec in computed.items():
+                m = signs.count("+")
+                assert qc._basis_vector(N, key[:m], key[m:], dual) == vec
+        assert len(list(tmp_path.iterdir())) == 2
