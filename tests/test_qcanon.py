@@ -448,7 +448,7 @@ class TestJsonAndCache:
         assert qc._decode_vec(3, "++--", keys, "[]") == TensorVec(3, "++--")
 
     def test_file_cache_round_trip(self, tmp_path):
-        from wblocks import cache, cli
+        from wblocks import cache
         from wblocks import qcanon as qc
 
         old = cache.current_dir()
@@ -564,6 +564,7 @@ class TestFamilyFile:
         # every vector decoded from a freshly written file, in both bases
         monkeypatch.setattr(cache, "_cache_dir", str(tmp_path))
         monkeypatch.setattr(qc, "_family_memo", {})
+        m = signs.count("+")
         for dual in (True, False):
             computed = qc._basis_family(N, signs, weight, dual)
             monkeypatch.setattr(qc, "_family_memo", {})
@@ -571,6 +572,5 @@ class TestFamilyFile:
             assert all(type(v) is str for v in read.values())
             assert read.keys() == computed.keys()
             for key, vec in computed.items():
-                m = signs.count("+")
                 assert qc._basis_vector(N, key[:m], key[m:], dual) == vec
         assert len(list(tmp_path.iterdir())) == 2
