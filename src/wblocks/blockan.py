@@ -416,26 +416,40 @@ def recover_invariants(data):
         d = Fraction(c2t * dim, stable)
         dvals.append(d)
     # invert the monotone formula from the right: gamma at chain slot k+1
-    # known, solve for slot k.  _demon_value(t, g, gi1) decreases strictly in
-    # g towards its r = t term 1/C(gi1 + t, t), so a target at or below that
-    # limit has no solution, and for any larger one the walk up from g = 0
-    # ends once the value falls to the target or below it.
+    # known, solve for slot k
     K = len(chain)
     gamma_slots = [0] * (K + 1)
     for k in range(K - 1, -1, -1):
-        target = dvals[k]
-        if target <= Fraction(1, comb(gamma_slots[k + 1] + t, t)):
+        g = _invert_demon_value(t, dvals[k], gamma_slots[k + 1])
+        if g is None:
             raise BlockDataError("inconsistent End-dim data")
-        g = 0
-        while True:
-            val = _demon_value(t, g, gamma_slots[k + 1])
-            if val == target:
-                gamma_slots[k] = g
-                break
-            if val < target:
-                raise BlockDataError("inconsistent End-dim data")
-            g += 1
+        gamma_slots[k] = g
     return t, Composition(gamma_slots).normalized()
+
+
+def _invert_demon_value(t: int, target: Fraction, gi1: int):
+    """The g >= 0 with _demon_value(t, g, gi1) == target, or None.
+
+    _demon_value decreases strictly in g towards its r = t term
+    1/C(gi1 + t, t), so a target at or below that limit has no solution.
+    Any larger one is passed by g = 0, 1, 3, 7, ..., and bisection between
+    the last two of those finds the first g whose value is at or below it,
+    in O(log g) evaluations."""
+    if target <= Fraction(1, comb(gi1 + t, t)):
+        return None
+    lo, hi = -1, 0  # _demon_value(lo) > target (lo = -1 stands for +inf)
+    val = _demon_value(t, hi, gi1)
+    while val > target:
+        lo, hi = hi, 2 * hi + 1
+        val = _demon_value(t, hi, gi1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_val = _demon_value(t, mid, gi1)
+        if mid_val > target:
+            lo = mid
+        else:
+            hi, val = mid, mid_val
+    return hi if val == target else None
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,9 @@ same key are harmless.  The cache is disabled unless a directory is
 configured (WBLOCKS_CACHE environment variable or configure()); with it on
 or off, computed results are byte-identical, only timing changes.
 
-A file holds {"request": ..., "result": ...}.  The one writer is
-qcanon._basis_family: its request names the basis family (kind, N, signs,
-weight) and a layout "format" (now 2), so a file of another layout hashes
-to another name and is never read.  Its result is {"keys": the weight space
-in sorted order, "vecs": one compact JSON string per key}, each string a
-list of [rank into keys, e1, c1, e2, c2, ...] terms; a reader decodes only
-the strings of the vectors it needs.
+A file holds {"request": ..., "result": ...}.  Callers version their own
+requests (a "format" field), so a file of an older layout hashes to another
+name and is never read; see qcanon._basis_family for the family layout.
 """
 
 from __future__ import annotations

@@ -368,6 +368,24 @@ class TestEndDims:
         assert neighbor_test(XI_22, i, j) == (abs(i - j) <= 1)
 
 
+@pytest.fixture
+def demon_calls(monkeypatch):
+    """The argument tuples of every _demon_value call; fails a test after
+    1000 calls, so a search for gamma that never stops fails instead of
+    hanging the suite."""
+    calls = []
+    real = blockan._demon_value
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 1000:
+            raise AssertionError("the search for gamma did not stop")
+        return real(*args)
+
+    monkeypatch.setattr(blockan, "_demon_value", counted)
+    return calls
+
+
 class TestRecovery:
     @pytest.mark.parametrize(
         "xi",
@@ -409,25 +427,48 @@ class TestRecovery:
             assert all(a > b > limit for a, b in zip(values, values[1:]))
             assert values[-1] - limit < Fraction(t * t + t, 60)
 
-    def test_inconsistent_end_dims_rejected_without_a_search(self, monkeypatch):
+    def test_inconsistent_end_dims_rejected_without_a_search(self, demon_calls):
         # the middle target (0.02) is below the limit 1 at t = 1, gi1 = 0;
         # with a cap of g <= 10000 this made 10,001 _demon_value calls
         labels = ["a", "b", "c", "d", "e"]
         matrix = [[100, 1, 0, 0, 0], [1, 100, 1, 0, 0], [0, 1, 1, 1, 0],
                   [0, 0, 1, 100, 1], [0, 0, 0, 1, 100]]
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            if len(calls) > 100:
-                raise AssertionError("the search for gamma did not stop")
-            return real(*args)
-
-        real = blockan._demon_value
-        monkeypatch.setattr(blockan, "_demon_value", counted)
         with pytest.raises(BlockDataError, match="inconsistent End-dim data"):
             recover_invariants(MatrixBlockData(labels, matrix))
-        assert len(calls) == 1  # the last slot's g = 0; the middle one needs none
+        assert len(demon_calls) == 1  # the last slot's g = 0; the middle one needs none
+
+    @pytest.mark.parametrize("big", [10**8, 10**12, 10**40])
+    def test_target_just_above_the_limit_is_searched_in_log_steps(self, demon_calls, big):
+        # the middle target 2 (big/2 + 1) / big = 1 + 2/big lies just above the
+        # limit 1 at t = 1, gi1 = 0; _demon_value(1, g, 0) = 1 + 1/(g + 1)
+        # reaches it at g = big/2 - 1, and the first slot then has no solution
+        labels = ["a", "b", "c", "d", "e"]
+        matrix = [[big, 1, 0, 0, 0], [1, big, 1, 0, 0], [0, 1, big // 2 + 1, 1, 0],
+                  [0, 0, 1, big, 1], [0, 0, 0, 1, big]]
+        with pytest.raises(BlockDataError, match="inconsistent End-dim data"):
+            recover_invariants(MatrixBlockData(labels, matrix))
+        g = big // 2 - 1
+        assert (1, g, 0) in demon_calls
+        assert len(demon_calls) <= 2 * g.bit_length() + 4
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 7])
+    @pytest.mark.parametrize("gi1", [0, 1, 5])
+    def test_invert_demon_value(self, demon_calls, t, gi1):
+        for g in [0, 1, 2, 3, 4, 5, 6, 7, 8, 100, 1023, 1024, 10**9 + 7]:
+            value = blockan._demon_value(t, g, gi1)
+            demon_calls.clear()
+            assert blockan._invert_demon_value(t, value, gi1) == g
+            assert len(demon_calls) <= 2 * (g + 1).bit_length() + 2
+            nearer = blockan._demon_value(t, g + 1, gi1)
+            between = (value + nearer) / 2
+            assert blockan._invert_demon_value(t, between, gi1) is None
+        above_first = blockan._demon_value(t, 0, gi1) + Fraction(1, 7)
+        assert blockan._invert_demon_value(t, above_first, gi1) is None
+        limit = Fraction(1, comb(gi1 + t, t))
+        demon_calls.clear()
+        assert blockan._invert_demon_value(t, limit, gi1) is None
+        assert blockan._invert_demon_value(t, limit / 2, gi1) is None
+        assert demon_calls == []
 
     @pytest.mark.parametrize("t", [1, 2, 5, 199, 200, 201, 250, 10**6])
     def test_atypicality_of_h_in_closed_form(self, t):
@@ -462,7 +503,7 @@ class TestRecovery:
         got_t, gamma = recover_invariants(ChainData())
         assert got_t == t and gamma.is_zero()
 
-    def test_inconsistent_data(self):
+    def test_inconsistent_data(self, demon_calls):
         lams = compositions_in_window(1, -3, 3)
         matrix = cartan_matrix(XI_11, lams)
         k = len(lams) // 2

@@ -33,7 +33,7 @@ def call_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli(args, stdin=None, env=None):
+def run_cli(args, stdin=None, env=None, timeout=None):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     if env:
@@ -44,6 +44,7 @@ def run_cli(args, stdin=None, env=None):
         text=True,
         input=stdin,
         env=full_env,
+        timeout=timeout,
     )
     return proc
 
@@ -197,6 +198,19 @@ class TestExitCodes:
         proc = run_cli(["recover"], stdin=json.dumps(data))
         assert time.perf_counter() - start < 10
         assert proc.returncode == 2
+        assert "inconsistent End-dim data" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_recover_target_just_above_the_limit_fails_fast(self):
+        # the middle End dim puts its target 1 + 2e-12 just above the limit 1,
+        # so gamma there is 5e11 - 1 and the first slot has no solution
+        big = 10**12
+        data = {"labels": ["a", "b", "c", "d", "e"],
+                "matrix": [[big, 1, 0, 0, 0], [1, big, 1, 0, 0], [0, 1, big // 2 + 1, 1, 0],
+                           [0, 0, 1, big, 1], [0, 0, 0, 1, big]]}
+        proc = run_cli(["recover"], stdin=json.dumps(data), timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
         assert "inconsistent End-dim data" in proc.stderr
         assert "Traceback" not in proc.stderr
 
