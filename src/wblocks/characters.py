@@ -173,9 +173,6 @@ class CompChar:
                     self.terms[c] = self.terms.get(c, 0) + v
             self.terms = {c: v for c, v in self.terms.items() if v}
 
-    def coeff(self, c: Composition) -> int:
-        return self.terms.get(c, 0)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -262,7 +262,7 @@ def cmd_cb(args) -> int:
         for x in top + bottom:
             if not 1 <= x <= args.N:
                 raise UsageError(f"key entry {x} outside 1..{args.N}")
-        keys = qcanon._weight_space_keys(args.N, rows, qcanon._key_weight(rows, top + bottom))
+        keys = qcanon._weight_space_keys(args.N, rows, combinat.weight_of(top, bottom))
         if sum(1 for _ in itertools.islice(keys, CB_MAX_VECTORS + 1)) > CB_MAX_VECTORS:
             raise ResourceError(
                 f"weight space has more than {CB_MAX_VECTORS} vectors; lower N or the key length"

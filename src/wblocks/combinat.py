@@ -145,10 +145,6 @@ class Composition:
     def to_json(self) -> dict:
         return {"offset": self.offset, "parts": list(self.parts)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Composition":
-        return cls(data["parts"], data["offset"])
-
     def __repr__(self):
         if self.is_zero():
             return "Composition()"
@@ -226,19 +222,37 @@ class Tableau:
         m = self.pyramid.m
         return self.top[j - 1] if j <= m else self.bottom[j - m - 1]
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.pyramid.m,
-            "n": self.pyramid.n,
-            "s_minus": self.pyramid.s_minus,
-            "top": list(self.top),
-            "bottom": list(self.bottom),
-        }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Tableau":
-        p = Pyramid(data["m"], data["n"], data.get("s_minus", 0))
-        return cls(p, tuple(data["top"]), tuple(data["bottom"]))
+def match_rows(top, bottom):
+    """The matched multiplicities of a top and a bottom row of entries, as
+    dicts {value: count} without zero counts: (matched, rest_top,
+    rest_bottom) with matched[v] = min(#v on top, #v on the bottom) and the
+    rest what each row has left over.  rest_top and rest_bottom have
+    disjoint supports."""
+    top, bottom = Counter(top), Counter(bottom)
+    matched = {v: min(c, bottom[v]) for v, c in top.items() if v in bottom}
+
+    def rest(row):
+        return {v: c - matched.get(v, 0) for v, c in row.items() if c > matched.get(v, 0)}
+
+    return matched, rest(top), rest(bottom)
+
+
+def weight_of(top, bottom) -> tuple:
+    """The signed weight sum of eps_a over top minus sum of eps_b over
+    bottom, as the sorted pairs ((i, c), ...) with c != 0."""
+    w: dict = {}
+    for a in top:
+        w[a] = w.get(a, 0) + 1
+    for b in bottom:
+        w[b] = w.get(b, 0) - 1
+    return tuple(sorted((i, c) for i, c in w.items() if c))
+
+
+def is_anti_dominant(top, bottom) -> bool:
+    """Top ascending and bottom descending: the normal form of a key, as
+    tableau_of builds them."""
+    return list(top) == sorted(top) and list(bottom) == sorted(bottom, reverse=True)
 
 
 def matched_pairs(A: Tableau):
@@ -258,11 +272,9 @@ def defect(A: Tableau) -> int:
 
 
 def atyp(A: Tableau) -> int:
-    """Max defect over the row-equivalence class: sum over values v of
-    min(#top entries equal to v, #bottom entries equal to v)."""
-    top = Counter(A.top)
-    bot = Counter(A.bottom)
-    return sum(min(c, bot[v]) for v, c in top.items())
+    """Max defect over the row-equivalence class: the total matched
+    multiplicity of its rows."""
+    return sum(match_rows(A.top, A.bottom)[0].values())
 
 
 def down_up(A: Tableau):
@@ -322,26 +334,13 @@ class BlockKey:
             "n": self.n,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BlockKey":
-        return cls(
-            Composition.from_json(data["mu"]),
-            Composition.from_json(data["nu"]),
-            data["t"],
-            data["m"],
-            data["n"],
-        )
-
 
 def block_key(A: Tableau) -> BlockKey:
-    """Key of the linkage class of A: t = sum of min multiplicities, and the
-    leftover top/bottom multiplicities as the core (mu, nu)."""
-    top = Counter(A.top)
-    bot = Counter(A.bottom)
-    t = sum(min(c, bot[v]) for v, c in top.items())
-    mu = Composition.from_items({v: c - min(c, bot[v]) for v, c in top.items()})
-    nu = Composition.from_items({v: c - min(c, top[v]) for v, c in bot.items()})
-    return BlockKey(mu, nu, t, A.pyramid.m, A.pyramid.n)
+    """Key of the linkage class of A: t = the total matched multiplicity,
+    and the leftover top/bottom multiplicities as the core (mu, nu)."""
+    matched, mu, nu = match_rows(A.top, A.bottom)
+    return BlockKey(Composition.from_items(mu), Composition.from_items(nu),
+                    sum(matched.values()), A.pyramid.m, A.pyramid.n)
 
 
 def tableau_of(xi: BlockKey, lam: Composition) -> Tableau:
@@ -379,17 +378,9 @@ def aligned_tableau(xi: BlockKey, lam: Composition, s_minus: int = 0) -> Tableau
 
 
 def lambda_of(A: Tableau) -> Composition:
-    """The composition of t indexing A's row class inside its block."""
-    top = Counter(A.top)
-    bot = Counter(A.bottom)
-    return Composition.from_items({v: min(c, bot[v]) for v, c in top.items()})
-
-
-def weight_of(A: Tableau) -> dict:
-    """The signed map sum of eps_{a_i} minus sum of eps_{b_j}, pruned."""
-    w = Counter(A.top)
-    w.subtract(Counter(A.bottom))
-    return {v: c for v, c in w.items() if c}
+    """The composition of t indexing A's row class inside its block: the
+    matched multiplicities of its rows."""
+    return Composition.from_items(match_rows(A.top, A.bottom)[0])
 
 
 # ---------------------------------------------------------------------------

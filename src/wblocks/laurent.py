@@ -7,7 +7,9 @@ such dict, and every operation builds a fresh dict without mutating its
 arguments.  ``_addmul`` is the one multiply-accumulate loop on raw dicts:
 LaurentQ's sums, differences and products, the long division of
 ``_ldivexact``, the closed forms at the end of the module and the raw sums of
-qcanon and blockan all go through it.
+qcanon and blockan go through it.  The one exception is the fused reduction
+pass of ``qcanon._lusztig``, which writes its sums out by hand; its
+docstring says why.
 """
 
 from __future__ import annotations
@@ -176,10 +178,6 @@ class LaurentQ:
 
     def to_json(self) -> dict:
         return {"coeffs": {str(e): str(c) for e, c in sorted(self.coeffs.items())}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentQ":
-        return cls({int(e): int(c) for e, c in data["coeffs"].items()})
 
     def __repr__(self):
         if not self.coeffs:

@@ -148,13 +148,6 @@ class MultiPoly:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "MultiPoly":
-        terms = {
-            tuple(t["exponents"]): Fraction(t["coeff"]) for t in data["terms"]
-        }
-        return cls(data["m"], data["n"], terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -11,7 +11,7 @@ import json
 from functools import lru_cache
 from math import comb
 
-from .combinat import Composition
+from .combinat import Composition, is_anti_dominant, match_rows, weight_of
 from .laurent import ONE, ZERO, LaurentQ, _addmul, qbinom, qfact
 from . import cache as _cache
 
@@ -111,9 +111,6 @@ class TensorVec:
             v.terms = {k: x * c for k, x in self.terms.items()}
         return v
 
-    def coeff(self, key) -> LaurentQ:
-        return self.terms.get(tuple(key), ZERO)
-
     def to_json(self) -> dict:
         items = sorted(self.terms.items(), key=lambda kc: kc[0], reverse=True)
         return {
@@ -127,13 +124,6 @@ class TensorVec:
 
     def __repr__(self):
         return f"TensorVec({self.N}, {self.signs!r}, {len(self.terms)} terms)"
-
-
-def _key_weight(signs: str, key) -> tuple:
-    w: dict = {}
-    for s, i in zip(signs, key):
-        w[i] = w.get(i, 0) + (1 if s == "+" else -1)
-    return tuple(sorted((i, c) for i, c in w.items() if c))
 
 
 def _alpha_eps(i: int, j: int) -> int:
@@ -616,7 +606,7 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
 def _basis_vector(N: int, top, bottom, dual: bool) -> TensorVec:
     signs = "+" * len(top) + "-" * len(bottom)
     key = tuple(top) + tuple(bottom)
-    family = _basis_family(N, signs, _key_weight(signs, key), dual)
+    family = _basis_family(N, signs, weight_of(top, bottom), dual)
     vec = family[key]
     if type(vec) is str:  # undecoded, from the file cache
         vec = family[key] = _decode_vec(N, signs, list(family), vec)
@@ -653,7 +643,7 @@ class SVec:
                 if c.is_zero():
                     continue
                 top, bottom = tuple(top), tuple(bottom)
-                if list(top) != sorted(top) or list(bottom) != sorted(bottom, reverse=True):
+                if not is_anti_dominant(top, bottom):
                     raise ValueError("SVec keys must be anti-dominant")
                 self.terms[(top, bottom)] = c
 
@@ -685,9 +675,6 @@ class SVec:
         if not c.is_zero():
             v.terms = {k: x * c for k, x in self.terms.items()}
         return v
-
-    def coeff(self, top, bottom) -> LaurentQ:
-        return self.terms.get((tuple(top), tuple(bottom)), ZERO)
 
     def __repr__(self):
         return f"SVec({self.N}, {len(self.terms)} terms)"
@@ -761,42 +748,15 @@ def z_word_terms(N: int, c: int):
     ]
 
 
-def atyp_split(top, bottom):
-    """Split an anti-dominant key into (paired values c, leftover top,
-    leftover bottom) realizing the maximal number of matched value pairs."""
-    top_count: dict = {}
-    for a in top:
-        top_count[a] = top_count.get(a, 0) + 1
-    bot_count: dict = {}
-    for b in bottom:
-        bot_count[b] = bot_count.get(b, 0) + 1
-    cs = []
-    for v in sorted(set(top_count) & set(bot_count)):
-        cs.extend([v] * min(top_count[v], bot_count[v]))
-    rest_top = []
-    taken = {v: cs.count(v) for v in cs}
-    for a in sorted(top):
-        if taken.get(a, 0) > 0:
-            taken[a] -= 1
-        else:
-            rest_top.append(a)
-    taken = {v: cs.count(v) for v in cs}
-    rest_bottom = []
-    for b in sorted(bottom, reverse=True):
-        if taken.get(b, 0) > 0:
-            taken[b] -= 1
-        else:
-            rest_bottom.append(b)
-    return cs, rest_top, rest_bottom
-
-
 def d_basis(N: int, top, bottom) -> SVec:
     """Dual canonical basis element of the algebra, from its closed form:
     a q-power times x's, central z's for the matched values, then y's."""
-    top, bottom = tuple(top), tuple(bottom)
-    if list(top) != sorted(top) or list(bottom) != sorted(bottom, reverse=True):
+    if not is_anti_dominant(top, bottom):
         raise ValueError("d_basis requires an anti-dominant key")
-    cs, rest_top, rest_bottom = atyp_split(top, bottom)
+    matched, rest_top, rest_bottom = match_rows(top, bottom)
+    cs = [v for v in sorted(matched) for _ in range(matched[v])]
+    rest_top = [a for a in sorted(rest_top) for _ in range(rest_top[a])]
+    rest_bottom = [b for b in sorted(rest_bottom, reverse=True) for _ in range(rest_bottom[b])]
     t = len(cs)
     pre = -(t * (t - 1)) // 2
     pre -= sum(1 for a in rest_top for c in cs if a > c)
@@ -845,21 +805,11 @@ def _psi_star_word(N: int, top, bottom) -> SVec:
         kind, idx = "y", bottom[0]
         rest_top, rest_bottom = top, bottom[1:]
     rest = _psi_star_word(N, rest_top, rest_bottom)
-    mp, np_ = len(rest_top), len(rest_bottom)
-    wt_idx = {}
-    for a in rest_top:
-        wt_idx[a] = wt_idx.get(a, 0) + 1
-    for b in rest_bottom:
-        wt_idx[b] = wt_idx.get(b, 0) - 1
-    if kind == "x":
-        e = wt_idx.get(idx, 0) - mp
-        gen_word = [("x", idx)]
-    else:
-        e = -wt_idx.get(idx, 0) - np_
-        gen_word = [("y", idx)]
+    w = dict(weight_of(rest_top, rest_bottom)).get(idx, 0)
+    e = w - len(rest_top) if kind == "x" else -w - len(rest_bottom)
     out: dict = {}
     for (rt, rb), rc in rest.terms.items():
-        word = [("x", a) for a in rt] + [("y", b) for b in rb] + gen_word
+        word = [("x", a) for a in rt] + [("y", b) for b in rb] + [(kind, idx)]
         _acc(out, _raw_terms(word_to_svec(N, word)), rc.shift(e).coeffs)
     return SVec._from_raw(N, out)
 
@@ -868,15 +818,20 @@ def _psi_star_word(N: int, top, bottom) -> SVec:
 # closed-form expansions and the pairing formula
 
 
+def _check_supports(N: int, *comps):
+    """Raise ValueError unless every composition is supported in [1, N]."""
+    for c in comps:
+        lo, hi = c.support_bounds()
+        if hi >= lo and not (1 <= lo and hi <= N):
+            raise ValueError("supports must lie in [1, N]")
+
+
 def expand_u_in_d(lam: Composition, mu: Composition, nu: Composition, N: int) -> dict:
     """Coefficients of the monomial basis element on the dual canonical
     basis of the algebra: {kappa: q^{theta_i (lam_{i+1} + gamma_{i+1})}
     qbinom(lam_{i+1}, theta_i) products}."""
     gamma = mu + nu
-    for c in (lam, gamma):
-        lo, hi = c.support_bounds()
-        if hi >= lo and not (1 <= lo and hi <= N):
-            raise ValueError("supports must lie in [1, N]")
+    _check_supports(N, lam, gamma)
     out: dict = {}
     spans = [range(lam[i + 1] + 1) for i in range(1, N)]
     for theta in itertools.product(*spans):
@@ -907,10 +862,7 @@ def pairing_formula(
     t = lam.total
     if kappa.total != t:
         raise ValueError("kappa and lambda must have equal size")
-    for c in (kappa, lam, gamma):
-        lo, hi = c.support_bounds()
-        if hi >= lo and not (1 <= lo and hi <= N):
-            raise ValueError("supports must lie in [1, N]")
+    _check_supports(N, kappa, lam, gamma)
     L = [0] + [lam[i] for i in range(1, N + 2)]  # L[i] = lambda_i, L[N+1] = 0
     K = [0] + [kappa[i] for i in range(1, N + 1)]
     G = [0] + [gamma[i] for i in range(1, N + 1)]
@@ -960,9 +912,10 @@ def pairing_formula(
     return total
 
 
-def stable_pairing(kappa, lam, mu, nu, N_max: int = 16):
-    """pairing_formula at the first N where the value stabilizes (equal at N
-    and N+1) with all supports in [2, N-1]; returns (value, N_used)."""
+def stable_pairing(kappa, lam, mu, nu):
+    """pairing_formula at the least N0 with all supports in [2, N0 - 1],
+    checked against its value at N0 + 1; returns (value, N0).  Raises
+    ArithmeticError, naming both values, if the two differ."""
     gamma = mu + nu
     m = lam.total + mu.total
     n = lam.total + nu.total
@@ -971,9 +924,8 @@ def stable_pairing(kappa, lam, mu, nu, N_max: int = 16):
     if los and min(los) < 2:
         raise ValueError("supports must start at 2 or later for stability")
     N0 = max(his, default=2) + 1
-    for N in range(N0, N_max):
-        a = pairing_formula(kappa, lam, gamma, N, m, n)
-        b = pairing_formula(kappa, lam, gamma, N + 1, m, n)
-        if a == b:
-            return a, N
-    raise ArithmeticError("pairing did not stabilize below N_max")
+    a = pairing_formula(kappa, lam, gamma, N0, m, n)
+    b = pairing_formula(kappa, lam, gamma, N0 + 1, m, n)
+    if a != b:
+        raise ArithmeticError(f"pairing is {a} at N = {N0} but {b} at N = {N0 + 1}")
+    return a, N0

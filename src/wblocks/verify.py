@@ -43,18 +43,13 @@ def iter_blocks(m_max: int, t_max: int, gamma_width: int):
     for m in range(m_max + 1):
         for n in range(m, m_max + 1):
             for t in range(0, min(m, t_max) + 1):
-                g_total = (m - t) + (n - t)
-                for parts in itertools.product(range(g_total + 1), repeat=gamma_width):
-                    if sum(parts) != g_total:
-                        continue
-                    gamma = Composition(parts)
-                    if gamma.parts and parts[0] == 0:
+                for gamma in blockan.compositions_in_window(m + n - 2 * t, 0, gamma_width - 1):
+                    if gamma.offset:
                         continue  # avoid translated duplicates
                     splits = _gamma_splits(gamma, m - t)
-                    if not splits:
-                        continue
-                    mu, nu = splits[0]
-                    yield BlockKey(mu, nu, t, m, n)
+                    if splits:
+                        mu, nu = splits[0]
+                        yield BlockKey(mu, nu, t, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +100,7 @@ def crit_appendixb_pairing(scale: dict) -> str:
     for m in range(scale["mn"] + 1):
         for n in range(m, scale["mn"] + 1):
             for t in range(0, min(m, scale["t"]) + 1):
-                g_total = (m - t) + (n - t)
-                for gparts in itertools.product(range(g_total + 1), repeat=sup_hi - sup_lo + 1):
-                    if sum(gparts) != g_total:
-                        continue
-                    gamma = Composition(gparts, sup_lo)
+                for gamma in blockan.compositions_in_window(m + n - 2 * t, sup_lo, sup_hi):
                     splits = _gamma_splits(gamma, m - t)
                     if not splits:
                         continue
@@ -178,10 +169,7 @@ def crit_h_laws(scale: dict) -> str:
         assert blockan.h_count(Composition.eps(0, t)) == comb(t + 2, 2)
     strict = 0
     for t in range(1, scale["t_strict"] + 1):
-        for parts in itertools.product(range(t + 1), repeat=scale["width"]):
-            if sum(parts) != t:
-                continue
-            lam = Composition(parts)
+        for lam in blockan.compositions_in_window(t, 0, scale["width"] - 1):
             if len(lam.parts) == 1:
                 continue
             assert blockan.h_count(lam) > comb(t + 2, 2), lam
@@ -189,16 +177,15 @@ def crit_h_laws(scale: dict) -> str:
     # separation across a zero gap
     sep = 0
     for t in range(1, scale["t_strict"] + 1):
-        for parts in itertools.product(range(t + 1), repeat=5):
-            if sum(parts) != t or parts[2] != 0:
+        for lam in blockan.compositions_in_window(t, 0, 4):
+            if lam[2]:
                 continue
-            lam = Composition(parts)
             left, right = blockan.h_separation(lam, 2)
             assert blockan.h_count(lam) == blockan.h_count(left) * blockan.h_count(right)
             sep += 1
     # h equals the count of nonzero Cartan row entries
     rows = 0
-    for xi in scale["row_blocks"]:
+    for xi in _row_blocks(scale["row_mn"]):
         lams = blockan.compositions_in_window(xi.t, 0, 1)
         for lam in lams:
             lo, hi = lam.support_bounds()
@@ -220,8 +207,8 @@ def crit_top_degree(scale: dict) -> str:
             diag += 1
     # generic diagonal matches the product formula verbatim
     generic = 0
-    for xi in scale["generic_blocks"]:
-        for lam in scale["generic_lams"](xi):
+    for xi in _generic_blocks():
+        for lam in _generic_lams(xi):
             gamma = xi.gamma
             lo = min(lam.support_bounds()[0], gamma.support_bounds()[0]) - 1
             hi = max(lam.support_bounds()[1], gamma.support_bounds()[1]) + 1
@@ -251,7 +238,7 @@ def crit_linkage_fibers(scale: dict) -> str:
         classes = combinat.closure_classes(p, w)
         for cls in classes:
             keys = {combinat.block_key(A) for A in cls}
-            weights = {tuple(sorted(combinat.weight_of(A).items())) for A in cls}
+            weights = {combinat.weight_of(A.top, A.bottom) for A in cls}
             assert len(keys) == 1 and len(weights) == 1, (m, n, cls)
         by_key: dict = {}
         for cls in classes:
@@ -327,8 +314,7 @@ def crit_canonical_units(scale: dict) -> str:
             top, bottom = key[:m], key[m:]
             bstar = qcanon.dual_canonical(N, top, bottom)
             p = qcanon.project_to_S(bstar)
-            anti = list(top) == sorted(top) and list(bottom) == sorted(bottom, reverse=True)
-            if anti:
+            if combinat.is_anti_dominant(top, bottom):
                 assert p == qcanon.d_basis(N, top, bottom), (top, bottom)
             else:
                 assert p.is_zero(), (top, bottom)
@@ -338,7 +324,7 @@ def crit_canonical_units(scale: dict) -> str:
         signs = "+" * m + "-" * n
         seen = set()
         for key in itertools.product(range(1, N + 1), repeat=m + n):
-            wt = qcanon._key_weight(signs, key)
+            wt = combinat.weight_of(key[:m], key[m:])
             if wt in seen:
                 continue
             seen.add(wt)
@@ -408,9 +394,8 @@ FULL_SCALES = {
     "appendixb-pairing": {"mn": 3, "t": 3},
     "character-identities": {"mn": 3, "t": 3, "gamma_width": 2, "lam_width": 3},
     "verma-order-independence": {"entry_hi": 3, "D": 4},
-    "h-laws": {"t_eps": 6, "t_strict": 4, "width": 3, "row_mn": 3, "row_blocks": None},
-    "top-degree": {"mn": 4, "t": 4, "gamma_width": 3, "lam_width": 3,
-                   "generic_blocks": None, "generic_lams": _generic_lams},
+    "h-laws": {"t_eps": 6, "t_strict": 4, "width": 3, "row_mn": 3},
+    "top-degree": {"mn": 4, "t": 4, "gamma_width": 3, "lam_width": 3},
     "linkage-weight-fibers": {"entry_hi": 4, "shapes": [(1, 1), (1, 2), (2, 2)]},
     "center": {"mn": 3, "r_max": 6, "random_polys": 200,
                "random_shapes": [(1, 1), (1, 2), (2, 2)]},
@@ -425,9 +410,8 @@ QUICK_SCALES = {
     "appendixb-pairing": {"mn": 1, "t": 1},
     "character-identities": {"mn": 2, "t": 2, "gamma_width": 2, "lam_width": 2},
     "verma-order-independence": {"entry_hi": 2, "D": 3},
-    "h-laws": {"t_eps": 4, "t_strict": 3, "width": 3, "row_blocks": None},
-    "top-degree": {"mn": 2, "t": 2, "gamma_width": 2, "lam_width": 2,
-                   "generic_blocks": None, "generic_lams": _generic_lams},
+    "h-laws": {"t_eps": 4, "t_strict": 3, "width": 3, "row_mn": 2},
+    "top-degree": {"mn": 2, "t": 2, "gamma_width": 2, "lam_width": 2},
     "linkage-weight-fibers": {"entry_hi": 3, "shapes": [(1, 1), (1, 2)]},
     "center": {"mn": 2, "r_max": 4, "random_polys": 40,
                "random_shapes": [(1, 1), (1, 2)]},
@@ -460,15 +444,6 @@ FAULTS = {
 }
 
 
-def _materialize(name: str, scale: dict) -> dict:
-    scale = dict(scale)
-    if name == "h-laws":
-        scale["row_blocks"] = _row_blocks(scale.pop("row_mn", 2))
-    if name == "top-degree":
-        scale["generic_blocks"] = _generic_blocks()
-    return scale
-
-
 def _perturb(fn):
     def wrapped(*args, **kwargs):
         out = fn(*args, **kwargs)
@@ -484,7 +459,7 @@ def _perturb(fn):
     return wrapped
 
 
-def run_suite(profile: str = "quick", fault: str | None = None, names=None):
+def run_suite(profile: str = "quick", fault: str | None = None):
     """Run the criteria of the given profile; returns a list of result dicts
     {name, ok, seconds, detail}.  With fault set, the named formula is
     perturbed for the duration of the run (harness self-test)."""
@@ -497,11 +472,9 @@ def run_suite(profile: str = "quick", fault: str | None = None, names=None):
     results = []
     try:
         for name, fn in CRITERIA.items():
-            if names and name not in names:
-                continue
             start = time.monotonic()
             try:
-                detail = fn(_materialize(name, scales[name]))
+                detail = fn(scales[name])
                 ok = True
             except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
                 detail = f"{type(exc).__name__}: {exc}"

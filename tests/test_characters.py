@@ -129,7 +129,7 @@ class TestWCharacters:
         lam = comp([2], 1)
         ch = ch_simple_w(xi, lam)
         head = lam + xi.mu
-        assert ch.coeff(head) == 1
+        assert ch.terms[head] == 1
         for c in ch.terms:
             assert head.dominance_leq(c)
 

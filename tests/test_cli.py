@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wblocks
-from wblocks import cache, cli, qcanon
+from wblocks import cache, cli, combinat, qcanon
 from wblocks.cli import (COMMANDS, UsageError, _scan_front, build_parser, main, parse_block,
                          parse_composition, parse_window)
 from wblocks.combinat import Composition
@@ -496,7 +496,7 @@ class TestCachedFamilies:
         # and with every coefficient wrong: never read, never rewritten
         path, plain = warm
         path.unlink()
-        weight = qcanon._key_weight("++--", (1, 2, 2, 1))
+        weight = combinat.weight_of((1, 2), (2, 1))
         request = {"kind": "dual_family", "N": 3, "signs": "++--",
                    "weight": [list(p) for p in weight]}
         family = [{"key": list(k), "vec": TensorVec.unit(3, "++--", k).scaled(7).to_json()}

@@ -8,13 +8,12 @@ import pytest
 
 from wblocks import cache, cli
 from wblocks import qcanon as qc
-from wblocks.combinat import Composition
+from wblocks.combinat import Composition, match_rows, weight_of
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom
 from wblocks.qcanon import (
     SVec,
     TensorVec,
     act_gen,
-    atyp_split,
     canonical,
     d_basis,
     dual_canonical,
@@ -224,7 +223,7 @@ class TestCanonicalBases:
             top, bottom = key[:1], key[1:]
             b = dual_canonical(N, top, bottom)
             assert psi_star(b) == b
-            assert b.coeff(key) == ONE
+            assert b.terms[key] == ONE
             for other, c in b.terms.items():
                 if other != key:
                     assert c.in_q_zq()
@@ -258,7 +257,7 @@ class TestWeightSpaceKeys:
                 signs = "+" * m + "-" * (k - m)
                 by_weight: dict = {}
                 for key in itertools.product(range(1, N + 1), repeat=k):
-                    by_weight.setdefault(qc._key_weight(signs, key), set()).add(key)
+                    by_weight.setdefault(weight_of(key[:m], key[m:]), set()).add(key)
                 for weight, expected in by_weight.items():
                     got = list(qc._weight_space_keys(N, signs, weight))
                     assert len(got) == len(set(got)) and set(got) == expected, (signs, weight)
@@ -284,8 +283,7 @@ class TestAlgebraS:
     def test_word_normal_form_rel4(self):
         # y_2 x_2 = q x_2 y_2 + (q - q^{-1})(-q) x_1 y_1
         out = word_to_svec(2, [("y", 2), ("x", 2)])
-        assert out.coeff((2,), (2,)) == LaurentQ({1: 1})
-        assert out.coeff((1,), (1,)) == LaurentQ({2: -1, 0: 1})
+        assert out.terms == {((2,), (2,)): LaurentQ({1: 1}), ((1,), (1,)): LaurentQ({2: -1, 0: 1})}
 
     def test_product_associative(self):
         rng = random.Random(2)
@@ -299,13 +297,14 @@ class TestAlgebraS:
             assert s_mul(s_mul(a, b), c) == s_mul(a, s_mul(b, c))
 
     def test_atyp_split(self):
-        cs, rest_top, rest_bottom = atyp_split((1, 2, 2), (3, 2, 2))
-        assert cs == [2, 2] and rest_top == [1] and rest_bottom == [3]
+        # the split of an anti-dominant key that d_basis reads: the matched
+        # values and what each row keeps
+        matched, rest_top, rest_bottom = match_rows((1, 2, 2), (3, 2, 2))
+        assert matched == {2: 2} and rest_top == {1: 1} and rest_bottom == {3: 1}
 
     def test_d_basis_single_pair(self):
         d = d_basis(2, (2,), (2,))
-        assert d.coeff((2,), (2,)) == ONE
-        assert d.coeff((1,), (1,)) == LaurentQ({1: -1})
+        assert d.terms == {((2,), (2,)): ONE, ((1,), (1,)): LaurentQ({1: -1})}
 
     def test_d_basis_typical(self):
         d = d_basis(3, (1,), (3,))
@@ -427,6 +426,15 @@ class TestExpansionsAndPairing:
         val, n_used = stable_pairing(lam, lam, Composition(), Composition())
         assert val == LaurentQ({0: 1, 2: 1})
         assert n_used == 3
+
+    def test_unstable_pairing_raises_naming_both_values(self, monkeypatch):
+        # a pairing_formula that moves with N: the values at N0 = 3 and 4
+        # differ, and stable_pairing reports both instead of searching on
+        monkeypatch.setattr(qc, "pairing_formula",
+                            lambda kappa, lam, gamma, N, m, n: LaurentQ({N: 1}))
+        lam = Composition.eps(2)
+        with pytest.raises(ArithmeticError, match=r"q\^3 at N = 3 but q\^4 at N = 4"):
+            stable_pairing(lam, lam, Composition(), Composition())
 
     def test_pairing_formula_zero_when_unreachable(self):
         assert pairing_formula(
@@ -553,7 +561,7 @@ def _bench_cb_spaces():
     spaces = set()
     for N, top, bottom in rows:
         signs = "+" * len(top) + "-" * len(bottom)
-        spaces.add((N, signs, qc._key_weight(signs, tuple(top) + tuple(bottom))))
+        spaces.add((N, signs, weight_of(top, bottom)))
     return [pytest.param(*s, id=f"N{s[0]}{s[1]}" + "".join(f"_{i}:{c}" for i, c in s[2]))
             for s in sorted(spaces)]
 

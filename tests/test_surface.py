@@ -1,16 +1,15 @@
 """Every public definition in src/wblocks is used by the program itself.
 
-A public top-level function or class, and a public method of a public class
-whose name is defined only once in the package, must be referenced somewhere
-in the package outside its own definition: a function or class by name or
-import, a method as an attribute.  Properties are data, not methods, and are
-left out.  Tests may call a definition too, but one that only tests reach is
+A public top-level function or class, and a public method of a public class,
+must be referenced somewhere in the package outside every definition of the
+same name: a function or class by name or import, a method as an attribute.
+So BlockKey.to_json calling self.mu.to_json() is no use of Composition.to_json.
+Properties are data, not methods, and are left out.  Tests may call a definition too, but one that only tests reach is
 dead weight, unless it is one of the oracles below.
 """
 
 import ast
 import pathlib
-from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wblocks"
 
@@ -56,15 +55,16 @@ def _references(tree):
 def test_every_public_definition_is_used_by_the_package():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     defs = [(file, *d) for file, tree in trees.items() for d in _definitions(tree)]
-    defined = Counter(name for _, name, _, _ in defs)
-    refs = [(file, *r) for file, tree in trees.items() for r in _references(tree)]
+    spans: dict = {}  # name -> (file, first line, last line) of each definition
+    for file, name, node, _ in defs:
+        spans.setdefault(name, []).append((file, node.lineno, node.end_lineno))
+    refs = [(file, *r) for file, tree in trees.items() for r in _references(tree)
+            if not any(file == f and lo <= r[1] <= hi for f, lo, hi in spans.get(r[0], ()))]
     unused = []
     for file, name, node, method in defs:
-        if name.startswith("_") or name in ORACLES or (method and defined[name] > 1):
+        if name.startswith("_") or name in ORACLES:
             continue
-        if not any(r == name and (attr or not method)
-                   and (f != file or not node.lineno <= line <= node.end_lineno)
-                   for f, r, line, attr in refs):
+        if not any(r == name and (attr or not method) for _, r, _, attr in refs):
             unused.append(f"{file}:{node.lineno} {name}")
     assert not unused, "public definitions no program code uses: " + ", ".join(unused)
 
