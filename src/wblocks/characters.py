@@ -264,18 +264,26 @@ def decompose_char(c: CompChar, xi: BlockKey) -> dict:
     triangular elimination of dominance-minimal leading terms.
 
     Returns {lambda: multiplicity}.  The simples' characters have head
-    chi^{lambda+mu} with all other terms strictly dominance-greater, so
-    eliminating heads in any linear extension of dominance terminates.
+    chi^{lambda+mu} with all other terms strictly dominance-greater, so the
+    heads strictly increase in a linear extension of dominance and none
+    comes twice.  Every term of c, and of each simple character subtracted,
+    lies in the window [lo, hi] of c's terms and mu's support widened by one
+    on the left, where its alpha_i factors move weight from i + 1 to i.  So
+    the heads are lambda + mu for distinct lambda of size t in that window,
+    at most C(t + hi - lo, t) of them; an elimination that goes on longer
+    raises NotInBlockSpan.
     """
     residue = CompChar(dict(c.terms))
     out: dict = {}
-    guard = 0
-    while not residue.is_zero():
-        guard += 1
-        if guard > 100000:
-            raise NotInBlockSpan("elimination did not terminate")
-        lo = min(comp.support_bounds()[0] for comp in residue.terms)
-        hi = max(comp.support_bounds()[1] for comp in residue.terms)
+    if residue.is_zero():
+        return out
+    spans = [comp.support_bounds() for comp in residue.terms]
+    if not xi.mu.is_zero():
+        lo, hi = xi.mu.support_bounds()
+        spans.append((lo - 1, hi))
+    lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
+    heads = comb(xi.t + max(hi - lo, 0), xi.t)  # hi < lo: only empty compositions
+    for _ in range(heads):
         head = min(
             residue.terms, key=lambda comp: (comp.partial_sums_key(lo, hi), comp.parts)
         )
@@ -288,4 +296,7 @@ def decompose_char(c: CompChar, xi: BlockKey) -> dict:
             raise NotInBlockSpan(f"leading term {head!r} has wrong size")
         residue = residue - ch_simple_w(xi, lam).scaled(mult)
         out[lam] = out.get(lam, 0) + mult
-    return out
+        if residue.is_zero():
+            return out
+    raise NotInBlockSpan(f"elimination did not end after {heads} heads, "
+                         f"the number of lambda in the window {lo}..{hi}")

@@ -7,11 +7,10 @@ changes timing only, never bytes.
 
 from __future__ import annotations
 
-import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import blockan, cache, center, characters, combinat, qcanon, verify
@@ -31,11 +30,6 @@ class ResourceError(Exception):
 # time grows faster than the square of the size, so N=10 +++--- at weight 0
 # (5140 vectors) would take tens of minutes.
 CB_MAX_VECTORS = 1000
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +256,8 @@ def cmd_cb(args) -> int:
         for x in top + bottom:
             if not 1 <= x <= args.N:
                 raise UsageError(f"key entry {x} outside 1..{args.N}")
-        keys = qcanon._weight_space_keys(args.N, rows, combinat.weight_of(top, bottom))
-        if sum(1 for _ in itertools.islice(keys, CB_MAX_VECTORS + 1)) > CB_MAX_VECTORS:
+        weight = combinat.weight_of(top, bottom)
+        if qcanon._weight_space(args.N, rows, weight, CB_MAX_VECTORS) is None:
             raise ResourceError(
                 f"weight space has more than {CB_MAX_VECTORS} vectors; lower N or the key length"
             )
@@ -344,8 +338,16 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser with only `command`'s subparser, or with all of them."""
+def build_parser(command: str | None = None):
+    """The parser with only `command`'s subparser, or with all of them.
+    argparse is imported here, so a line that _read_table reads never
+    loads it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
     parser = _Parser(prog="wblocks", description=__doc__)
     for flag, kwargs in GLOBAL_FLAGS:
         parser.add_argument(flag, **kwargs)
@@ -398,7 +400,9 @@ class _Front(NamedTuple):
 def _scan_front(argv) -> _Front:
     """One pass over the global flags before the command.  When `exact` is
     false (abbreviations, help, a value like '-d'), only the full parser
-    reads the line as argparse would, so main builds that one."""
+    reads the line as argparse would, so main builds that one; when it is
+    true and a command follows, main tries _read_table, then that command's
+    parser."""
     takes_value = {flag for flag, kwargs in GLOBAL_FLAGS if "action" not in kwargs}
     names = ["-h", "--help", *(flag for flag, _ in GLOBAL_FLAGS)]
     given, exact, i = {}, True, 0
@@ -420,14 +424,57 @@ def _scan_front(argv) -> _Front:
     return _Front(given.get("--config"), given, command, argv[i + (command is not None):], exact)
 
 
+def _read_table(front: _Front):
+    """The namespace argparse makes of an exact line, read straight from
+    COMMANDS; None unless each token after the command is a full flag of it,
+    as '--flag value' (a value not starting with '-'), '--flag=value' or a
+    bare store_true flag, each value passes its type and choices, and no
+    required flag is missing."""
+    if not (front.exact and front.command):
+        return None
+    fn, _, specs = COMMANDS[front.command]
+    kwargs_of = dict(specs)
+    given, rest, i = {}, front.rest, 0
+    while i < len(rest):
+        flag, eq, value = rest[i].partition("=")
+        kwargs = kwargs_of.get(flag)
+        if kwargs is None:
+            return None
+        if "action" in kwargs:  # store_true
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            i += 1
+            if i == len(rest) or rest[i].startswith("-"):
+                return None
+            value = rest[i]
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+        i += 1
+    args = SimpleNamespace(cache_dir=front.given.get("--cache-dir"),
+                           no_cache="--no-cache" in front.given, config=front.config,
+                           command=front.command, fn=fn)
+    for flag, kwargs in specs:
+        if flag not in given and kwargs.get("required"):
+            return None
+        default = kwargs.get("default", False if "action" in kwargs else None)
+        setattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+    return args
+
+
 def _apply_config(argv, front: _Front):
     """Add flags from the optional JSON config file for any option not
     given explicitly; explicit flags always win.  Global keys go before the
     command, a command's keys after it, and only when the command has that
     flag (any command's, if none was recognised).  A flag counts in every
     spelling argparse accepts, abbreviations included."""
-    if front.config is None:
-        return argv
     with open(front.config) as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
@@ -451,13 +498,21 @@ def _apply_config(argv, front: _Front):
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.  The line, with its
+    config flags added, is read by _read_table, else by the named command's
+    parser (exact global flags), else by the full parser.  Only the parsers
+    import argparse, so they word every usage error and all help."""
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_window_flags(list(argv))
     front = _scan_front(argv)
     try:
-        argv = _apply_config(argv, front)
-        args = build_parser(front.command if front.exact else None).parse_args(argv)
+        if front.config is not None:
+            argv = _apply_config(argv, front)
+            front = _scan_front(argv)
+        args = _read_table(front)
+        if args is None:
+            args = build_parser(front.command if front.exact else None).parse_args(argv)
         if args.no_cache:
             cache.configure(None)
         elif args.cache_dir:

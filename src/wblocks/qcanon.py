@@ -414,6 +414,26 @@ def _weight_space_keys(N: int, signs: str, weight: tuple):
                 yield top + bottom
 
 
+_space_memo: dict = {}
+
+
+def _weight_space(N, signs, weight, limit=None):
+    """The keys of one weight space in sorted order, memoized per (N, signs,
+    weight), so that a `cb` call enumerates its space once for its size
+    bound and its family file's key check.  None when the space has more
+    than `limit` keys; the enumeration then stops at limit + 1 keys."""
+    memo_key = (N, signs, weight)
+    space = _space_memo.get(memo_key)
+    if space is None:
+        keys = _weight_space_keys(N, signs, weight)
+        if limit is not None:
+            keys = list(itertools.islice(keys, limit + 1))
+            if len(keys) > limit:
+                return None
+        space = _space_memo[memo_key] = sorted(keys)
+    return None if limit is not None and len(space) > limit else space
+
+
 def _lusztig(N: int, signs: str, keys: list, bar):
     """Lusztig's lemma on ranks: for each key in order, its bar-invariant
     vector b = key + (a q Z[q] combination of earlier keys), as the
@@ -567,7 +587,7 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
         "weight": [list(p) for p in weight],
         "format": 2,
     }
-    space = sorted(_weight_space_keys(N, signs, weight))
+    space = _weight_space(N, signs, weight)
     cached = _cache.get(request)
     if type(cached) is dict:
         vecs = cached.get("vecs")

@@ -56,41 +56,58 @@ def iter_blocks(m_max: int, t_max: int, gamma_width: int):
 # criteria
 
 
-def _window_pairs(scale: dict):
-    """(xi, lam, kap) for each block of the scale and each unordered pair of
-    labels in a width-bounded lambda window left of, straddling or right of
-    the gamma support (which iter_blocks pins at offset 0)."""
+def _windows(scale: dict):
+    """(xi, labels) for each block of the scale and each width-bounded
+    lambda window left of, straddling or right of the gamma support (which
+    iter_blocks pins at offset 0)."""
     width = scale["lam_width"]
     windows = [(lo, lo + width - 1) for lo in range(-width, width, 2)] + [(0, width - 1)]
     for xi in iter_blocks(scale["mn"], scale["t"], scale["gamma_width"]):
         for lo, hi in windows:
-            lams = blockan.compositions_in_window(xi.t, lo, hi)
-            for a, lam in enumerate(lams):
-                for kap in lams[a:]:
-                    yield xi, lam, kap
+            yield xi, blockan.compositions_in_window(xi.t, lo, hi)
+
+
+def _window_cells(scale: dict, graded: bool):
+    """(xi, lam, kap, cell, mirror) for each unordered pair of labels of
+    each window, with the window's (graded) cartan_matrix read at
+    (lam, kap) and at (kap, lam)."""
+    for xi, lams in _windows(scale):
+        matrix = blockan.cartan_matrix(xi, lams, graded=graded)
+        for a, lam in enumerate(lams):
+            for b in range(a, len(lams)):
+                yield xi, lam, lams[b], matrix[a][b], matrix[b][a]
 
 
 def crit_cartan_vs_oracle(scale: dict) -> str:
     pairs = 0
-    for xi, lam, kap in _window_pairs(scale):
-        closed = blockan.cartan_entry(xi, lam, kap)
+    for xi, lam, kap, cell, mirror in _window_cells(scale, graded=False):
         oracle = blockan.cartan_oracle(xi, lam, kap)
-        assert closed == oracle, (xi, lam, kap, closed, oracle)
-        sym = blockan.cartan_entry(xi, kap, lam)
-        assert closed == sym, (xi, lam, kap, "symmetry")
+        assert cell == oracle, (xi, lam, kap, cell, oracle)
+        assert mirror == blockan.cartan_entry(xi, kap, lam) == cell, (xi, lam, kap, "transpose")
         pairs += 1
-    return f"{pairs} (lambda, kappa) pairs, closed formula == BGG oracle == transpose"
+    ends = stable = 0
+    for xi in iter_blocks(scale["mn"], scale["t"], scale["gamma_width"]):
+        if xi.t < 1:
+            continue
+        for i in range(-2, scale["gamma_width"] + 1):
+            end = blockan.end_dim(xi, i)
+            diag = Composition.eps(i, xi.t)
+            assert end == blockan.cartan_entry(xi, diag, diag), (xi, i, "end_dim")
+            ends += 1
+            if xi.gamma[i] == xi.gamma[i + 1] == 0:
+                assert blockan.stable_end_dim(xi) == end, (xi, i, "stable_end_dim")
+                stable += 1
+    return (f"{pairs} (lambda, kappa) pairs, Cartan matrix == BGG oracle == closed formula "
+            f"== transpose; {ends} End dims == Cartan diagonal, {stable} away from gamma == stable")
 
 
 def crit_graded_vs_ungraded(scale: dict) -> str:
     pairs = 0
-    for xi, lam, kap in _window_pairs(scale):
-        graded = blockan.graded_cartan(xi, lam, kap)
-        plain = blockan.cartan_entry(xi, lam, kap)
-        assert graded.eval1() == plain, (xi, lam, kap)
-        assert graded == blockan.graded_cartan(xi, kap, lam), (xi, lam, kap)
+    for xi, lam, kap, cell, mirror in _window_cells(scale, graded=True):
+        assert cell.eval1() == blockan.cartan_entry(xi, lam, kap), (xi, lam, kap)
+        assert mirror == blockan.graded_cartan(xi, kap, lam) == cell, (xi, lam, kap)
         pairs += 1
-    return f"{pairs} pairs, graded entry at q=1 == ungraded entry"
+    return f"{pairs} pairs, graded Cartan matrix == graded entry == transpose, at q=1 == ungraded entry"
 
 
 def crit_appendixb_pairing(scale: dict) -> str:

@@ -105,3 +105,25 @@ def test_perturbed_ungraded_closed_form_turns_its_dependents_red(monkeypatch):
     red = {r["name"] for r in run_suite("quick") if not r["ok"]}
     assert red == {"cartan-vs-oracle", "graded-vs-ungraded", "h-laws", "m1n1-sanity",
                    "recovery-round-trip"}
+
+
+# what `end-dim`, `cartan` and `graded-cartan` print, each with a fault and
+# the criteria it turns red at the quick profile
+PRINTED_FAULTS = {
+    "end_dim": ("+1", {"cartan-vs-oracle"}),
+    "_end_dim_value": ("+1", {"cartan-vs-oracle"}),
+    "stable_end_dim": ("+1", {"cartan-vs-oracle"}),
+    "cartan_matrix": ("[[0]]", {"cartan-vs-oracle", "graded-vs-ungraded"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED_FAULTS))
+def test_each_printed_number_has_a_criterion_a_fault_turns_red(monkeypatch, name):
+    from wblocks import blockan
+    from wblocks.verify import _perturb, run_suite
+
+    fault, victims = PRINTED_FAULTS[name]
+    broken = _perturb(getattr(blockan, name)) if fault == "+1" else lambda *a, **k: [[0]]
+    monkeypatch.setattr(blockan, name, broken)
+    red = {r["name"] for r in run_suite("quick") if not r["ok"]}
+    assert red == victims

@@ -28,7 +28,7 @@ from wblocks.blockan import (
 from wblocks import blockan
 from wblocks.combinat import BlockKey, Composition
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom, qfact
-from wblocks.verify import QUICK_SCALES, _gamma_splits, _perturb, _window_pairs, iter_blocks
+from wblocks.verify import QUICK_SCALES, _gamma_splits, _perturb, _windows, iter_blocks
 
 
 def comp(parts, offset=0):
@@ -108,7 +108,8 @@ class TestCartan:
     def test_closed_forms_share_no_helper_with_the_oracle(self, monkeypatch):
         # a helper on both routes would let one fault move both sides of
         # verify's cartan-vs-oracle criterion together
-        pairs = list(_window_pairs(QUICK_SCALES["cartan-vs-oracle"]))
+        pairs = [(xi, lam, kap) for xi, lams in _windows(QUICK_SCALES["cartan-vs-oracle"])
+                 for a, lam in enumerate(lams) for kap in lams[a:]]
         called = {"closed": set(), "oracle": set()}
         route = []
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from wblocks import characters
 from wblocks.blockan import verma_mult
 from wblocks.characters import (
     CompChar,
@@ -167,6 +168,21 @@ class TestWCharacters:
         bad = CompChar({Composition([1, 1], 0): 1})
         with pytest.raises(NotInBlockSpan):
             decompose_char(bad, xi)
+
+    def test_elimination_that_never_ends_stops_at_the_head_count(self, monkeypatch):
+        # a simple character whose second term lies right of its head, so
+        # each step leaves a new head one place further right; the old
+        # 100000-step guard let that run for hours
+        def drifting(xi, lam):
+            return CompChar({lam + xi.mu: 1, Composition([lam.total], lam.offset + 1): -1})
+
+        monkeypatch.setattr(characters, "ch_simple_w", drifting)
+        xi = BlockKey(Composition(), Composition(), 1, 1, 1)
+        with pytest.raises(NotInBlockSpan, match="after 1 heads"):
+            decompose_char(CompChar({Composition.eps(0): 1}), xi)
+        xi = BlockKey(Composition(), Composition(), 2, 2, 2)
+        with pytest.raises(NotInBlockSpan, match="after 3 heads, .* window 0..1"):
+            decompose_char(CompChar({comp([1, 1]): 1}), xi)
 
     def test_json_sorted(self):
         ch = ch_verma_w(self.xi, Composition.eps(0))

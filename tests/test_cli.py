@@ -33,13 +33,15 @@ def call_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli(args, stdin=None, env=None, timeout=None):
+def run_cli(args, stdin=None, env=None, timeout=None, python=("-m", "wblocks.cli")):
+    """The finished `python -m wblocks.cli args` process, or with python set
+    to ("-c", code), that code run with args as sys.argv[1:]."""
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
     proc = subprocess.run(
-        [sys.executable, "-m", "wblocks.cli", *args],
+        [sys.executable, *python, *args],
         capture_output=True,
         text=True,
         input=stdin,
@@ -252,9 +254,52 @@ PARSER_LINES = {
 
 def _parse(parser, argv):
     try:
-        return parser.parse_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()):
+            return parser.parse_args(argv)
     except UsageError as exc:
         return f"usage error: {exc}"
+    except SystemExit as exc:  # help
+        return f"exit {exc.code}"
+
+
+# tokens for the flags of one spec: each value spelling in both forms, the
+# flag without its value, and store_true's explicit values
+_VALUES = {int: ["0", "2", " 3", "-1", "x", "1.5", ""], str: ["0", "a;b", "", "0..2", "-1..1", "-d"]}
+
+
+def _flag_tokens(spec):
+    flag, kwargs = spec
+    if "action" in kwargs:
+        return st.sampled_from([[flag], [flag + "=yes"], [flag + "="]])
+    values = [*kwargs["choices"], "odd"] if "choices" in kwargs else _VALUES[kwargs.get("type", str)]
+    return st.sampled_from([[flag]] + [[flag, v] for v in values] + [[f"{flag}={v}"] for v in values])
+
+
+def _required_tokens(spec):
+    flag, kwargs = spec
+    if "choices" in kwargs:
+        return [flag, kwargs["choices"][0]]
+    return [flag, "1" if kwargs.get("type") is int else "mu=0;nu=0;t=1"]
+
+
+@st.composite
+def _lines(draw):
+    """(argv, plain): a line of one command drawn from its flag specs, plain
+    when no separated value starts with '-' and no token is one that
+    argparse may read although it is not a full flag of the command."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    specs = COMMANDS[command][2]
+    front = draw(st.lists(st.sampled_from([["--no-cache"], ["--cache-dir", "d"], ["--cache-dir=d"],
+                                           ["--config", "c.json"]]), max_size=2))
+    groups = [_required_tokens(spec) for spec in specs if spec[1].get("required")
+              and draw(st.integers(0, 9))]
+    if specs:
+        groups += draw(st.lists(st.sampled_from(specs).flatmap(_flag_tokens), max_size=3))
+    groups += draw(st.lists(st.sampled_from([["extra"], ["--bogus"], ["--help"], ["-h"], ["--"],
+                                             ["--lam", "0"], ["--m=1", "2"]]), max_size=1))
+    groups = draw(st.permutations(groups))
+    plain = not any(len(g) == 2 and g[1].startswith("-") or g[0] in ("--", "--lam") for g in groups)
+    return [t for g in front for t in g] + [command] + [t for g in groups for t in g], plain
 
 
 class TestParserTable:
@@ -270,6 +315,20 @@ class TestParserTable:
             full = _parse(build_parser(), line)
             assert one == full
             assert isinstance(one, str) != valid, one
+            table = cli._read_table(_scan_front(line))
+            assert (table is not None) == valid
+            assert table is None or vars(table) == vars(full)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_lines())
+    def test_table_read_agrees_with_argparse(self, line):
+        argv, plain = line
+        table = cli._read_table(_scan_front(argv))
+        parsed = _parse(build_parser(), argv)
+        if table is not None:
+            assert vars(table) == vars(parsed)
+        elif plain:
+            assert isinstance(parsed, str), parsed
 
     @pytest.mark.parametrize("argv,command", [
         (["h", "--lambda", "0"], "h"),
@@ -304,23 +363,44 @@ class TestParserTable:
         assert ("--no-cache" in front.given) == args.no_cache
 
     def test_main_builds_only_the_named_command(self, monkeypatch, tmp_path):
+        # [] when the table reads the line, [command] for an exact line it
+        # leaves to argparse, [None] otherwise
         monkeypatch.setattr(cache, "_cache_dir", None)
-        built = []
-        real = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+        real, calls = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: calls.append(command)
                             or real(command))
-        assert call_main(["h", "--lambda", "0"])[0] == 0
-        assert call_main(["--cache", str(tmp_path), "h", "--lambda", "0"])[0] == 0
-        assert call_main(["frobnicate"])[0] == 1
-        assert built == ["h", None, None]
+        for argv, code, built in [
+            (["h", "--lambda", "0"], 0, []),
+            (["--no-cache", "cartan", "--m", "1", "--n", "1", "--block", B11, "--window", "-1..1",
+              "--format=csv"], 0, []),
+            (["h"], 1, ["h"]),
+            (["h", "--lambda", "0", "extra"], 1, ["h"]),
+            (["h", "--lam", "0"], 0, ["h"]),
+            (["end-dim", "--m", "1", "--n", "1", "--block", B11, "--i", "-1"], 0, ["end-dim"]),
+            (["--cache", str(tmp_path), "h", "--lambda", "0"], 0, [None]),
+            (["frobnicate"], 1, [None]),
+        ]:
+            calls.clear()
+            assert call_main(argv)[0] == code, argv
+            assert calls == built, argv
 
-    def test_help_lists_every_command(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
+    def test_valid_lines_load_no_argparse(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        code = ("import sys\nfrom wblocks import cli\ncode = cli.main(sys.argv[1:])\n"
+                "print('argparse' in sys.modules, file=sys.stderr)\nsys.exit(code)")
+        for argv in (["h", "--lambda", "0"], ["--config", str(cfg), *TestConfig.CARTAN]):
+            proc = run_cli(argv, python=("-c", code), env={"WBLOCKS_CACHE": ""})
+            assert (proc.returncode, proc.stderr) == (0, "False\n"), argv
+        assert proc.stdout.startswith(',"offset=0;parts=1"')
+
+    def test_help_lists_every_command(self):
+        # in a process of its own, where argparse is first imported for help
+        proc = run_cli(["--help"])
+        assert proc.returncode == 0
         for name, (_, help_text, _) in COMMANDS.items():
-            assert re.search(rf"^    {re.escape(name)} .*{re.escape(help_text[:20])}", out, re.M)
+            assert re.search(rf"^    {re.escape(name)} .*{re.escape(help_text[:20])}", proc.stdout,
+                             re.M)
 
 
 class TestConfig:
