@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import itertools
+import json
 import os
 import random
 
@@ -545,14 +546,19 @@ class TestJsonAndCache:
         assert not serialized
 
 
-def _bench_cb_spaces():
-    """(N, signs, weight) of every weight space a cb workload of the
-    benchmark reads: the cb-families spaces and those of the cb lines of
-    cli-session."""
+def _bench_workloads():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _bench_cb_spaces():
+    """(N, signs, weight) of every weight space a cb workload of the
+    benchmark reads: the cb-families spaces and those of the cb lines of
+    cli-session."""
+    workloads = _bench_workloads()
     rows = [(N, top, bottom) for N, top, bottom in workloads.CB_SPACES]
     for uid, argv, _, _ in workloads._cli_lines():
         if uid.startswith("cb/"):
@@ -582,3 +588,47 @@ class TestFamilyFile:
             for key, vec in computed.items():
                 assert qc._basis_vector(N, key[:m], key[m:], dual) == vec
         assert len(list(tmp_path.iterdir())) == 2
+
+
+# sha256 of the families of each cb-families weight space, (dual, canonical),
+# computed with the file cache off: one json.dumps(to_json, sort_keys=True)
+# line per vector, in sorted key order
+FAMILY_PINS = {
+    (4, (1, 2), (2, 1)): (
+        "b75473756a57b6226d435f0e2f99b87b8c44c966427a5e184e0bb040a405bf1b",
+        "04a07663bd0b99f5cbb3e66e361a6bdf47978d86e3b179194a57f9e1e78a0f4a",
+    ),
+    (5, (1, 2), (2, 1)): (
+        "c87bd275d7e0ae6e9a660620df6fc00405ec43876a08feff9081229a1f740242",
+        "d95687f4e2b91a6f863d054e2f7a00ecd32967859d7120b4c57ac607375c620e",
+    ),
+    (4, (1, 2, 3), (2, 1)): (
+        "1e76b30f03e9af641cde07ec3c09bcb59692eb776767107319b233751f5cb0ef",
+        "e71b224ba388c7b5a8dad9cd3aa77c20cf5ba9d077ddc6844dd4cbd8cd4eccc8",
+    ),
+    (3, (1, 2, 3), (3, 2, 1)): (
+        "7891c3406c9cee7ec18b5007d28fbd8120dfe7dedf2f09091229a8ab7bd0ffd2",
+        "3ed38440130e0a4f141701871d24ff7921a06a99166b7de069407276538d557a",
+    ),
+    (5, (1, 2, 3), (2, 1)): (
+        "8fc983c423adf873e2757264baa365eebf095822343d4218ae5f5106314a7d2b",
+        "c70a2fe7b85a833a58098eb97dff59e0f271b5c47f0b6c169f7658772c66d186",
+    ),
+}
+
+
+def test_family_pins_cover_the_bench_spaces():
+    assert set(FAMILY_PINS) == set(_bench_workloads().CB_SPACES)
+
+
+@pytest.mark.parametrize("N,top,bottom", list(FAMILY_PINS))
+def test_bench_families_pinned(monkeypatch, N, top, bottom):
+    monkeypatch.setattr(cache, "_cache_dir", None)
+    signs = "+" * len(top) + "-" * len(bottom)
+    got = []
+    for dual in (True, False):
+        monkeypatch.setattr(qc, "_family_memo", {})
+        family = qc._basis_family(N, signs, weight_of(top, bottom), dual)
+        text = "\n".join(json.dumps(family[k].to_json(), sort_keys=True) for k in sorted(family))
+        got.append(hashlib.sha256(text.encode()).hexdigest())
+    assert tuple(got) == FAMILY_PINS[N, top, bottom]
