@@ -7,9 +7,9 @@ such dict, and every operation builds a fresh dict without mutating its
 arguments.  ``_addmul`` is the one multiply-accumulate loop on raw dicts:
 LaurentQ's sums, differences and products, the long division of
 ``_ldivexact``, the closed forms at the end of the module and the raw sums of
-qcanon and blockan go through it.  The one exception is the fused reduction
-pass of ``qcanon._lusztig``, which writes its sums out by hand; its
-docstring says why.
+qcanon and blockan go through it.  The one exception is the reduction pass
+of ``qcanon._lusztig``, which sums flat (rank, exponent, coefficient)
+triples by hand; its docstring says why.
 """
 
 from __future__ import annotations
@@ -167,10 +167,6 @@ class LaurentQ:
 
     def has_nonneg_coeffs(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
-
-    def in_q_zq(self) -> bool:
-        """True iff the polynomial lies in q Z[q] (positive exponents only)."""
-        return all(e >= 1 for e in self.coeffs)
 
     def positive_part(self) -> "LaurentQ":
         """The part with strictly positive exponents."""

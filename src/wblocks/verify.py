@@ -94,11 +94,16 @@ def crit_cartan_vs_oracle(scale: dict) -> str:
             diag = Composition.eps(i, xi.t)
             assert end == blockan.cartan_entry(xi, diag, diag), (xi, i, "end_dim")
             ends += 1
+            central = comb(2 * xi.t, xi.t)
+            d = blockan.d_invariant(xi, i)
+            assert d == Fraction(central * end, blockan.stable_end_dim(xi)), (xi, i, "d_invariant")
             if xi.gamma[i] == xi.gamma[i + 1] == 0:
                 assert blockan.stable_end_dim(xi) == end, (xi, i, "stable_end_dim")
+                assert d == central, (xi, i, "d_invariant away from gamma")
                 stable += 1
     return (f"{pairs} (lambda, kappa) pairs, Cartan matrix == BGG oracle == closed formula "
-            f"== transpose; {ends} End dims == Cartan diagonal, {stable} away from gamma == stable")
+            f"== transpose; {ends} End dims == Cartan diagonal and d invariants == "
+            f"C(2t,t) End/stable, {stable} away from gamma == stable, d == C(2t,t)")
 
 
 def crit_graded_vs_ungraded(scale: dict) -> str:
@@ -464,11 +469,7 @@ FAULTS = {
 def _perturb(fn):
     def wrapped(*args, **kwargs):
         out = fn(*args, **kwargs)
-        if isinstance(out, int):
-            return out + 1
-        if isinstance(out, LaurentQ):
-            return out + LaurentQ(1)
-        if isinstance(out, MultiPoly):
+        if isinstance(out, (int, Fraction, LaurentQ, MultiPoly)):
             return out + 1
         return out
 

@@ -110,6 +110,7 @@ def test_perturbed_ungraded_closed_form_turns_its_dependents_red(monkeypatch):
 # what `end-dim`, `cartan` and `graded-cartan` print, each with a fault and
 # the criteria it turns red at the quick profile
 PRINTED_FAULTS = {
+    "d_invariant": ("+1", {"cartan-vs-oracle"}),
     "end_dim": ("+1", {"cartan-vs-oracle"}),
     "_end_dim_value": ("+1", {"cartan-vs-oracle"}),
     "stable_end_dim": ("+1", {"cartan-vs-oracle"}),

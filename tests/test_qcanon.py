@@ -227,7 +227,7 @@ class TestCanonicalBases:
             assert b.terms[key] == ONE
             for other, c in b.terms.items():
                 if other != key:
-                    assert c.in_q_zq()
+                    assert min(c.coeffs) >= 1
 
     def test_canonical_bar_invariance(self):
         N = 3
@@ -248,6 +248,57 @@ class TestCanonicalBases:
     def test_pairing_requires_same_shape(self):
         with pytest.raises(ValueError):
             pairing(unit(2, "+-", (1, 1)), unit(2, "-+", (1, 1)))
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_small_families_are_bar_invariant_and_unitriangular(self, monkeypatch, N):
+        # Lusztig's uniqueness: these three properties determine each vector,
+        # so this checks every family of k <= 4 without reading the loop
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        for k in range(1, 5):
+            for m in range(k + 1):
+                signs = "+" * m + "-" * (k - m)
+                spaces = {weight_of(key[:m], key[m:])
+                          for key in itertools.product(range(1, N + 1), repeat=k)}
+                for weight in spaces:
+                    for dual, bar in ((True, psi_star), (False, psi)):
+                        monkeypatch.setattr(qc, "_family_memo", {})
+                        for key, b in qc._basis_family(N, signs, weight, dual).items():
+                            assert bar(b) == b
+                            assert b.terms[key] == ONE
+                            assert all(min(c.coeffs) >= 1 for k2, c in b.terms.items() if k2 != key)
+
+    @pytest.mark.parametrize("dual,bar,calls", [(True, "psi_star", 2022), (False, "psi", 1285)])
+    def test_family_takes_one_positive_part_per_reduction(self, monkeypatch, dual, bar, calls):
+        # the benchmark counts reductions through LaurentQ.positive_part and
+        # injects faults through the module's psi and psi_star
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        monkeypatch.setattr(qc, "_family_memo", {})
+        counts = {"positive_part": 0, bar: 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(LaurentQ, "positive_part", counted("positive_part", LaurentQ.positive_part))
+        monkeypatch.setattr(qc, bar, counted(bar, getattr(qc, bar)))
+        qc._basis_family(3, "+++---", (), dual)
+        assert counts == {"positive_part": calls, bar: 93}
+
+    def test_bar_with_a_head_that_is_not_antisymmetric_is_rejected(self):
+        keys = [(1, 1), (2, 2)]
+
+        def bar_adding(c):
+            def bar(v):
+                if (2, 2) in v.terms:
+                    return v + TensorVec(2, "+-", {(1, 1): LaurentQ(c)})
+                return v
+            return bar
+
+        assert qc._lusztig(2, "+-", keys, bar_adding({1: 1, -1: -1})) == [[], [(0, 1, 1)]]
+        with pytest.raises(ArithmeticError, match="non-triangular"):
+            qc._lusztig(2, "+-", keys, bar_adding({1: 1}))
 
 
 class TestWeightSpaceKeys:
