@@ -26,7 +26,7 @@ class ResourceError(Exception):
 
 
 # Largest weight space `cb` computes a basis family of.  N=6 +++--- at weight
-# 0 (996 vectors) fits and takes 5-6 s per family on a 2-vCPU VM; the time
+# 0 (996 vectors) fits and takes 4-6 s per family on a 2-vCPU VM; the time
 # grows faster than the square of the size, so N=10 +++--- at weight 0
 # (5140 vectors) would take over 26 times as long.
 CB_MAX_VECTORS = 1000

@@ -457,9 +457,10 @@ def _lusztig(N: int, signs: str, keys: list, bar):
     through _acc and laurent._addmul, because it is the hottest loop of a
     family and forms each product a * p once for both c and d.  Flat triples
     and one dict for c, in place of a pass per rank into {rank: {exponent:
-    coeff}} dicts for both, made the loop 22 % faster on the same bar images
-    and cb-families norm_wall_s 14 % faster (median 0.234 -> 0.202 s, three
-    alternating pairs of 30 s benchmark runs on a 2-vCPU host).
+    coeff}} dicts for both, made the loop 19-25 % faster on the same bar
+    images and cb-families norm_wall_s 12.6 % faster (median 0.231 ->
+    0.202 s, lower in ten of ten alternating pairs of 30 s benchmark runs on
+    a 2-vCPU host).
     """
     rank = {key: i for i, key in enumerate(keys)}
     lower: list = []  # lower[j]: the triples of keys[j]
