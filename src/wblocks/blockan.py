@@ -265,8 +265,10 @@ def stable_end_dim(xi: BlockKey) -> int:
 
 
 def d_invariant(xi: BlockKey, i: int) -> Fraction:
-    """The rescaled endomorphism dimension binom(2t,t) * end_dim / N, which
-    depends only on (gamma_i, gamma_{i+1}) and is monotone in each."""
+    """The rescaled End dimension binom(2t,t) * end_dim / stable_end_dim,
+    equal to _demon_value(t, gamma_i, gamma_{i+1}): a function of (t,
+    gamma_i, gamma_{i+1}), symmetric in the two gammas and strictly
+    decreasing in each, as _invert_demon_value's bisection needs."""
     t = xi.t
     return Fraction(comb(2 * t, t) * end_dim(xi, i), stable_end_dim(xi))
 

@@ -2,13 +2,15 @@
 
 A Laurent polynomial sum c_e q^e is a plain dict {e: c} from exponent (int)
 to coefficient (Python int, so arbitrary precision).  Zero coefficients are
-never stored; the zero polynomial is the empty dict.  ``LaurentQ`` wraps one
-such dict, and every operation builds a fresh dict without mutating its
-arguments.  ``_addmul`` is the one multiply-accumulate loop on raw dicts:
+never stored; the zero polynomial is the empty dict.  It is the one
+coefficient format: qcanon's TensorVec and SVec store one per term, and
+``LaurentQ``, the scalar, wraps one; its operations build fresh dicts
+without mutating their arguments, and ``LaurentQ._raw(d)`` is a view of d,
+no copy.  ``_addmul`` is the one multiply-accumulate loop on raw dicts:
 LaurentQ's sums, differences and products, the long division of
-``_ldivexact``, the closed forms at the end of the module and the raw sums of
-qcanon and blockan go through it.  The one exception is the reduction pass
-of ``qcanon._lusztig``, which sums flat (rank, exponent, coefficient)
+``_ldivexact``, the closed forms at the end of the module and the raw sums
+of qcanon and blockan go through it.  The one exception is the reduction
+pass of ``qcanon._lusztig``, which sums flat (rank, exponent, coefficient)
 triples by hand; its docstring says why.
 """
 
@@ -20,8 +22,8 @@ from functools import lru_cache
 def _addmul(out: dict, a: dict, b: dict) -> dict:
     """out += a * b on coefficient dicts {exponent: int}, in place, dropping
     coefficients that cancel to zero; returns out.  a and b are only read,
-    so they may be the coefficients of live LaurentQ values, but neither may
-    be out itself."""
+    so they may be stored dicts, of a LaurentQ or of a vector's term, but
+    neither may be out itself."""
     if len(b) < len(a):
         a, b = b, a
     b = b.items()
@@ -71,11 +73,9 @@ def _ldivexact(a: dict, b: dict) -> dict:
 class LaurentQ:
     """A Laurent polynomial sum c_e q^e, stored sparsely as {e: c}.
 
-    Values are immutable by convention: no method mutates self, and the
-    coefficient dict must not be modified by callers.  Sums, differences and
-    products are built by _addmul into a fresh dict; _addmul writes only to
-    the dict it is handed, which its callers create themselves, never to a
-    live coeffs.
+    Values are immutable by convention: no method mutates self, and callers
+    must not modify the coefficient dict.  Sums, differences and products
+    are built by _addmul into a fresh dict of their own.
     """
 
     __slots__ = ("coeffs",)
@@ -192,8 +192,6 @@ class LaurentQ:
 
 ZERO = LaurentQ._raw({})
 ONE = LaurentQ._raw({0: 1})
-Q = LaurentQ._raw({1: 1})
-QINV = LaurentQ._raw({-1: 1})
 
 
 def qint(n: int) -> LaurentQ:

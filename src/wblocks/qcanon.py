@@ -15,9 +15,6 @@ from .combinat import Composition, is_anti_dominant, match_rows, weight_of
 from .laurent import ONE, ZERO, LaurentQ, _addmul, qbinom, qfact
 from . import cache as _cache
 
-# q - q^{-1}, used throughout the R-matrix formulas
-_QDIFF = LaurentQ({1: 1, -1: -1})
-
 
 def _acc(acc: dict, terms, b: dict):
     """acc[key] += a * b for each (key, a) in terms, on raw coefficient dicts
@@ -27,8 +24,7 @@ def _acc(acc: dict, terms, b: dict):
     Every TensorVec and SVec builder accumulates through it, and each key's
     sum goes through laurent._addmul.  It mutates only acc and the dicts acc
     holds, which the caller must have created itself; a and b are only read,
-    so they may be the coefficients of live LaurentQ values.  A dict is
-    wrapped in a LaurentQ only once nothing writes to it any more.
+    so terms may be the items of a built vector.
     """
     for key, a in terms:
         cur = acc.get(key)
@@ -38,15 +34,18 @@ def _acc(acc: dict, terms, b: dict):
             del acc[key]
 
 
-def _raw_terms(v):
-    """The (key, coefficient dict) pairs of a TensorVec or SVec, to be read
-    only: the terms argument of _acc."""
-    return ((k, c.coeffs) for k, c in v.terms.items())
+def _own(c) -> dict:
+    """A fresh coefficient dict, zeros dropped, of a LaurentQ, an int or a
+    dict {exponent: int}: what the vector constructors and scaled take."""
+    return dict(c.coeffs) if isinstance(c, LaurentQ) else LaurentQ(c).coeffs
 
 
 class TensorVec:
     """Element of V^{s_1} x ... x V^{s_k} over quantum sl_N: finitely
-    supported map from index tuples in [1, N]^k to Laurent polynomials."""
+    supported map from index tuples in [1, N]^k to Laurent polynomials,
+    each a raw coefficient dict {exponent: int} without zeros.  A vector
+    owns its dicts and nothing writes to them once it is built, so builders
+    read them straight into _acc."""
 
     __slots__ = ("N", "signs", "terms")
 
@@ -56,9 +55,8 @@ class TensorVec:
         self.terms: dict = {}
         if terms:
             for key, c in terms.items():
-                if not isinstance(c, LaurentQ):
-                    c = LaurentQ(c)
-                if c.is_zero():
+                c = _own(c)
+                if not c:
                     continue
                 key = tuple(key)
                 if len(key) != len(signs) or not all(1 <= i <= N for i in key):
@@ -67,16 +65,14 @@ class TensorVec:
 
     @classmethod
     def unit(cls, N: int, signs: str, key) -> "TensorVec":
-        """The pure tensor at key, with a coefficient of its own (not ONE),
-        so that a caller may take over its dict."""
-        return cls(N, signs, {tuple(key): LaurentQ._raw({0: 1})})
+        """The pure tensor at key, with a coefficient dict of its own."""
+        return cls(N, signs, {key: ONE})
 
     @classmethod
     def _from_raw(cls, N: int, signs: str, raw: dict) -> "TensorVec":
-        """Wrap {key: coeff-dict} as built by _acc (no zeros), taking
-        ownership of the dicts."""
+        """The vector of {key: coeff-dict} as _acc builds it; takes the dicts."""
         v = cls(N, signs)
-        v.terms = {k: LaurentQ._raw(c) for k, c in raw.items()}
+        v.terms = raw
         return v
 
     def _check(self, other: "TensorVec"):
@@ -99,17 +95,15 @@ class TensorVec:
 
     def _plus(self, other: "TensorVec", sign: dict) -> "TensorVec":
         self._check(other)
-        acc = {k: dict(c.coeffs) for k, c in self.terms.items()}
-        _acc(acc, _raw_terms(other), sign)
+        acc = {k: dict(c) for k, c in self.terms.items()}
+        _acc(acc, other.terms.items(), sign)
         return TensorVec._from_raw(self.N, self.signs, acc)
 
     def scaled(self, c) -> "TensorVec":
-        if isinstance(c, int):
-            c = LaurentQ(c)
-        v = TensorVec(self.N, self.signs)
-        if not c.is_zero():
-            v.terms = {k: x * c for k, x in self.terms.items()}
-        return v
+        """self times c, a LaurentQ or an int."""
+        acc: dict = {}
+        _acc(acc, self.terms.items(), _own(c))
+        return TensorVec._from_raw(self.N, self.signs, acc)
 
     def to_json(self) -> dict:
         items = sorted(self.terms.items(), key=lambda kc: kc[0], reverse=True)
@@ -117,7 +111,7 @@ class TensorVec:
             "N": self.N,
             "signs": self.signs,
             "terms": [
-                {"key": list(k), "coeff": {str(e): str(c) for e, c in sorted(v.coeffs.items())}}
+                {"key": list(k), "coeff": {str(e): str(c) for e, c in sorted(v.items())}}
                 for k, v in items
             ],
         }
@@ -150,7 +144,7 @@ def act_gen(gen: str, i: int, v: TensorVec) -> TensorVec:
         sgn = 1 if gen == "K" else -1
         for key, c in v.terms.items():
             e = sum(_slot_K_exp(signs[a], i, key[a]) for a in range(k))
-            _acc(acc, ((key, c.coeffs),), {sgn * e: 1})
+            _acc(acc, ((key, c),), {sgn * e: 1})
         return TensorVec._from_raw(N, signs, acc)
     if gen not in ("F", "E"):
         raise ValueError(f"unknown generator {gen!r}")
@@ -173,7 +167,7 @@ def act_gen(gen: str, i: int, v: TensorVec) -> TensorVec:
                 else:
                     continue
                 shift = -sum(_slot_K_exp(signs[b], i, key[b]) for b in range(a))
-            _acc(acc, ((key[:a] + (new_j,) + key[a + 1 :], {shift: 1}),), c.coeffs)
+            _acc(acc, ((key[:a] + (new_j,) + key[a + 1 :], {shift: 1}),), c)
     return TensorVec._from_raw(N, signs, acc)
 
 
@@ -183,33 +177,33 @@ def act_gen(gen: str, i: int, v: TensorVec) -> TensorVec:
 
 @lru_cache(maxsize=None)
 def _r_pair(N: int, s1: str, s2: str, i: int, j: int, inverse: bool) -> tuple:
-    """R (or R^{-1}) on v_i^{s1} x v_j^{s2}: tuple of ((jj, ii), coeff) with
-    the output living in V^{s2} x V^{s1} and both indices in [1, N].
-    Memoized: a pure function of its arguments, returning immutable values."""
+    """R (or R^{-1}) on v_i^{s1} x v_j^{s2}: tuple of ((jj, ii), coeff-dict)
+    with the output living in V^{s2} x V^{s1} and both indices in [1, N].
+    Memoized: a pure function of its arguments, whose values are only read."""
     out = []
     if s1 == s2:
         if i == j:
-            out.append(((j, i), LaurentQ({-1 if inverse else 1: 1})))
+            out.append(((j, i), {-1 if inverse else 1: 1}))
         else:
-            out.append(((j, i), ONE))
+            out.append(((j, i), {0: 1}))
             disorder = (i > j) if s1 == "+" else (i < j)
             if not inverse and disorder:
-                out.append(((i, j), _QDIFF))
+                out.append(((i, j), {1: 1, -1: -1}))
             elif inverse and not disorder:
-                out.append(((i, j), _QDIFF * -1))
+                out.append(((i, j), {1: -1, -1: 1}))
     elif i != j:
-        out.append(((j, i), ONE))
+        out.append(((j, i), {0: 1}))
     else:
-        out.append(((j, i), LaurentQ({1 if inverse else -1: 1})))
-        # the correction runs down the indices for (R on +-) and (R^{-1} on
-        # -+), up for the other two diagonal cases
+        out.append(((j, i), {1 if inverse else -1: 1}))
+        # the correction (-1)^(r+1) (q - q^-1) q^-r, or (-q)^r (q - q^-1) for
+        # R^{-1}, runs down the indices for (R on +-) and (R^{-1} on -+), up
+        # for the other two diagonal cases
         down = (s1 == "+") != inverse
         rng = range(1, i) if down else range(1, N - i + 1)
         step = -1 if down else 1
         for r in rng:
-            c = _QDIFF * ((-1) ** (r + 1) if not inverse else (-1) ** r)
-            c = c.shift(r if inverse else -r)
-            out.append(((j + step * r, i + step * r), c))
+            sg, sh = ((-1) ** r, r) if inverse else (-((-1) ** r), -r)
+            out.append(((j + step * r, i + step * r), {1 + sh: sg, sh - 1: -sg}))
     return tuple((pair, c) for pair, c in out if 1 <= pair[0] <= N and 1 <= pair[1] <= N)
 
 
@@ -225,15 +219,14 @@ def _r_step(N: int, signs: str, terms: dict, slot: int, inverse: bool):
     out: dict = {}
     for key, c in terms.items():
         pairs = _r_pair(N, s1, s2, key[a], key[a + 1], inverse)
-        _acc(out, [(key[:a] + pair + key[a + 2 :], rc.coeffs) for pair, rc in pairs], c)
+        _acc(out, [(key[:a] + pair + key[a + 2 :], rc) for pair, rc in pairs], c)
     return signs[:a] + s2 + s1 + signs[a + 2 :], out
 
 
 def r_apply(slot: int, v: TensorVec, inverse: bool = False) -> TensorVec:
     """Apply the R-matrix (or its inverse) at adjacent slots (slot, slot+1),
     1-based; the sign sequence is swapped at those slots."""
-    raw = {key: c.coeffs for key, c in v.terms.items()}
-    new_signs, out = _r_step(v.N, v.signs, raw, slot, inverse)
+    new_signs, out = _r_step(v.N, v.signs, v.terms, slot, inverse)
     return TensorVec._from_raw(v.N, new_signs, out)
 
 
@@ -319,7 +312,7 @@ def _bar(v: TensorVec, inverse: bool, word) -> TensorVec:
     acc: dict = {}
     for key, c in v.terms.items():
         parts, e = _psi_key(key, v.signs, v.N, inverse, word, memo)
-        b = {e - x: y for x, y in c.coeffs.items()}
+        b = {e - x: y for x, y in c.items()}
         for a, tail, terms in parts:
             _acc(acc, ((k2 + tail, x) for k2, x in terms.items()), _addmul({}, a, b))
     return TensorVec._from_raw(v.N, v.signs, acc)
@@ -345,7 +338,7 @@ def pairing(v: TensorVec, w: TensorVec) -> LaurentQ:
     for key, c in small.items():
         d = large.get(key)
         if d is not None:
-            _addmul(out, c.coeffs, d.coeffs)
+            _addmul(out, c, d)
     return LaurentQ._raw(out)
 
 
@@ -448,10 +441,10 @@ def _lusztig(N: int, signs: str, keys: list, bar):
     is popped, not cancelled; for each term of p, one pass over b_head's
     triples adds a p to c and a (bar(p) - p) to d, where a is the triple's
     coefficient.  A sum that cancels stays as a zero until its rank is
-    popped from d or c becomes triples.  d takes ownership of the
-    coefficient dicts of bar(unit), so bar must return a vector of its own,
-    as psi and psi_star do; the unit vector has a coefficient of its own, so
-    even a bar that returns its input is safe.
+    popped from d or c becomes triples.  d starts as copies of the
+    coefficient dicts of bar(unit), since nothing writes to the dicts of a
+    built vector; so even a bar that returns its input or a stored vector
+    leaves that vector intact.
 
     That pass is the one raw Laurent sum written out by hand rather than
     through _acc and laurent._addmul, because it is the hottest loop of a
@@ -466,7 +459,7 @@ def _lusztig(N: int, signs: str, keys: list, bar):
     lower: list = []  # lower[j]: the triples of keys[j]
     for i, key in enumerate(keys):
         c: dict = {}
-        d = {rank[k2]: x.coeffs for k2, x in bar(TensorVec.unit(N, signs, key)).terms.items()}
+        d = {rank[k2]: dict(x) for k2, x in bar(TensorVec.unit(N, signs, key)).terms.items()}
         _acc(d, ((i, {0: 1}),), {0: -1})
         while d:
             head = max(d)
@@ -506,7 +499,7 @@ def _encode_vec(rank: dict, vec: TensorVec) -> str:
     the term's exponents ascending; rank maps each key to its index in the
     file's keys."""
     items = sorted(
-        [rank[k], *itertools.chain.from_iterable(sorted(c.coeffs.items()))]
+        [rank[k], *itertools.chain.from_iterable(sorted(c.items()))]
         for k, c in vec.terms.items()
     )
     return json.dumps(items, separators=(",", ":"))
@@ -640,7 +633,7 @@ def canonical(N: int, top, bottom) -> TensorVec:
 class SVec:
     """Element of the x/y algebra in normal form: map from anti-dominant
     index tableaux (top ascending, bottom descending) to Laurent
-    polynomials."""
+    polynomials, stored as TensorVec stores them."""
 
     __slots__ = ("N", "terms")
 
@@ -649,7 +642,8 @@ class SVec:
         self.terms: dict = {}
         if terms:
             for (top, bottom), c in terms.items():
-                if c.is_zero():
+                c = _own(c)
+                if not c:
                     continue
                 top, bottom = tuple(top), tuple(bottom)
                 if not is_anti_dominant(top, bottom):
@@ -658,10 +652,9 @@ class SVec:
 
     @classmethod
     def _from_raw(cls, N: int, raw: dict) -> "SVec":
-        """Wrap {key: coeff-dict} as built by _acc (no zeros), taking
-        ownership of the dicts."""
+        """The element of {key: coeff-dict} as _acc builds it; takes the dicts."""
         v = cls(N)
-        v.terms = {k: LaurentQ._raw(c) for k, c in raw.items()}
+        v.terms = raw
         return v
 
     def is_zero(self) -> bool:
@@ -675,15 +668,15 @@ class SVec:
     def __add__(self, other: "SVec") -> "SVec":
         if self.N != other.N:
             raise ValueError("rank mismatch")
-        acc = {k: dict(c.coeffs) for k, c in self.terms.items()}
-        _acc(acc, _raw_terms(other), {0: 1})
+        acc = {k: dict(c) for k, c in self.terms.items()}
+        _acc(acc, other.terms.items(), {0: 1})
         return SVec._from_raw(self.N, acc)
 
-    def scaled(self, c: LaurentQ) -> "SVec":
-        v = SVec(self.N)
-        if not c.is_zero():
-            v.terms = {k: x * c for k, x in self.terms.items()}
-        return v
+    def scaled(self, c) -> "SVec":
+        """self times c, a LaurentQ or an int."""
+        acc: dict = {}
+        _acc(acc, self.terms.items(), _own(c))
+        return SVec._from_raw(self.N, acc)
 
     def __repr__(self):
         return f"SVec({self.N}, {len(self.terms)} terms)"
@@ -726,7 +719,7 @@ def word_to_svec(N: int, word) -> SVec:
             stack.append((c.shift(1), w2))
             for r in range(1, i):
                 wr = w[:pos] + [("x", i - r), ("y", i - r)] + w[pos + 2 :]
-                cr = c * (_QDIFF * ((-1) ** r)).shift(r)
+                cr = c * LaurentQ({r + 1: (-1) ** r, r - 1: -((-1) ** r)})  # (-q)^r (q - q^-1)
                 stack.append((cr, wr))
     return SVec._from_raw(N, out)
 
@@ -744,7 +737,7 @@ def s_mul(a: SVec, b: SVec) -> SVec:
                 + [("x", i) for i in tb]
                 + [("y", j) for j in bb]
             )
-            _acc(out, _raw_terms(word_to_svec(a.N, word)), (ca * cb).coeffs)
+            _acc(out, word_to_svec(a.N, word).terms.items(), _addmul({}, ca, cb))
     return SVec._from_raw(a.N, out)
 
 
@@ -779,7 +772,7 @@ def d_basis(N: int, top, bottom) -> SVec:
             coeff = coeff * zc
             word.extend([xg, yg])
         word.extend(("y", b) for b in rest_bottom)
-        _acc(out, _raw_terms(word_to_svec(N, word)), coeff.coeffs)
+        _acc(out, word_to_svec(N, word).terms.items(), coeff.coeffs)
     return SVec._from_raw(N, out)
 
 
@@ -790,7 +783,7 @@ def project_to_S(v: TensorVec) -> SVec:
     out: dict = {}
     for key, c in v.terms.items():
         ell, skey = straighten(key[:m], key[m:])
-        _acc(out, ((skey, c.coeffs),), {ell: 1})
+        _acc(out, ((skey, c),), {ell: 1})
     return SVec._from_raw(v.N, out)
 
 
@@ -800,7 +793,8 @@ def psi_star_S(v: SVec) -> SVec:
     q^{(weight, weight') - mm' - nn'} twist."""
     out: dict = {}
     for (top, bottom), c in v.terms.items():
-        _acc(out, _raw_terms(_psi_star_word(v.N, list(top), list(bottom))), c.bar().coeffs)
+        image = _psi_star_word(v.N, list(top), list(bottom))
+        _acc(out, image.terms.items(), LaurentQ._raw(c).bar().coeffs)
     return SVec._from_raw(v.N, out)
 
 
@@ -819,7 +813,7 @@ def _psi_star_word(N: int, top, bottom) -> SVec:
     out: dict = {}
     for (rt, rb), rc in rest.terms.items():
         word = [("x", a) for a in rt] + [("y", b) for b in rb] + [(kind, idx)]
-        _acc(out, _raw_terms(word_to_svec(N, word)), rc.shift(e).coeffs)
+        _acc(out, word_to_svec(N, word).terms.items(), {x + e: y for x, y in rc.items()})
     return SVec._from_raw(N, out)
 
 

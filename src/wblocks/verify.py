@@ -467,10 +467,16 @@ FAULTS = {
 
 
 def _perturb(fn):
+    """fn with a bool result negated (a bool is an int), a number, LaurentQ
+    or MultiPoly plus 1, and a TensorVec plus the unit term at (1, ..., 1)."""
     def wrapped(*args, **kwargs):
         out = fn(*args, **kwargs)
+        if isinstance(out, bool):
+            return not out
         if isinstance(out, (int, Fraction, LaurentQ, MultiPoly)):
             return out + 1
+        if isinstance(out, qcanon.TensorVec):
+            return out + qcanon.TensorVec.unit(out.N, out.signs, (1,) * len(out.signs))
         return out
 
     wrapped.__wrapped__ = fn

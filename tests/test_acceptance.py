@@ -107,24 +107,47 @@ def test_perturbed_ungraded_closed_form_turns_its_dependents_red(monkeypatch):
                    "recovery-round-trip"}
 
 
-# what `end-dim`, `cartan` and `graded-cartan` print, each with a fault and
-# the criteria it turns red at the quick profile
+# what `end-dim`, `cartan`, `graded-cartan`, `cb` and `center` print, each
+# with its fault and the criteria that fault turns red at the quick profile
+# (and at the full one).  "+1", "+unit" and "not" are what verify._perturb does
+# to an int or LaurentQ or MultiPoly, a TensorVec and a bool result.
 PRINTED_FAULTS = {
-    "d_invariant": ("+1", {"cartan-vs-oracle"}),
-    "end_dim": ("+1", {"cartan-vs-oracle"}),
-    "_end_dim_value": ("+1", {"cartan-vs-oracle"}),
-    "stable_end_dim": ("+1", {"cartan-vs-oracle"}),
-    "cartan_matrix": ("[[0]]", {"cartan-vs-oracle", "graded-vs-ungraded"}),
+    "blockan.d_invariant": ("+1", {"cartan-vs-oracle"}),
+    "blockan.end_dim": ("+1", {"cartan-vs-oracle"}),
+    "blockan._end_dim_value": ("+1", {"cartan-vs-oracle"}),
+    "blockan.stable_end_dim": ("+1", {"cartan-vs-oracle"}),
+    "blockan.cartan_matrix": ("[[0]]", {"cartan-vs-oracle", "graded-vs-ungraded"}),
+    "qcanon.dual_canonical": ("+unit", {"canonical-basis-units"}),
+    "qcanon.canonical": ("+unit", {"appendixb-pairing", "canonical-basis-units"}),
+    "qcanon.pairing": ("+1", {"appendixb-pairing", "canonical-basis-units"}),
+    "center.in_I": ("not", {"center"}),
+    "center.in_J": ("not", {"center"}),
+    "center.hc_series_coeff": ("+1", {"center"}),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PRINTED_FAULTS))
+@pytest.mark.parametrize("name", sorted(PRINTED_FAULTS), ids=lambda name: name.split(".")[1])
 def test_each_printed_number_has_a_criterion_a_fault_turns_red(monkeypatch, name):
-    from wblocks import blockan
+    import importlib
+
     from wblocks.verify import _perturb, run_suite
 
     fault, victims = PRINTED_FAULTS[name]
-    broken = _perturb(getattr(blockan, name)) if fault == "+1" else lambda *a, **k: [[0]]
-    monkeypatch.setattr(blockan, name, broken)
+    module_name, attr = name.split(".")
+    module = importlib.import_module(f"wblocks.{module_name}")
+    broken = (lambda *a, **k: [[0]]) if fault == "[[0]]" else _perturb(getattr(module, attr))
+    monkeypatch.setattr(module, attr, broken)
     red = {r["name"] for r in run_suite("quick") if not r["ok"]}
     assert red == victims
+
+
+def test_perturbation_follows_the_result_type():
+    from wblocks.laurent import LaurentQ
+    from wblocks.qcanon import TensorVec
+    from wblocks.verify import _perturb
+
+    assert _perturb(lambda: True)() is False and _perturb(lambda: False)() is True
+    assert _perturb(lambda: 2)() == 3 and _perturb(lambda: LaurentQ({1: 1}))() == LaurentQ({0: 1, 1: 1})
+    v = TensorVec(2, "+-", {(2, 2): 1, (1, 1): LaurentQ({1: -1})})
+    assert _perturb(lambda: v)() == TensorVec(2, "+-", {(2, 2): 1, (1, 1): {0: 1, 1: -1}})
+    assert _perturb(lambda: "text")() == "text"

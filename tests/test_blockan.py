@@ -364,6 +364,29 @@ class TestEndDims:
         assert d_invariant(xi, 8) == Fraction(comb(4, 2))
         assert end_dim(xi, 8) == stable_end_dim(xi)
 
+    def test_d_invariant_is_symmetric_and_decreasing_in_the_two_gammas(self):
+        # d(xi, i) is a function of (t, gamma_i, gamma_{i+1}), symmetric in
+        # the two gammas and strictly decreasing in each: the decrease is
+        # what the bisection of _invert_demon_value relies on
+        pairs = [(xi, i) for xi in iter_blocks(4, 4, 3) if xi.t >= 1 for i in range(-2, 4)]
+        values: dict = {}
+        for xi, i in pairs:
+            values.setdefault((xi.t, xi.gamma[i], xi.gamma[i + 1]), set()).add(d_invariant(xi, i))
+        assert (len(pairs), len(values)) == (420, 30)
+        assert all(len(v) == 1 for v in values.values())
+        d = {k: v.pop() for k, v in values.items()}
+        symmetric = decreasing = 0
+        for (t, a, b), x in d.items():
+            assert x == blockan._demon_value(t, a, b)
+            if (t, b, a) in d:
+                assert d[t, b, a] == x
+                symmetric += 1
+            for nxt in ((t, a + 1, b), (t, a, b + 1)):
+                if nxt in d:
+                    assert d[nxt] < x
+                    decreasing += 1
+        assert (symmetric, decreasing) == (30, 40)
+
     @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 0), (0, 2), (5, 0)])
     def test_neighbor_test(self, i, j):
         assert neighbor_test(XI_22, i, j) == (abs(i - j) <= 1)

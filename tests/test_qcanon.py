@@ -224,10 +224,10 @@ class TestCanonicalBases:
             top, bottom = key[:1], key[1:]
             b = dual_canonical(N, top, bottom)
             assert psi_star(b) == b
-            assert b.terms[key] == ONE
+            assert b.terms[key] == {0: 1}
             for other, c in b.terms.items():
                 if other != key:
-                    assert min(c.coeffs) >= 1
+                    assert min(c) >= 1
 
     def test_canonical_bar_invariance(self):
         N = 3
@@ -264,8 +264,8 @@ class TestCanonicalBases:
                         monkeypatch.setattr(qc, "_family_memo", {})
                         for key, b in qc._basis_family(N, signs, weight, dual).items():
                             assert bar(b) == b
-                            assert b.terms[key] == ONE
-                            assert all(min(c.coeffs) >= 1 for k2, c in b.terms.items() if k2 != key)
+                            assert b.terms[key] == {0: 1}
+                            assert all(min(c) >= 1 for k2, c in b.terms.items() if k2 != key)
 
     @pytest.mark.parametrize("dual,bar,calls", [(True, "psi_star", 2022), (False, "psi", 1285)])
     def test_family_takes_one_positive_part_per_reduction(self, monkeypatch, dual, bar, calls):
@@ -335,7 +335,7 @@ class TestAlgebraS:
     def test_word_normal_form_rel4(self):
         # y_2 x_2 = q x_2 y_2 + (q - q^{-1})(-q) x_1 y_1
         out = word_to_svec(2, [("y", 2), ("x", 2)])
-        assert out.terms == {((2,), (2,)): LaurentQ({1: 1}), ((1,), (1,)): LaurentQ({2: -1, 0: 1})}
+        assert out.terms == {((2,), (2,)): {1: 1}, ((1,), (1,)): {2: -1, 0: 1}}
 
     def test_product_associative(self):
         rng = random.Random(2)
@@ -356,7 +356,7 @@ class TestAlgebraS:
 
     def test_d_basis_single_pair(self):
         d = d_basis(2, (2,), (2,))
-        assert d.terms == {((2,), (2,)): ONE, ((1,), (1,)): LaurentQ({1: -1})}
+        assert d.terms == {((2,), (2,)): {0: 1}, ((1,), (1,)): {1: -1}}
 
     def test_d_basis_typical(self):
         d = d_basis(3, (1,), (3,))
@@ -492,6 +492,79 @@ class TestExpansionsAndPairing:
         assert pairing_formula(
             Composition.eps(2), Composition.eps(4), Composition(), 5, 1, 1
         ) == ZERO
+
+
+def assert_raw_terms(vec):
+    """Every coefficient of a TensorVec or SVec is a plain dict {int: int}
+    without zeros."""
+    for key, c in vec.terms.items():
+        assert type(c) is dict and c, (key, c)
+        assert all(type(e) is int and type(x) is int and x for e, x in c.items()), (key, c)
+
+
+class TestCoefficientFormat:
+    SPACE = (3, "++--", ((1, 1), (2, -1)))
+
+    def families(self, monkeypatch):
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        monkeypatch.setattr(qc, "_family_memo", {})
+        return [qc._basis_family(*self.SPACE, dual) for dual in (True, False)]
+
+    def test_computed_and_decoded_family_vectors(self, tmp_path, monkeypatch):
+        for family in self.families(monkeypatch):
+            for vec in family.values():
+                assert_raw_terms(vec)
+        monkeypatch.setattr(cache, "_cache_dir", str(tmp_path))
+        for dual in (True, False):
+            qc._basis_family(*self.SPACE, dual)  # writes the file
+            monkeypatch.setattr(qc, "_family_memo", {})
+            for key in qc._basis_family(*self.SPACE, dual):
+                assert_raw_terms(qc._basis_vector(3, key[:2], key[2:], dual))
+
+    def test_operator_outputs(self):
+        rng = random.Random(29)
+        for signs in ("+-", "++-", "+--"):
+            v = rand_vec(rng, 3, signs, nterms=4)
+            outs = [psi(v), psi_star(v), psi(v, word=w0_word(len(signs))), r_apply(1, v),
+                    r_apply(1, v, inverse=True)]
+            outs += [act_gen(gen, i, v) for gen in ("E", "F", "K", "Kinv") for i in (1, 2)]
+            for out in outs:
+                assert_raw_terms(out)
+        for top, bottom in [((2,), (2,)), ((1, 2), (2, 1)), ((2, 2), (2,))]:
+            assert_raw_terms(d_basis(3, top, bottom))
+            assert_raw_terms(project_to_S(dual_canonical(3, top, bottom)))
+            assert_raw_terms(psi_star_S(d_basis(3, top, bottom)))
+
+    def test_constructors_and_scaled_take_laurent_int_or_dict(self):
+        a = TensorVec(2, "+-", {(1, 1): LaurentQ({1: 2}), (2, 2): 3, (1, 2): {0: 0, -1: 4}})
+        assert a.terms == {(1, 1): {1: 2}, (2, 2): {0: 3}, (1, 2): {-1: 4}}
+        assert a.scaled(LaurentQ({1: 1})) == a.scaled(LaurentQ({2: 1})).scaled(LaurentQ({-1: 1}))
+        assert a.scaled(-1) == TensorVec(2, "+-") - a
+        assert a.scaled(0).is_zero() and a.scaled(ZERO).is_zero()
+        s = SVec(3, {((1,), (3,)): ONE, ((2,), (2,)): {2: -1}})
+        assert s.terms == {((1,), (3,)): {0: 1}, ((2,), (2,)): {2: -1}}
+        assert s.scaled(2) == s + s
+        for vec in (a, s, a.scaled(LaurentQ({1: 1})), s.scaled(2)):
+            assert_raw_terms(vec)
+        one = LaurentQ(1)
+        v = TensorVec(2, "+-", {(1, 1): one})
+        assert v.terms[(1, 1)] is not one.coeffs  # a literal is copied, not shared
+
+    def test_builders_never_write_stored_vectors(self, monkeypatch):
+        # psi_star, pairing, scaled, +, - and r_apply only read the
+        # coefficient dicts of memoized family vectors, and hand back
+        # dicts of their own
+        vecs = [v for family in self.families(monkeypatch) for v in family.values()]
+        before = [json.dumps(v.to_json()) for v in vecs]
+        stored = {id(c) for v in vecs for c in v.terms.values()}
+        outs = []
+        for v, w in zip(vecs, vecs[1:] + vecs[:1]):
+            outs += [psi_star(v), v.scaled(LaurentQ({1: 1, -1: 2})), v.scaled(1), v + w, v - w,
+                     w - v, v + v, r_apply(1, v), r_apply(3, v, inverse=True)]
+            assert type(pairing(v, w)) is LaurentQ
+        assert [json.dumps(v.to_json()) for v in vecs] == before
+        assert not stored & {id(c) for out in outs for c in out.terms.values()}
+        assert ONE.coeffs == {0: 1} and ZERO.coeffs == {}
 
 
 class TestJsonAndCache:

@@ -1,8 +1,9 @@
 """Every public definition in src/wblocks is used by the program itself.
 
-A public top-level function or class, and a public method of a public class,
-must be referenced somewhere in the package outside every definition of the
-same name: a function or class by name or import, a method as an attribute.
+A public top-level function, class or assigned name, and a public method of a
+public class, must be referenced somewhere in the package outside every
+definition of the same name: a function, class or module-level name by name
+or import, a method as an attribute.
 So BlockKey.to_json calling self.mu.to_json() is no use of Composition.to_json.
 Properties are data, not methods, and are left out.  Tests may call a definition too, but one that only tests reach is
 dead weight, unless it is one of the oracles below.
@@ -30,11 +31,16 @@ def _is_property(node):
 
 
 def _definitions(tree):
-    """(name, node, is_method) of the top-level functions and classes and of
-    the methods of the public top-level classes, properties left out."""
+    """(name, node, is_method) of the top-level functions, classes and
+    assigned names and of the methods of the public top-level classes,
+    properties left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node, False
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id, node, False
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not _is_property(item):
