@@ -273,15 +273,6 @@ def d_invariant(xi: BlockKey, i: int) -> Fraction:
     return Fraction(comb(2 * t, t) * end_dim(xi, i), stable_end_dim(xi))
 
 
-def neighbor_test(xi: BlockKey, i: int, j: int) -> bool:
-    """Whether the Cartan entry between t*eps_i and t*eps_j is nonzero;
-    equals |i - j| <= 1."""
-    t = xi.t
-    if t < 1:
-        raise ValueError("neighbor_test requires t >= 1")
-    return cartan_entry(xi, Composition.eps(i, t), Composition.eps(j, t)) != 0
-
-
 # ---------------------------------------------------------------------------
 # recovery of (t, gamma) from abstract block data
 

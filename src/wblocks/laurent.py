@@ -3,10 +3,10 @@
 A Laurent polynomial sum c_e q^e is a plain dict {e: c} from exponent (int)
 to coefficient (Python int, so arbitrary precision).  Zero coefficients are
 never stored; the zero polynomial is the empty dict.  It is the one
-coefficient format: qcanon's TensorVec and SVec store one per term, and
-``LaurentQ``, the scalar, wraps one; its operations build fresh dicts
-without mutating their arguments, and ``LaurentQ._raw(d)`` is a view of d,
-no copy.  ``_addmul`` is the one multiply-accumulate loop on raw dicts:
+coefficient format: qcanon's TensorVec, the one vector type of tensor
+space and of the algebra S, stores one per term, and ``LaurentQ``, the
+scalar, wraps one; its operations build fresh dicts without mutating their
+arguments, and ``LaurentQ._raw(d)`` is a view of d, no copy.  ``_addmul`` is the one multiply-accumulate loop on raw dicts:
 LaurentQ's sums, differences and products, the long division of
 ``_ldivexact``, the closed forms at the end of the module and the raw sums
 of qcanon and blockan go through it.  The one exception is the reduction

@@ -21,10 +21,10 @@ def _acc(acc: dict, terms, b: dict):
     {exponent: int}, dropping zero coefficients and keys whose coefficient
     cancels to zero.
 
-    Every TensorVec and SVec builder accumulates through it, and each key's
-    sum goes through laurent._addmul.  It mutates only acc and the dicts acc
-    holds, which the caller must have created itself; a and b are only read,
-    so terms may be the items of a built vector.
+    Every TensorVec builder, of tensor space and of S, accumulates through
+    it, and each key's sum goes through laurent._addmul.  It mutates only
+    acc and the dicts acc holds, which the caller must have created itself;
+    a and b are only read, so terms may be the items of a built vector.
     """
     for key, a in terms:
         cur = acc.get(key)
@@ -45,7 +45,8 @@ class TensorVec:
     supported map from index tuples in [1, N]^k to Laurent polynomials,
     each a raw coefficient dict {exponent: int} without zeros.  A vector
     owns its dicts and nothing writes to them once it is built, so builders
-    read them straight into _acc."""
+    read them straight into _acc.  Elements of the algebra S are TensorVecs
+    on (+)^m (-)^n whose keys are anti-dominant."""
 
     __slots__ = ("N", "signs", "terms")
 
@@ -628,58 +629,10 @@ def canonical(N: int, top, bottom) -> TensorVec:
 
 # ---------------------------------------------------------------------------
 # the braided symmetric algebra S
-
-
-class SVec:
-    """Element of the x/y algebra in normal form: map from anti-dominant
-    index tableaux (top ascending, bottom descending) to Laurent
-    polynomials, stored as TensorVec stores them."""
-
-    __slots__ = ("N", "terms")
-
-    def __init__(self, N: int, terms=None):
-        self.N = N
-        self.terms: dict = {}
-        if terms:
-            for (top, bottom), c in terms.items():
-                c = _own(c)
-                if not c:
-                    continue
-                top, bottom = tuple(top), tuple(bottom)
-                if not is_anti_dominant(top, bottom):
-                    raise ValueError("SVec keys must be anti-dominant")
-                self.terms[(top, bottom)] = c
-
-    @classmethod
-    def _from_raw(cls, N: int, raw: dict) -> "SVec":
-        """The element of {key: coeff-dict} as _acc builds it; takes the dicts."""
-        v = cls(N)
-        v.terms = raw
-        return v
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, SVec):
-            return (self.N, self.terms) == (other.N, other.terms)
-        return NotImplemented
-
-    def __add__(self, other: "SVec") -> "SVec":
-        if self.N != other.N:
-            raise ValueError("rank mismatch")
-        acc = {k: dict(c) for k, c in self.terms.items()}
-        _acc(acc, other.terms.items(), {0: 1})
-        return SVec._from_raw(self.N, acc)
-
-    def scaled(self, c) -> "SVec":
-        """self times c, a LaurentQ or an int."""
-        acc: dict = {}
-        _acc(acc, self.terms.items(), _own(c))
-        return SVec._from_raw(self.N, acc)
-
-    def __repr__(self):
-        return f"SVec({self.N}, {len(self.terms)} terms)"
+#
+# An element of S of degree (m, n) is a TensorVec on (+)^m (-)^n in normal
+# form: its keys are anti-dominant, top (the first m entries) ascending and
+# bottom descending.
 
 
 def straighten(top, bottom):
@@ -689,12 +642,21 @@ def straighten(top, bottom):
     return _inversions(top, bottom), (tuple(sorted(top)), tuple(sorted(bottom, reverse=True)))
 
 
-def word_to_svec(N: int, word) -> SVec:
+def _word(signs: str, key) -> list:
+    """The monomial of an S key as a word: x's for its top, then y's."""
+    m = signs.count("+")
+    return [("x", i) for i in key[:m]] + [("y", j) for j in key[m:]]
+
+
+def word_to_svec(N: int, word) -> TensorVec:
     """Normal form of a word in the generators: word is a sequence of
-    ('x'|'y', index) pairs.  Rewrites y-past-x using the commutation rules
-    (with branching on the equal-index case), then sorts each letter block."""
+    ('x'|'y', index) pairs, m x's and n y's.  Rewrites y-past-x using the
+    commutation rules (with branching on the equal-index case), then sorts
+    each letter block; the result lives on (+)^m (-)^n."""
+    word = list(word)
+    m = sum(1 for kind, _ in word if kind == "x")
     out: dict = {}
-    stack = [(ONE, list(word))]
+    stack = [(ONE, word)]
     while stack:
         c, w = stack.pop()
         pos = None
@@ -705,8 +667,8 @@ def word_to_svec(N: int, word) -> SVec:
         if pos is None:
             top = [i for kind, i in w if kind == "x"]
             bottom = [i for kind, i in w if kind == "y"]
-            ell, key = straighten(top, bottom)
-            _acc(out, ((key, c.coeffs),), {ell: 1})
+            ell, (top, bottom) = straighten(top, bottom)
+            _acc(out, ((top + bottom, c.coeffs),), {ell: 1})
             continue
         yi = w[pos][1]
         xj = w[pos + 1][1]
@@ -721,24 +683,20 @@ def word_to_svec(N: int, word) -> SVec:
                 wr = w[:pos] + [("x", i - r), ("y", i - r)] + w[pos + 2 :]
                 cr = c * LaurentQ({r + 1: (-1) ** r, r - 1: -((-1) ** r)})  # (-q)^r (q - q^-1)
                 stack.append((cr, wr))
-    return SVec._from_raw(N, out)
+    return TensorVec._from_raw(N, "+" * m + "-" * (len(word) - m), out)
 
 
-def s_mul(a: SVec, b: SVec) -> SVec:
+def s_mul(a: TensorVec, b: TensorVec) -> TensorVec:
     """Product in the algebra, renormalized."""
     if a.N != b.N:
         raise ValueError("rank mismatch")
     out: dict = {}
-    for (ta, ba), ca in a.terms.items():
-        for (tb, bb), cb in b.terms.items():
-            word = (
-                [("x", i) for i in ta]
-                + [("y", j) for j in ba]
-                + [("x", i) for i in tb]
-                + [("y", j) for j in bb]
-            )
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            word = _word(a.signs, ka) + _word(b.signs, kb)
             _acc(out, word_to_svec(a.N, word).terms.items(), _addmul({}, ca, cb))
-    return SVec._from_raw(a.N, out)
+    # "+" sorts before "-": the degrees add
+    return TensorVec._from_raw(a.N, "".join(sorted(a.signs + b.signs)), out)
 
 
 def z_word_terms(N: int, c: int):
@@ -750,7 +708,7 @@ def z_word_terms(N: int, c: int):
     ]
 
 
-def d_basis(N: int, top, bottom) -> SVec:
+def d_basis(N: int, top, bottom) -> TensorVec:
     """Dual canonical basis element of the algebra, from its closed form:
     a q-power times x's, central z's for the matched values, then y's."""
     if not is_anti_dominant(top, bottom):
@@ -773,34 +731,35 @@ def d_basis(N: int, top, bottom) -> SVec:
             word.extend([xg, yg])
         word.extend(("y", b) for b in rest_bottom)
         _acc(out, word_to_svec(N, word).terms.items(), coeff.coeffs)
-    return SVec._from_raw(N, out)
+    return TensorVec._from_raw(N, "+" * len(top) + "-" * len(bottom), out)
 
 
-def project_to_S(v: TensorVec) -> SVec:
+def project_to_S(v: TensorVec) -> TensorVec:
     """The projection sending each monomial tensor to q^ell times the
     anti-dominant algebra monomial it straightens to."""
-    m, n = _split_signs(v.signs)
+    m, _ = _split_signs(v.signs)
     out: dict = {}
     for key, c in v.terms.items():
-        ell, skey = straighten(key[:m], key[m:])
-        _acc(out, ((skey, c),), {ell: 1})
-    return SVec._from_raw(v.N, out)
+        ell, (top, bottom) = straighten(key[:m], key[m:])
+        _acc(out, ((top + bottom, c),), {ell: 1})
+    return TensorVec._from_raw(v.N, v.signs, out)
 
 
-def psi_star_S(v: SVec) -> SVec:
+def psi_star_S(v: TensorVec) -> TensorVec:
     """The bar involution on the algebra, computed independently of the
     tensor space: generators are fixed and products reverse with the
     q^{(weight, weight') - mm' - nn'} twist."""
+    m = v.signs.count("+")
     out: dict = {}
-    for (top, bottom), c in v.terms.items():
-        image = _psi_star_word(v.N, list(top), list(bottom))
+    for key, c in v.terms.items():
+        image = _psi_star_word(v.N, key[:m], key[m:])
         _acc(out, image.terms.items(), LaurentQ._raw(c).bar().coeffs)
-    return SVec._from_raw(v.N, out)
+    return TensorVec._from_raw(v.N, v.signs, out)
 
 
-def _psi_star_word(N: int, top, bottom) -> SVec:
+def _psi_star_word(N: int, top, bottom) -> TensorVec:
     if not top and not bottom:
-        return SVec._from_raw(N, {((), ()): {0: 1}})
+        return TensorVec(N, "", {(): {0: 1}})
     if top:
         kind, idx = "x", top[0]
         rest_top, rest_bottom = top[1:], bottom
@@ -811,10 +770,10 @@ def _psi_star_word(N: int, top, bottom) -> SVec:
     w = dict(weight_of(rest_top, rest_bottom)).get(idx, 0)
     e = w - len(rest_top) if kind == "x" else -w - len(rest_bottom)
     out: dict = {}
-    for (rt, rb), rc in rest.terms.items():
-        word = [("x", a) for a in rt] + [("y", b) for b in rb] + [(kind, idx)]
+    for rk, rc in rest.terms.items():
+        word = _word(rest.signs, rk) + [(kind, idx)]
         _acc(out, word_to_svec(N, word).terms.items(), {x + e: y for x, y in rc.items()})
-    return SVec._from_raw(N, out)
+    return TensorVec._from_raw(N, "+" * len(top) + "-" * len(bottom), out)
 
 
 # ---------------------------------------------------------------------------

@@ -107,10 +107,12 @@ def test_perturbed_ungraded_closed_form_turns_its_dependents_red(monkeypatch):
                    "recovery-round-trip"}
 
 
-# what `end-dim`, `cartan`, `graded-cartan`, `cb` and `center` print, each
-# with its fault and the criteria that fault turns red at the quick profile
-# (and at the full one).  "+1", "+unit" and "not" are what verify._perturb does
-# to an int or LaurentQ or MultiPoly, a TensorVec and a bool result.
+# what `end-dim`, `cartan`, `graded-cartan`, `cb`, `center`, `char` and
+# `verma-mult` print, and the S elements that `canonical-basis-units` compares
+# with each projected b*, each with its fault and the criteria that fault turns
+# red at the quick profile (and at the full one).  "+1", "+unit", "+chi^0" and
+# "not" are what verify._perturb does to an int or LaurentQ or MultiPoly, a
+# TensorVec (of tensor space or of S), a CompChar and a bool result.
 PRINTED_FAULTS = {
     "blockan.d_invariant": ("+1", {"cartan-vs-oracle"}),
     "blockan.end_dim": ("+1", {"cartan-vs-oracle"}),
@@ -120,6 +122,12 @@ PRINTED_FAULTS = {
     "qcanon.dual_canonical": ("+unit", {"canonical-basis-units"}),
     "qcanon.canonical": ("+unit", {"appendixb-pairing", "canonical-basis-units"}),
     "qcanon.pairing": ("+1", {"appendixb-pairing", "canonical-basis-units"}),
+    "qcanon.d_basis": ("+unit", {"canonical-basis-units"}),
+    "qcanon.project_to_S": ("+unit", {"canonical-basis-units"}),
+    "qcanon.word_to_svec": ("+unit", {"canonical-basis-units"}),
+    "characters.ch_verma_w": ("+chi^0", {"character-identities"}),
+    "characters.ch_simple_w": ("+chi^0", {"character-identities"}),
+    "blockan.verma_mult": ("+1", {"cartan-vs-oracle", "character-identities"}),
     "center.in_I": ("not", {"center"}),
     "center.in_J": ("not", {"center"}),
     "center.hc_series_coeff": ("+1", {"center"}),
@@ -142,6 +150,8 @@ def test_each_printed_number_has_a_criterion_a_fault_turns_red(monkeypatch, name
 
 
 def test_perturbation_follows_the_result_type():
+    from wblocks.characters import CompChar
+    from wblocks.combinat import Composition
     from wblocks.laurent import LaurentQ
     from wblocks.qcanon import TensorVec
     from wblocks.verify import _perturb
@@ -150,4 +160,6 @@ def test_perturbation_follows_the_result_type():
     assert _perturb(lambda: 2)() == 3 and _perturb(lambda: LaurentQ({1: 1}))() == LaurentQ({0: 1, 1: 1})
     v = TensorVec(2, "+-", {(2, 2): 1, (1, 1): LaurentQ({1: -1})})
     assert _perturb(lambda: v)() == TensorVec(2, "+-", {(2, 2): 1, (1, 1): {0: 1, 1: -1}})
+    ch = CompChar({Composition.eps(1): 2})
+    assert _perturb(lambda: ch)() == CompChar({Composition.eps(1): 2, Composition(): 1})
     assert _perturb(lambda: "text")() == "text"

@@ -20,7 +20,6 @@ from wblocks.blockan import (
     graded_cartan,
     h_count,
     h_separation,
-    neighbor_test,
     recover_invariants,
     stable_end_dim,
     verma_mult,
@@ -389,7 +388,9 @@ class TestEndDims:
 
     @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 0), (0, 2), (5, 0)])
     def test_neighbor_test(self, i, j):
-        assert neighbor_test(XI_22, i, j) == (abs(i - j) <= 1)
+        t = XI_22.t
+        entry = cartan_entry(XI_22, Composition.eps(i, t), Composition.eps(j, t))
+        assert (entry != 0) == (abs(i - j) <= 1)
 
 
 @pytest.fixture

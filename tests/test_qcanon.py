@@ -12,7 +12,6 @@ from wblocks import qcanon as qc
 from wblocks.combinat import Composition, match_rows, weight_of
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom
 from wblocks.qcanon import (
-    SVec,
     TensorVec,
     act_gen,
     canonical,
@@ -335,7 +334,7 @@ class TestAlgebraS:
     def test_word_normal_form_rel4(self):
         # y_2 x_2 = q x_2 y_2 + (q - q^{-1})(-q) x_1 y_1
         out = word_to_svec(2, [("y", 2), ("x", 2)])
-        assert out.terms == {((2,), (2,)): {1: 1}, ((1,), (1,)): {2: -1, 0: 1}}
+        assert out.terms == {(2, 2): {1: 1}, (1, 1): {2: -1, 0: 1}}
 
     def test_product_associative(self):
         rng = random.Random(2)
@@ -343,10 +342,41 @@ class TestAlgebraS:
             def rand_svec():
                 top = tuple(sorted(rng.randint(1, 3) for _ in range(rng.randint(0, 2))))
                 bottom = tuple(sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 2))), reverse=True))
-                return SVec(3, {(top, bottom): LaurentQ({rng.randint(-1, 1): 1})})
+                signs = "+" * len(top) + "-" * len(bottom)
+                return TensorVec(3, signs, {top + bottom: LaurentQ({rng.randint(-1, 1): 1})})
 
             a, b, c = rand_svec(), rand_svec(), rand_svec()
             assert s_mul(s_mul(a, b), c) == s_mul(a, s_mul(b, c))
+
+    def test_builders_return_normal_form(self):
+        # an element of S is a TensorVec on (+)^m (-)^n whose keys have an
+        # ascending top (first m entries) and a descending bottom
+        rng = random.Random(31)
+        N = 3
+
+        def rand_word():
+            return [(rng.choice("xy"), rng.randint(1, N)) for _ in range(rng.randint(0, 4))]
+
+        outs = []
+        for _ in range(8):
+            a, b = word_to_svec(N, rand_word()), word_to_svec(N, rand_word())
+            m, n = rng.randint(0, 2), rng.randint(0, 2)
+            top = tuple(sorted(rng.randint(1, N) for _ in range(m)))
+            bottom = tuple(sorted((rng.randint(1, N) for _ in range(n)), reverse=True))
+            d = d_basis(N, top, bottom)
+            p = project_to_S(rand_vec(rng, N, "+" * m + "-" * n))
+            outs += [a, b, s_mul(a, b), d, p, psi_star_S(a), psi_star_S(d), psi_star_S(p)]
+        keys = 0
+        for v in outs:
+            m = v.signs.count("+")
+            assert v.signs == "+" * m + "-" * (len(v.signs) - m)
+            for key in v.terms:
+                top, bottom = key[:m], key[m:]
+                assert len(key) == len(v.signs), (v.signs, key)
+                assert list(top) == sorted(top), (v.signs, key)
+                assert list(bottom) == sorted(bottom, reverse=True), (v.signs, key)
+                keys += 1
+        assert keys > len(outs)
 
     def test_atyp_split(self):
         # the split of an anti-dominant key that d_basis reads: the matched
@@ -356,11 +386,11 @@ class TestAlgebraS:
 
     def test_d_basis_single_pair(self):
         d = d_basis(2, (2,), (2,))
-        assert d.terms == {((2,), (2,)): {0: 1}, ((1,), (1,)): {1: -1}}
+        assert d.terms == {(2, 2): {0: 1}, (1, 1): {1: -1}}
 
     def test_d_basis_typical(self):
         d = d_basis(3, (1,), (3,))
-        assert d == SVec(3, {((1,), (3,)): ONE})
+        assert d == TensorVec(3, "+-", {(1, 3): ONE})
 
     def test_d_basis_requires_antidominant(self):
         with pytest.raises(ValueError):
@@ -379,8 +409,8 @@ class TestAlgebraS:
         N = 3
         for i in (1, 2, 3):
             for j in (1, 2, 3):
-                lhs = SVec(N)
-                rhs = SVec(N)
+                lhs = TensorVec(N, "++-")
+                rhs = TensorVec(N, "++-")
                 for zc, xg, yg in z_word_terms(N, i):
                     lhs = lhs + word_to_svec(N, [("x", j), xg, yg]).scaled(zc)
                     rhs = rhs + word_to_svec(N, [xg, yg, ("x", j)]).scaled(zc)
@@ -451,7 +481,7 @@ class TestExpansionsAndPairing:
             top, bottom = key_of(lam)
             u = word_to_svec(N, [("x", a) for a in top] + [("y", b) for b in bottom])
             expansion = expand_u_in_d(lam, mu, nu, N)
-            recon = SVec(N)
+            recon = TensorVec(N, u.signs)
             for kap, coeff in expansion.items():
                 recon = recon + d_basis(N, *key_of(kap)).scaled(coeff)
             assert recon == u, (lam, expansion)
@@ -495,8 +525,8 @@ class TestExpansionsAndPairing:
 
 
 def assert_raw_terms(vec):
-    """Every coefficient of a TensorVec or SVec is a plain dict {int: int}
-    without zeros."""
+    """Every coefficient of a TensorVec, of tensor space or of S, is a plain
+    dict {int: int} without zeros."""
     for key, c in vec.terms.items():
         assert type(c) is dict and c, (key, c)
         assert all(type(e) is int and type(x) is int and x for e, x in c.items()), (key, c)
@@ -541,8 +571,8 @@ class TestCoefficientFormat:
         assert a.scaled(LaurentQ({1: 1})) == a.scaled(LaurentQ({2: 1})).scaled(LaurentQ({-1: 1}))
         assert a.scaled(-1) == TensorVec(2, "+-") - a
         assert a.scaled(0).is_zero() and a.scaled(ZERO).is_zero()
-        s = SVec(3, {((1,), (3,)): ONE, ((2,), (2,)): {2: -1}})
-        assert s.terms == {((1,), (3,)): {0: 1}, ((2,), (2,)): {2: -1}}
+        s = TensorVec(3, "+-", {(1, 3): ONE, (2, 2): {2: -1}})
+        assert s.terms == {(1, 3): {0: 1}, (2, 2): {2: -1}}
         assert s.scaled(2) == s + s
         for vec in (a, s, a.scaled(LaurentQ({1: 1})), s.scaled(2)):
             assert_raw_terms(vec)
