@@ -10,33 +10,44 @@ from fractions import Fraction
 from math import comb, factorial, isqrt, perm
 
 from .combinat import BlockKey, Composition
-from .laurent import LaurentQ, _addmul, qfact_quotient
+from .laurent import ONE, ZERO, LaurentQ, _addmul, qbinom, qfact_quotient
 
 # ---------------------------------------------------------------------------
 # Verma multiplicities
 
 
-def verma_mult(xi: BlockKey, lam: Composition, kap: Composition) -> int:
-    """Multiplicity of the simple kap in the Verma lam: the product of
-    binomial(lam_{i+1}, theta_i) when kap = lam + sum theta_i alpha_i with
-    0 <= theta_i <= lam_{i+1}, else 0.
+def graded_verma_mult(xi: BlockKey, beta: Composition, lam: Composition) -> LaurentQ:
+    """The graded multiplicity d_{beta lam}(q) of the simple lam in the Verma
+    beta: the product of q^{theta_i (beta_{i+1} + gamma_{i+1})}
+    qbinom(beta_{i+1}, theta_i) when lam = beta + sum theta_i alpha_i with
+    0 <= theta_i <= beta_{i+1}, else 0.
 
-    theta_i is the running sum of kap_j - lam_j over j <= i, which vanishes
-    outside the supports because the totals agree.  This reading of the
-    parts belongs to the BGG oracle alone: the closed forms below share no
-    helper with it, so a fault in one route cannot move the other."""
-    if lam.total != xi.t or kap.total != xi.t:
+    theta_i is the running sum of lam_j - beta_j over j <= i, which vanishes
+    outside the supports because the totals agree.  This is the one reading
+    of theta, and it belongs to the BGG oracle alone: the closed forms below
+    share no helper with it, so a fault in one route cannot move the other.
+    In the algebra S it is the coefficient of the dual canonical basis
+    element d_lam in the monomial u_beta, checked by a triangular solve."""
+    if beta.total != xi.t or lam.total != xi.t:
         raise ValueError("lambda and kappa must be compositions of t")
-    lo = min(lam.support_bounds()[0], kap.support_bounds()[0])
-    hi = max(lam.support_bounds()[1], kap.support_bounds()[1])
-    out = 1
-    theta = 0
+    lo = min(beta.support_bounds()[0], lam.support_bounds()[0])
+    hi = max(beta.support_bounds()[1], lam.support_bounds()[1])
+    out = ONE
+    theta = shift = 0
     for i in range(lo, hi + 1):
-        theta += kap[i] - lam[i]
-        if not 0 <= theta <= lam[i + 1]:
-            return 0
-        out *= comb(lam[i + 1], theta)
-    return out
+        theta += lam[i] - beta[i]
+        if not 0 <= theta <= beta[i + 1]:
+            return ZERO
+        if theta:
+            shift += theta * (beta[i + 1] + xi.gamma[i + 1])
+            out = out * qbinom(beta[i + 1], theta)
+    return out.shift(shift)
+
+
+def verma_mult(xi: BlockKey, lam: Composition, kap: Composition) -> int:
+    """Multiplicity of the simple kap in the Verma lam: graded_verma_mult at
+    q = 1, a product of binomials."""
+    return graded_verma_mult(xi, lam, kap).eval1()
 
 
 # ---------------------------------------------------------------------------
@@ -131,23 +142,18 @@ def cartan_entry(xi: BlockKey, lam: Composition, kap: Composition) -> int:
 def cartan_oracle(xi: BlockKey, lam: Composition, kap: Composition) -> int:
     """Independent route to the Cartan entry via BGG reciprocity: the sum
     over Verma supports beta of the product of the two Verma multiplicities
-    weighted by the number of tableaux in the row class of beta."""
+    weighted by the number of tableaux in the row class of beta.  The
+    multiplicities read theta through graded_verma_mult, which is zero
+    unless beta lies in [lo, hi + 1] for lam supported in [lo, hi]."""
     if lam.total != xi.t or kap.total != xi.t:
         raise ValueError("lambda and kappa must be compositions of t")
     gamma = xi.gamma
     total = Fraction(0)
     lo, hi = lam.support_bounds()
-    spans = [range(0, lam[i] + 1) for i in range(lo, hi + 1)]
-    for choice in itertools.product(*spans):
-        # beta = lam - sum theta_i alpha_i for 0 <= theta_i <= lam_i
-        theta = dict(zip(range(lo, hi + 1), choice))
-        items = {}
-        for i in range(lo - 1, hi + 2):
-            items[i] = lam[i] - theta.get(i, 0) + theta.get(i - 1, 0)
-        beta = Composition.from_items(items)
+    for beta in compositions_in_window(xi.t, lo, hi + 1):
         m1 = verma_mult(xi, beta, lam)
-        m2 = verma_mult(xi, beta, kap)
-        if not (m1 and m2):
+        m2 = m1 and verma_mult(xi, beta, kap)
+        if not m2:
             continue
         weight = Fraction(1)
         blo = min(beta.support_bounds()[0], gamma.support_bounds()[0])
@@ -451,12 +457,13 @@ def _invert_demon_value(t: int, target: Fraction, gi1: int):
 
 def compositions_in_window(t: int, lo: int, hi: int):
     """All compositions of t supported in [lo, hi], in lexicographic order
-    of (offset, parts)."""
-    width = hi - lo + 1
+    of (offset, parts).  Each is read off one choice of hi - lo bars among
+    t + hi - lo slots, the parts being the runs of free slots between them."""
+    slots = t + hi - lo
     out = []
-    for parts in itertools.product(range(t + 1), repeat=width):
-        if sum(parts) == t:
-            out.append(Composition(parts, lo))
+    for bars in itertools.combinations(range(slots), hi - lo):
+        cuts = (-1,) + bars + (slots,)
+        out.append(Composition([b - a - 1 for a, b in zip(cuts, cuts[1:])], lo))
     out.sort(key=lambda c: (c.offset, c.parts))
     return out
 

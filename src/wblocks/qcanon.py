@@ -652,8 +652,11 @@ def word_to_svec(N: int, word) -> TensorVec:
     """Normal form of a word in the generators: word is a sequence of
     ('x'|'y', index) pairs, m x's and n y's.  Rewrites y-past-x using the
     commutation rules (with branching on the equal-index case), then sorts
-    each letter block; the result lives on (+)^m (-)^n."""
+    each letter block; the result lives on (+)^m (-)^n.  Every index must
+    lie in [1, N]; ValueError otherwise."""
     word = list(word)
+    if not all(1 <= i <= N for _, i in word):
+        raise ValueError("generator index out of range")
     m = sum(1 for kind, _ in word if kind == "x")
     out: dict = {}
     stack = [(ONE, word)]
@@ -786,28 +789,6 @@ def _check_supports(N: int, *comps):
         lo, hi = c.support_bounds()
         if hi >= lo and not (1 <= lo and hi <= N):
             raise ValueError("supports must lie in [1, N]")
-
-
-def expand_u_in_d(lam: Composition, mu: Composition, nu: Composition, N: int) -> dict:
-    """Coefficients of the monomial basis element on the dual canonical
-    basis of the algebra: {kappa: q^{theta_i (lam_{i+1} + gamma_{i+1})}
-    qbinom(lam_{i+1}, theta_i) products}."""
-    gamma = mu + nu
-    _check_supports(N, lam, gamma)
-    out: dict = {}
-    spans = [range(lam[i + 1] + 1) for i in range(1, N)]
-    for theta in itertools.product(*spans):
-        coeff = ONE
-        items = {i: lam[i] for i in range(1, N + 1)}
-        for idx, th in enumerate(theta):
-            i = idx + 1
-            if th:
-                coeff = coeff * qbinom(lam[i + 1], th).shift(th * (lam[i + 1] + gamma[i + 1]))
-                items[i] += th
-                items[i + 1] -= th
-        kappa = Composition.from_items(items)
-        out[kappa] = out.get(kappa, ZERO) + coeff
-    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def pairing_formula(

@@ -467,9 +467,15 @@ FAULTS = {
 def _perturb(fn):
     """fn with a bool result negated (a bool is an int), a number, LaurentQ
     or MultiPoly plus 1, a TensorVec (of tensor space or of S) plus the unit
-    term at (1, ..., 1), and a CompChar plus 1 at the zero composition."""
+    term at (1, ..., 1), and a CompChar plus 1 at the zero composition; a
+    matrix (a non-empty list of lists) has that done to cell [0][0], and a
+    pair to its second component."""
     def wrapped(*args, **kwargs):
         out = fn(*args, **kwargs)
+        if isinstance(out, list) and out and isinstance(out[0], list) and out[0]:
+            return [[_perturb(lambda: out[0][0])(), *out[0][1:]], *out[1:]]
+        if isinstance(out, tuple) and len(out) == 2:
+            return out[0], _perturb(lambda: out[1])()
         if isinstance(out, bool):
             return not out
         if isinstance(out, (int, Fraction, LaurentQ, MultiPoly)):

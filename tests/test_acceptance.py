@@ -68,6 +68,48 @@ def test_12_m1n1_sanity():
     _run("m1n1-sanity")
 
 
+# every (name, ok, detail) of run_suite("quick"), as literal strings: a change
+# that is meant to keep verify's results must keep each one byte for byte
+QUICK_RESULTS = [
+    ("cartan-vs-oracle", True,
+     "188 (lambda, kappa) pairs, Cartan matrix == BGG oracle == closed formula == "
+     "transpose; 20 End dims == Cartan diagonal and d invariants == C(2t,t) End/stable, "
+     "15 away from gamma == stable, d == C(2t,t)"),
+    ("graded-vs-ungraded", True,
+     "188 pairs, graded Cartan matrix == graded entry == transpose, at q=1 == ungraded entry"),
+    ("appendixb-pairing", True,
+     "8 pairs; basis pairing == closed formula == graded Cartan; stable N values [3, 4]"),
+    ("character-identities", True,
+     "12 blocks: decomposition, dims 2^m / 2^(m-t), length 2^t, down-up route"),
+    ("verma-order-independence", True,
+     "16 tableaux, natural == reverse-lexicographic to height 3"),
+    ("h-laws", True,
+     "h(1)=3; t*eps minimality (10 strict cases); separation (34); Cartan-row supports (9)"),
+    ("top-degree", True,
+     "17 diagonal top degrees m^2+n^2-sum gamma_i^2; 3 generic diagonals match the "
+     "product form"),
+    ("linkage-weight-fibers", True,
+     "19 closure classes == block-key fibers == weight fibers"),
+    ("center", True,
+     "20 supersymmetric generators in I and matching the series route; 40 randomized "
+     "symmetric polynomials with in_I == in_J"),
+    ("recovery-round-trip", True,
+     "4 generate-then-recover round trips (both orientations); 12 derived-move orbits "
+     "with constant signature"),
+    ("canonical-basis-units", True,
+     "unit vectors checked; 12 projections pi(b*) == d or 0; 26 duality pairings (b, b*) "
+     "== delta"),
+    ("m1n1-sanity", True,
+     "typical Cartan (1); atypical diagonal 1+q^2; neighbor support |i-j| <= 1"),
+]
+
+
+def test_quick_suite_output_is_pinned():
+    from wblocks.verify import run_suite
+
+    assert [(r["name"], r["ok"], r["detail"]) for r in run_suite("quick")] == QUICK_RESULTS
+
+
 # each fault with the criteria it turns red at the quick profile
 FAULT_VICTIMS = {
     "cartan-oracle": {"cartan-vs-oracle"},
@@ -112,13 +154,14 @@ def test_perturbed_ungraded_closed_form_turns_its_dependents_red(monkeypatch):
 # with each projected b*, each with its fault and the criteria that fault turns
 # red at the quick profile (and at the full one).  "+1", "+unit", "+chi^0" and
 # "not" are what verify._perturb does to an int or LaurentQ or MultiPoly, a
-# TensorVec (of tensor space or of S), a CompChar and a bool result.
+# TensorVec (of tensor space or of S), a CompChar and a bool result, and
+# "[0][0]+1" what it does to a matrix.
 PRINTED_FAULTS = {
     "blockan.d_invariant": ("+1", {"cartan-vs-oracle"}),
     "blockan.end_dim": ("+1", {"cartan-vs-oracle"}),
     "blockan._end_dim_value": ("+1", {"cartan-vs-oracle"}),
     "blockan.stable_end_dim": ("+1", {"cartan-vs-oracle"}),
-    "blockan.cartan_matrix": ("[[0]]", {"cartan-vs-oracle", "graded-vs-ungraded"}),
+    "blockan.cartan_matrix": ("[0][0]+1", {"cartan-vs-oracle", "graded-vs-ungraded"}),
     "qcanon.dual_canonical": ("+unit", {"canonical-basis-units"}),
     "qcanon.canonical": ("+unit", {"appendixb-pairing", "canonical-basis-units"}),
     "qcanon.pairing": ("+1", {"appendixb-pairing", "canonical-basis-units"}),
@@ -128,6 +171,7 @@ PRINTED_FAULTS = {
     "characters.ch_verma_w": ("+chi^0", {"character-identities"}),
     "characters.ch_simple_w": ("+chi^0", {"character-identities"}),
     "blockan.verma_mult": ("+1", {"cartan-vs-oracle", "character-identities"}),
+    "blockan.graded_verma_mult": ("+1", {"cartan-vs-oracle", "character-identities"}),
     "center.in_I": ("not", {"center"}),
     "center.in_J": ("not", {"center"}),
     "center.hc_series_coeff": ("+1", {"center"}),
@@ -140,11 +184,10 @@ def test_each_printed_number_has_a_criterion_a_fault_turns_red(monkeypatch, name
 
     from wblocks.verify import _perturb, run_suite
 
-    fault, victims = PRINTED_FAULTS[name]
+    _, victims = PRINTED_FAULTS[name]
     module_name, attr = name.split(".")
     module = importlib.import_module(f"wblocks.{module_name}")
-    broken = (lambda *a, **k: [[0]]) if fault == "[[0]]" else _perturb(getattr(module, attr))
-    monkeypatch.setattr(module, attr, broken)
+    monkeypatch.setattr(module, attr, _perturb(getattr(module, attr)))
     red = {r["name"] for r in run_suite("quick") if not r["ok"]}
     assert red == victims
 
@@ -163,3 +206,9 @@ def test_perturbation_follows_the_result_type():
     ch = CompChar({Composition.eps(1): 2})
     assert _perturb(lambda: ch)() == CompChar({Composition.eps(1): 2, Composition(): 1})
     assert _perturb(lambda: "text")() == "text"
+    matrix = [[LaurentQ({2: 1}), 0], [0, 5]]
+    assert _perturb(lambda: matrix)() == [[LaurentQ({0: 1, 2: 1}), 0], [0, 5]]
+    assert matrix == [[LaurentQ({2: 1}), 0], [0, 5]]
+    assert _perturb(lambda: [])() == [] and _perturb(lambda: [[]])() == [[]]
+    assert _perturb(lambda: (-1, LaurentQ({1: 1})))() == (-1, LaurentQ({0: 1, 1: 1}))
+    assert _perturb(lambda: (1, 2, 3))() == (1, 2, 3)

@@ -18,6 +18,7 @@ from wblocks.blockan import (
     d_invariant,
     end_dim,
     graded_cartan,
+    graded_verma_mult,
     h_count,
     h_separation,
     recover_invariants,
@@ -27,7 +28,7 @@ from wblocks.blockan import (
 from wblocks import blockan
 from wblocks.combinat import BlockKey, Composition
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom, qfact
-from wblocks.verify import QUICK_SCALES, _gamma_splits, _perturb, _windows, iter_blocks
+from wblocks.verify import FULL_SCALES, QUICK_SCALES, _gamma_splits, _perturb, _windows, iter_blocks
 
 
 def comp(parts, offset=0):
@@ -68,11 +69,23 @@ class TestVermaMult:
             (key([1], 0, [2], 1, 2, 3, 4), comp([1, 0, 1], 3)),
         ]:
             lo, hi = lam.support_bounds()
-            total = sum(
-                verma_mult(xi, lam, kap)
-                for kap in compositions_in_window(xi.t, lo - xi.t, hi + 1)
-            )
-            assert total == 2**xi.t
+            kaps = compositions_in_window(xi.t, lo - xi.t, hi + 1)
+            assert sum(verma_mult(xi, lam, kap) for kap in kaps) == 2**xi.t
+            assert sum(graded_verma_mult(xi, lam, kap).eval1() for kap in kaps) == 2**xi.t
+
+    def test_graded_is_one_on_the_diagonal_and_positive_off_it(self):
+        diagonal = off_diagonal = 0
+        for xi, lams in _windows(FULL_SCALES["cartan-vs-oracle"]):
+            for beta in lams:
+                for lam in lams:
+                    d = graded_verma_mult(xi, beta, lam)
+                    if beta == lam:
+                        assert d == ONE, (xi, beta)
+                        diagonal += 1
+                    elif d:
+                        assert min(d.coeffs) > 0 and d.has_nonneg_coeffs(), (xi, beta, lam, d)
+                        off_diagonal += 1
+        assert (diagonal, off_diagonal) == (880, 935)
 
 
 class TestCartan:
@@ -128,6 +141,7 @@ class TestCartan:
                 fn(xi, lam, kap)
                 route.pop()
         assert not called["closed"] & called["oracle"]
+        assert "graded_verma_mult" in called["oracle"] - called["closed"]
         assert called["closed"] - {"cartan_entry", "graded_cartan"}
         assert called["oracle"] - {"cartan_oracle"}
 

@@ -9,7 +9,8 @@ import pytest
 
 from wblocks import cache, cli
 from wblocks import qcanon as qc
-from wblocks.combinat import Composition, match_rows, weight_of
+from wblocks.blockan import compositions_in_window, graded_verma_mult
+from wblocks.combinat import BlockKey, Composition, match_rows, weight_of
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom
 from wblocks.qcanon import (
     TensorVec,
@@ -17,7 +18,6 @@ from wblocks.qcanon import (
     canonical,
     d_basis,
     dual_canonical,
-    expand_u_in_d,
     key_stat,
     pairing,
     pairing_formula,
@@ -392,6 +392,12 @@ class TestAlgebraS:
         d = d_basis(3, (1,), (3,))
         assert d == TensorVec(3, "+-", {(1, 3): ONE})
 
+    def test_indices_outside_one_to_n_raise(self):
+        with pytest.raises(ValueError, match="out of range"):
+            d_basis(2, (5,), ())
+        with pytest.raises(ValueError, match="out of range"):
+            word_to_svec(2, [("y", 0), ("x", 0)])
+
     def test_d_basis_requires_antidominant(self):
         with pytest.raises(ValueError):
             d_basis(3, (2, 1), ())
@@ -440,9 +446,18 @@ class TestAlgebraS:
                     assert p.is_zero()
 
 
+def u_in_d(lam, mu, nu, N):
+    """The monomial u_lam of S on the dual canonical basis: the nonzero
+    graded Verma multiplicities d_{lam kappa}(q) over kappa in [1, N]."""
+    t = lam.total
+    xi = BlockKey(mu, nu, t, t + mu.total, t + nu.total)
+    d = {kap: graded_verma_mult(xi, lam, kap) for kap in compositions_in_window(t, 1, N)}
+    return {kap: c for kap, c in d.items() if c}
+
+
 class TestExpansionsAndPairing:
     def test_u_in_d_smallest(self):
-        out = expand_u_in_d(Composition.eps(2), Composition(), Composition(), 3)
+        out = u_in_d(Composition.eps(2), Composition(), Composition(), 3)
         assert out == {
             Composition.eps(2): ONE,
             Composition.eps(1): LaurentQ({1: 1}),
@@ -450,7 +465,7 @@ class TestExpansionsAndPairing:
 
     def test_theta_zero_coefficient_one(self):
         lam = Composition([1, 1], 1)
-        out = expand_u_in_d(lam, Composition(), Composition(), 4)
+        out = u_in_d(lam, Composition(), Composition(), 4)
         assert out[lam] == ONE
 
     def test_expansion_matches_triangular_solve(self):
@@ -480,7 +495,7 @@ class TestExpansionsAndPairing:
             # u_lambda as a normal-form monomial
             top, bottom = key_of(lam)
             u = word_to_svec(N, [("x", a) for a in top] + [("y", b) for b in bottom])
-            expansion = expand_u_in_d(lam, mu, nu, N)
+            expansion = u_in_d(lam, mu, nu, N)
             recon = TensorVec(N, u.signs)
             for kap, coeff in expansion.items():
                 recon = recon + d_basis(N, *key_of(kap)).scaled(coeff)

@@ -21,7 +21,6 @@ ORACLES = {
     "r_apply",  # one R-matrix step: inverse and braid relations; the bench traces it
     "s_mul",  # product of the x/y algebra: associativity
     "psi_star_S",  # bar involution of the algebra, built without tensor space
-    "expand_u_in_d",  # monomials on the dual canonical basis, against a solve
     "dominance_leq",  # dominance order: the head of a simple character is least
 }
 
