@@ -456,9 +456,10 @@ def _invert_demon_value(t: int, target: Fraction, gi1: int):
 
 
 def compositions_in_window(t: int, lo: int, hi: int):
-    """All compositions of t supported in [lo, hi], in lexicographic order
-    of (offset, parts).  Each is read off one choice of hi - lo bars among
-    t + hi - lo slots, the parts being the runs of free slots between them."""
+    """All compositions of t supported in [lo, hi], lo <= hi, in
+    lexicographic order of (offset, parts).  Each is read off one choice of
+    hi - lo bars among t + hi - lo slots, the parts being the runs of free
+    slots between them."""
     slots = t + hi - lo
     out = []
     for bars in itertools.combinations(range(slots), hi - lo):
