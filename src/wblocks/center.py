@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _acc
 
 
 def _monomial_sum(m: int, n: int, combos) -> MultiPoly:
@@ -34,22 +34,27 @@ def h_sym(m: int, n: int, r: int) -> MultiPoly:
     return _monomial_sum(m, n, itertools.combinations_with_replacement(range(m, m + n), r))
 
 
+def _check_shape(m: int, n: int) -> None:
+    if m < 0 or n < 0:
+        raise ValueError(f"m and n must be >= 0, got m={m}, n={n}")
+
+
 def e_super(r: int, m: int, n: int) -> MultiPoly:
     """Elementary supersymmetric polynomial: the alternating convolution of
     elementary symmetric (x) with complete symmetric (y) pieces of total
-    degree r."""
+    degree r.  The two pieces of a product have disjoint variables, so each
+    pair of their monomials is one distinct monomial of the sum, with
+    coefficient (-1)^{r-s}; no polynomial product is formed."""
     if r < 1:
         raise ValueError("e_super requires r >= 1")
-    out = MultiPoly(m, n)
-    for s in range(r + 1):
-        t = r - s
-        if s > m:
-            continue
-        term = e_sym(m, n, s) * h_sym(m, n, t)
-        if t % 2:
-            term = -term
-        out = out + term
-    return out
+    _check_shape(m, n)
+    out: dict = {}
+    for s in range(min(r, m) + 1):
+        sign = -1 if (r - s) % 2 else 1
+        h = h_sym(m, n, r - s).terms
+        for k in e_sym(m, n, s).terms:
+            _acc(out, h, k, sign)
+    return MultiPoly._raw(m, n, out)
 
 
 def _orderings(block: tuple) -> int:
@@ -88,7 +93,12 @@ def _congruence_holds(f: MultiPoly, i: int, j: int) -> bool:
     The quotient ring is a polynomial ring: substitute x_i <- y_j.  A term
     c x_i^a y_j^b rest then becomes (a + b) c y_j^{a+b-1} rest, so the
     congruence holds iff, for every s >= 1 and every rest, the coefficients
-    of the monomials x_i^a y_j^{s-a} rest sum to 0."""
+    of the monomials x_i^a y_j^{s-a} rest sum to 0.
+
+    On a symmetric f the pair (1, 1) decides every pair: the variable swap
+    (x_1 x_i)(y_1 y_j) fixes f and carries d/dx_1 + d/dy_1 to d/dx_i +
+    d/dy_j and the ideal (x_1 - y_1) to (x_i - y_j), so the congruence holds
+    at (i, j) iff it holds at (1, 1)."""
     xi, yj = i - 1, f.m + j - 1
     sums: dict = {}
     for k, c in f.terms.items():
@@ -101,21 +111,23 @@ def _congruence_holds(f: MultiPoly, i: int, j: int) -> bool:
 
 def in_I(f: MultiPoly, m: int, n: int) -> bool:
     """Membership in the image of the center: S_m x S_n symmetry plus the
-    derivative congruence for every pair (i, j)."""
+    derivative congruence for every pair (i, j).  Once f is symmetric, the
+    pair (1, 1) alone decides the congruence for every pair (Stembridge,
+    "A characterization of supersymmetric polynomials", 1985; the swap
+    argument is in _congruence_holds), and with m = 0 or n = 0 there is no
+    pair to check."""
+    _check_shape(m, n)
     if (f.m, f.n) != (m, n):
         raise ValueError("variable sets differ")
     if not is_symmetric(f):
         return False
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if not _congruence_holds(f, i, j):
-                return False
-    return True
+    return m == 0 or n == 0 or _congruence_holds(f, 1, 1)
 
 
 def in_J(f: MultiPoly, m: int, n: int, s_minus: int = 0) -> bool:
     """Membership in the larger subalgebra: the congruence only for the
     diagonal pairs (i, i + s_minus), with no symmetry demand."""
+    _check_shape(m, n)
     if (f.m, f.n) != (m, n):
         raise ValueError("variable sets differ")
     for i in range(1, m + 1):
@@ -131,31 +143,28 @@ def hc_series_coeff(r: int, m: int, n: int) -> MultiPoly:
     """Coefficient of u^{-r} in prod_k (1 + u^{-1} x_k) / prod_k
     (1 + u^{-1} y_k), computed by truncated series expansion in u^{-1}.
 
+    series[d] holds the coefficient of u^{-d}, d <= r, as one term dict
+    updated in place.  Multiplying by (1 + u^{-1} x_k) runs top-down,
+    series[d] += x_k series[d-1]; dividing by (1 + u^{-1} y_k) runs
+    bottom-up, series[d] -= y_k series[d-1], since the quotient S' of S
+    satisfies S'[d] = S[d] - y_k S'[d-1].
+
     This is the generating-series route to e_super; the two are compared as
     an independent cross-check.
     """
     if r < 1:
         raise ValueError("hc_series_coeff requires r >= 1")
-    # series[d] = coefficient of u^{-d}, truncated at degree r
-    series = [MultiPoly.constant(m, n, 1)] + [MultiPoly(m, n) for _ in range(r)]
+    _check_shape(m, n)
+    series = [{(0,) * (m + n): 1}] + [{} for _ in range(r)]
     for k in range(1, m + 1):
-        xk = MultiPoly.x(m, n, k)
+        (xk,) = MultiPoly.x(m, n, k).terms
         for d in range(r, 0, -1):
-            series[d] = series[d] + series[d - 1] * xk
+            _acc(series[d], series[d - 1], xk)
     for k in range(1, n + 1):
-        # 1 / (1 + u^{-1} y_k) = sum_t (-1)^t y_k^t u^{-t}
-        yk = MultiPoly.y(m, n, k)
-        geo = [MultiPoly.constant(m, n, 1)]
-        for t in range(1, r + 1):
-            geo.append(-(geo[-1] * yk))
-        new = [MultiPoly(m, n) for _ in range(r + 1)]
-        for d1 in range(r + 1):
-            if series[d1].is_zero():
-                continue
-            for d2 in range(r + 1 - d1):
-                new[d1 + d2] = new[d1 + d2] + series[d1] * geo[d2]
-        series = new
-    return series[r]
+        (yk,) = MultiPoly.y(m, n, k).terms
+        for d in range(1, r + 1):
+            _acc(series[d], series[d - 1], yk, -1)
+    return MultiPoly._raw(m, n, series[r])
 
 
 def symmetrize(f: MultiPoly) -> MultiPoly:

@@ -362,3 +362,120 @@ def test_e_super_pinned_digest():
 
 def test_hc_series_coeff_pinned_digest():
     assert _digest([hc_series_coeff(r, 3, 4) for r in range(1, 8)]) == PINNED_3_4
+
+
+# The product routes of e_super, hc_series_coeff and in_I, kept here as the
+# references for the one-pass routes of center.
+
+def _ref_e_super(r, m, n):
+    """sum_s (-1)^{r-s} e_s(x) h_{r-s}(y), through MultiPoly products."""
+    out = MultiPoly(m, n)
+    for s in range(min(r, m) + 1):
+        term = e_sym(m, n, s) * h_sym(m, n, r - s)
+        out = out + (-term if (r - s) % 2 else term)
+    return out
+
+
+def _ref_hc_series_coeff(r, m, n):
+    """The u^{-r} coefficient of prod (1 + u^{-1} x_k) / prod (1 + u^{-1}
+    y_k), each division a product with the geometric series of y_k."""
+    series = [MultiPoly.constant(m, n, 1)] + [MultiPoly(m, n) for _ in range(r)]
+    for k in range(1, m + 1):
+        xk = MultiPoly.x(m, n, k)
+        for d in range(r, 0, -1):
+            series[d] = series[d] + series[d - 1] * xk
+    for k in range(1, n + 1):
+        yk = MultiPoly.y(m, n, k)
+        geo = [MultiPoly.constant(m, n, 1)]
+        for _ in range(r):
+            geo.append(-(geo[-1] * yk))
+        new = [MultiPoly(m, n) for _ in range(r + 1)]
+        for d1 in range(r + 1):
+            for d2 in range(r + 1 - d1):
+                new[d1 + d2] = new[d1 + d2] + series[d1] * geo[d2]
+        series = new
+    return series[r]
+
+
+def _ref_in_I(f, m, n):
+    """Symmetry plus the congruence at every pair (i, j)."""
+    return is_symmetric(f) and all(_congruence_holds(f, i, j)
+                                   for i in range(1, m + 1) for j in range(1, n + 1))
+
+
+SHAPES_4 = list(itertools.product(range(5), repeat=2))
+
+
+class TestOnePassRoutes:
+    @pytest.mark.parametrize("m,n", SHAPES_4)
+    def test_match_product_routes(self, m, n):
+        for r in range(1, 9):
+            es = e_super(r, m, n)
+            assert es == _ref_e_super(r, m, n), (m, n, r)
+            assert all(type(c) is int for c in es.terms.values())
+            assert hc_series_coeff(r, m, n) == _ref_hc_series_coeff(r, m, n), (m, n, r)
+            assert in_I(es, m, n) is _ref_in_I(es, m, n) is True, (m, n, r)
+
+    def test_in_I_matches_all_pairs_on_symmetrized_polys(self):
+        # drawn as verify's center criterion draws them
+        rng = random.Random(20261019)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            m, n = rng.randint(0, 3), rng.randint(0, 3)
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                exps = tuple(rng.randint(0, 2) for _ in range(m + n))
+                if sum(exps) <= 5:
+                    terms[exps] = Fraction(rng.randint(-3, 3))
+            f = symmetrize(MultiPoly(m, n, terms))
+            got = in_I(f, m, n)
+            assert got == _ref_in_I(f, m, n), (m, n, f)
+            verdicts[got] += 1
+        assert min(verdicts.values()) > 50, verdicts
+
+    def test_symmetric_polynomial_outside_I(self):
+        # x1^2 + x2^2 + y1^2 + y2^2 is symmetric; d/dx_1 + d/dy_1 gives
+        # 2 x1 + 2 y1, which is 4 y1 mod (x1 - y1)
+        m, n = 2, 2
+        f = sum((_power(v, 2) for v in (MultiPoly.x(m, n, 1), MultiPoly.x(m, n, 2),
+                                        MultiPoly.y(m, n, 1), MultiPoly.y(m, n, 2))),
+                MultiPoly(m, n))
+        assert is_symmetric(f)
+        assert not in_I(f, m, n) and not _ref_in_I(f, m, n)
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("m,n,r", [(1, 1, 2), (2, 3, 4), (3, 4, 7), (4, 2, 5)])
+    def test_in_I_checks_one_pair(self, monkeypatch, m, n, r):
+        calls = []
+
+        def counted(f, i, j):
+            calls.append((i, j))
+            return _congruence_holds(f, i, j)
+
+        monkeypatch.setattr(center, "_congruence_holds", counted)
+        # a member, and the symmetric non-member sum_i x_i^2
+        es = e_super(r, m, n)
+        f = sum((_power(MultiPoly.x(m, n, i), 2) for i in range(1, m + 1)), MultiPoly(m, n))
+        assert in_I(es, m, n) and not in_I(f, m, n)
+        assert calls == [(1, 1), (1, 1)]
+
+    def test_no_polynomial_products(self, monkeypatch):
+        def forbidden(self, other):
+            raise AssertionError("MultiPoly product")
+
+        monkeypatch.setattr(MultiPoly, "__mul__", forbidden)
+        monkeypatch.setattr(MultiPoly, "__rmul__", forbidden)
+        for m, n in SHAPES_4:
+            for r in range(1, 9):
+                e_super(r, m, n)
+                hc_series_coeff(r, m, n)
+
+
+class TestShapeErrors:
+    @pytest.mark.parametrize("m,n", [(-1, 2), (2, -3), (-1, -1)])
+    def test_negative_m_or_n(self, m, n):
+        for call in (lambda: e_super(2, m, n), lambda: hc_series_coeff(2, m, n),
+                     lambda: in_I(MultiPoly(m, n), m, n), lambda: in_J(MultiPoly(m, n), m, n)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                call()

@@ -169,6 +169,12 @@ class TestExitCodes:
     def test_signs_mismatch(self):
         assert main(["cb", "--N", "2", "--signs", "--", "--key", "2;2"]) == 1
 
+    @pytest.mark.parametrize("m,n,r", [("-1", "2", "2"), ("2", "-3", "2"), ("3", "4", "0")])
+    def test_center_bad_shape_or_degree(self, m, n, r):
+        code, out, err = call_main(["center", "--m", m, "--n", n, "--r", r])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ValueError: ")
+
     def test_cb_weight_space_too_large(self, capsys):
         # N=10 +++--- at weight 0 has 5140 vectors
         assert main(["cb", "--N", "10", "--signs", "+++---", "--key", "1,2,3;3,2,1"]) == 2
