@@ -26,9 +26,9 @@ class ResourceError(Exception):
 
 
 # Largest weight space `cb` computes a basis family of.  N=6 +++--- at weight
-# 0 (996 vectors) fits and takes 4-6 s per family on a 2-vCPU VM; the time
-# grows faster than the square of the size, so N=10 +++--- at weight 0
-# (5140 vectors) would take over 26 times as long.
+# 0 (996 vectors) fits, at 0.4-1.2 s per family on a 2-vCPU VM; time grows
+# faster than the square of the size (N=8, 2528 vectors: 2.0-6.2 s), so N=10
+# +++--- at weight 0 (5140 vectors) would take over 26 times as long.
 CB_MAX_VECTORS = 1000
 
 

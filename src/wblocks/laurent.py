@@ -6,12 +6,14 @@ never stored; the zero polynomial is the empty dict.  It is the one
 coefficient format: qcanon's TensorVec, the one vector type of tensor
 space and of the algebra S, stores one per term, and ``LaurentQ``, the
 scalar, wraps one; its operations build fresh dicts without mutating their
-arguments, and ``LaurentQ._raw(d)`` is a view of d, no copy.  ``_addmul`` is the one multiply-accumulate loop on raw dicts:
-LaurentQ's sums, differences and products, the long division of
-``_ldivexact``, the closed forms at the end of the module and the raw sums
-of qcanon and blockan go through it.  The one exception is the reduction
-pass of ``qcanon._lusztig``, which sums flat (rank, exponent, coefficient)
-triples by hand; its docstring says why.
+arguments, and ``LaurentQ._raw(d)`` is a view of d, no copy.
+
+``_addmul`` is the one multiply-accumulate loop on raw dicts: LaurentQ's
+sums, differences and products, the long division of ``_ldivexact``, the
+closed forms at the end of the module and the raw sums of qcanon and
+blockan go through it, with one exception.  The reduction pass that
+``qcanon._lusztig`` runs for a root key sums into (rank, exponent) keys by
+hand; its docstring says why.
 """
 
 from __future__ import annotations

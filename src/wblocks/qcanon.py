@@ -121,57 +121,6 @@ class TensorVec:
         return f"TensorVec({self.N}, {self.signs!r}, {len(self.terms)} terms)"
 
 
-def _alpha_eps(i: int, j: int) -> int:
-    """(alpha_i, eps_j) for the standard symmetric form."""
-    return (1 if j == i else 0) - (1 if j == i + 1 else 0)
-
-
-def _slot_K_exp(sign: str, i: int, j: int) -> int:
-    """Exponent of q from K_i acting on v_j^{sign}."""
-    e = _alpha_eps(i, j)
-    return e if sign == "+" else -e
-
-
-def act_gen(gen: str, i: int, v: TensorVec) -> TensorVec:
-    """Action of F_i, E_i, K_i or K_i^{-1} through the iterated
-    comultiplication (F carries K's to its right, E carries K^{-1}'s to its
-    left)."""
-    N, signs = v.N, v.signs
-    if not 1 <= i < N:
-        raise ValueError(f"generator index {i} out of range 1..{N - 1}")
-    k = len(signs)
-    acc: dict = {}
-    if gen in ("K", "Kinv"):
-        sgn = 1 if gen == "K" else -1
-        for key, c in v.terms.items():
-            e = sum(_slot_K_exp(signs[a], i, key[a]) for a in range(k))
-            _acc(acc, ((key, c),), {sgn * e: 1})
-        return TensorVec._from_raw(N, signs, acc)
-    if gen not in ("F", "E"):
-        raise ValueError(f"unknown generator {gen!r}")
-    for key, c in v.terms.items():
-        for a in range(k):
-            s, j = signs[a], key[a]
-            if gen == "F":
-                if s == "+" and j == i:
-                    new_j = i + 1
-                elif s == "-" and j == i + 1:
-                    new_j = i
-                else:
-                    continue
-                shift = sum(_slot_K_exp(signs[b], i, key[b]) for b in range(a + 1, k))
-            else:
-                if s == "+" and j == i + 1:
-                    new_j = i
-                elif s == "-" and j == i:
-                    new_j = i + 1
-                else:
-                    continue
-                shift = -sum(_slot_K_exp(signs[b], i, key[b]) for b in range(a))
-            _acc(acc, ((key[:a] + (new_j,) + key[a + 1 :], {shift: 1}),), c)
-    return TensorVec._from_raw(N, signs, acc)
-
-
 # ---------------------------------------------------------------------------
 # R-matrix
 
@@ -428,67 +377,109 @@ def _weight_space(N, signs, weight, limit=None):
     return None if limit is not None and len(space) > limit else space
 
 
-def _lusztig(N: int, signs: str, keys: list, bar):
-    """Lusztig's lemma on ranks: for each key in order, its bar-invariant
-    vector b = key + (a q Z[q] combination of earlier keys), as the
-    correction without the unit term: a list of (rank, exponent, coeff)
-    triples.
+def _descent(signs: str, key: tuple, dual: bool):
+    """The first slot a, 1-based, at which key has a same-sign descent: a
+    top descent or a bottom ascent for the dual family, a top ascent or a
+    bottom descent for the canonical one.  Swapping the entries at slots a
+    and a + 1 gives a key of earlier rank.  None for a root key."""
+    m = signs.count("+")
+    for a in range(len(key) - 1):
+        if a != m - 1 and key[a] != key[a + 1] and (key[a] > key[a + 1]) == (dual == (a < m)):
+            return a + 1
+    return None
 
-    c is the correction being built, {(rank, exponent): coeff}, and
-    d = bar(b) - b, {rank: {exponent: coeff}}, reduced to zero.  The head of
-    d has the largest rank, below i, and its coefficient r is antisymmetric
-    under bar, so r = p - bar(p) with p its part of positive degree.  b gains
-    p * b_head and d loses r * b_head.  b_head is 1 at head, so d's head term
-    is popped, not cancelled; for each term of p, one pass over b_head's
-    triples adds a p to c and a (bar(p) - p) to d, where a is the triple's
-    coefficient.  A sum that cancels stays as a zero until its rank is
-    popped from d or c becomes triples.  d starts as copies of the
+
+def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
+    """Lusztig's lemma on ranks: for each key in order, the vector
+    b = key + (a q Z[q] combination of earlier keys) fixed by psi_star
+    (dual) or psi, returned in the order of keys.  lower[j] holds the
+    correction of keys[j] as (rank, exponent, coeff) triples.
+
+    A key with a same-sign descent at slot a (_descent) is R_a^{+-1} of
+    key', the key with slots a and a + 1 swapped, of earlier rank.  Both
+    bars send R_a v to R_a^{-1} bar(v), and R_a - R_a^{-1} = q - q^-1 on
+    same-sign slots, so x = (R_a - q) b_key' (dual) or (R_a^{-1} + q) b_key'
+    is bar-invariant with unit term at key (Kazhdan-Lusztig 1979; Brundan,
+    math/0203011).  Its coefficients lie in Z[q], as R_a^{+-1} has entries
+    1, q^{+-1} and +-(q - q^-1), so top rank down, each constant term mu
+    goes by subtracting mu b_head; by Lusztig's uniqueness the result is b.
+
+    A root key, with no such descent, starts from bar(unit).  c is the
+    correction being built, {(rank, exponent): coeff}, and d = bar(b) - b,
+    {rank: {exponent: coeff}}, reduced to zero.  The head of d has the
+    largest rank, below i, and its coefficient r is antisymmetric under
+    bar, so r = p - bar(p) with p its part of positive degree.  b gains
+    p * b_head and d loses r * b_head.  b_head is 1 at head, so d's head
+    term is popped, not cancelled; for each term of p, one pass over
+    b_head's triples adds a p to c and a (bar(p) - p) to d, where a is the
+    triple's coefficient.  A sum that cancels stays as a zero until its
+    rank is popped from d or c becomes triples.  d starts as copies of the
     coefficient dicts of bar(unit), since nothing writes to the dicts of a
     built vector; so even a bar that returns its input or a stored vector
-    leaves that vector intact.
-
-    That pass is the one raw Laurent sum written out by hand rather than
-    through _acc and laurent._addmul, because it is the hottest loop of a
-    family and forms each product a * p once for both c and d.  Flat triples
-    and one dict for c, in place of a pass per rank into {rank: {exponent:
-    coeff}} dicts for both, made the loop 19-25 % faster on the same bar
-    images and cb-families norm_wall_s 12.6 % faster (median 0.231 ->
-    0.202 s, lower in ten of ten alternating pairs of 30 s benchmark runs on
-    a 2-vCPU host).
+    leaves that vector intact.  This pass is written out by hand rather
+    than through _acc and laurent._addmul: it is the hottest loop of a root
+    key, and it forms each product a * p once for both c and d.
     """
+    bar = psi_star if dual else psi
     rank = {key: i for i, key in enumerate(keys)}
-    lower: list = []  # lower[j]: the triples of keys[j]
+    lower: list = []
+    vecs: list = []
     for i, key in enumerate(keys):
-        c: dict = {}
-        d = {rank[k2]: dict(x) for k2, x in bar(TensorVec.unit(N, signs, key)).terms.items()}
-        _acc(d, ((i, {0: 1}),), {0: -1})
-        while d:
-            head = max(d)
-            r = {e: x for e, x in d.pop(head).items() if x}
-            if not r:
-                continue
-            if head >= i or r != {-e: -x for e, x in r.items()}:
-                raise ArithmeticError("non-triangular bar involution (internal bug)")
-            triples = lower[head]
-            for ep, cp in LaurentQ._raw(r).positive_part().coeffs.items():
-                k = (head, ep)
-                c[k] = c.get(k, 0) + cp
-                for j, ea, ca in triples:
-                    v = ca * cp
-                    e = ea + ep
-                    k = (j, e)
-                    c[k] = c.get(k, 0) + v
-                    dj = d.get(j)
-                    if dj is None:
-                        dj = d[j] = {}
-                    dj[e] = dj.get(e, 0) - v
-                    e = ea - ep
-                    dj[e] = dj.get(e, 0) + v
-        triples = [(j, e, x) for (j, e), x in c.items() if x]
+        a = _descent(signs, key, dual)
+        if a is not None:
+            parent = vecs[rank[key[: a - 1] + (key[a], key[a - 1]) + key[a + 1 :]]]
+            x = r_apply(a, parent, inverse=not dual)
+            _acc(x.terms, parent.terms.items(), {1: -1 if dual else 1})
+            d = {rank[k2]: cf for k2, cf in x.terms.items()}
+            if d.pop(i, None) != {0: 1}:
+                raise ArithmeticError("R-step lost the unit term (internal bug)")
+            order = sorted(d)
+            if order and order[-1] >= i:
+                raise ArithmeticError("non-triangular R-step (internal bug)")
+            triples = []
+            while order:
+                head = order.pop()
+                r = d.pop(head)
+                mu = r.pop(0, 0)
+                if mu:
+                    _acc(d, ((j, {e: y}) for j, e, y in lower[head]), {0: -mu})
+                    order = sorted(d)
+                triples += [(head, e, v) for e, v in r.items()]
+        else:
+            c: dict = {}
+            d = {rank[k2]: dict(x) for k2, x in bar(TensorVec.unit(N, signs, key)).terms.items()}
+            _acc(d, ((i, {0: 1}),), {0: -1})
+            while d:
+                head = max(d)
+                r = {e: x for e, x in d.pop(head).items() if x}
+                if not r:
+                    continue
+                if head >= i or r != {-e: -x for e, x in r.items()}:
+                    raise ArithmeticError("non-triangular bar involution (internal bug)")
+                triples = lower[head]
+                for ep, cp in LaurentQ._raw(r).positive_part().coeffs.items():
+                    k = (head, ep)
+                    c[k] = c.get(k, 0) + cp
+                    for j, ea, ca in triples:
+                        v = ca * cp
+                        e = ea + ep
+                        k = (j, e)
+                        c[k] = c.get(k, 0) + v
+                        dj = d.get(j)
+                        if dj is None:
+                            dj = d[j] = {}
+                        dj[e] = dj.get(e, 0) - v
+                        e = ea - ep
+                        dj[e] = dj.get(e, 0) + v
+            triples = [(j, e, x) for (j, e), x in c.items() if x]
         if triples and min(e for _, e, _ in triples) < 1:
             raise ArithmeticError("basis coefficient not in qZ[q] (internal bug)")
         lower.append(triples)
-    return lower
+        terms = {key: {0: 1}}
+        for j, e, x in triples:
+            terms.setdefault(keys[j], {})[e] = x
+        vecs.append(TensorVec._from_raw(N, signs, terms))
+    return vecs
 
 
 _family_memo: dict = {}
@@ -552,11 +543,11 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     rank table of its strings.
 
     A computed family comes from Lusztig's lemma on ranks (_lusztig), with
-    the keys sorted by key_stat.  psi or psi_star of each key's unit vector
-    is built factor by factor, and the images of sub-keys are memoized in
-    _w0_memo, which the keys of this family share and which is dropped as
-    soon as the family is done.  Tuple keys come back only when a vector is
-    stored."""
+    the keys sorted by key_stat.  A key with a same-sign descent is one
+    R-step from the vector of an earlier key; only a root key takes psi or
+    psi_star of its unit vector, built factor by factor with the images of
+    sub-keys memoized in _w0_memo, which the root keys of this family share
+    and which is dropped as soon as the family is done."""
     global _w0_memo
     memo_key = (N, signs, weight, dual)
     if memo_key in _family_memo:
@@ -587,15 +578,9 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     keys = sorted(space, key=lambda k: key_stat(signs, k))
     if not dual:
         keys.reverse()
-    bar = psi_star if dual else psi
     _w0_memo = {}
     try:
-        family = {}
-        for key, triples in zip(keys, _lusztig(N, signs, keys, bar)):
-            terms = {key: {0: 1}}
-            for j, e, x in triples:
-                terms.setdefault(keys[j], {})[e] = x
-            family[key] = TensorVec._from_raw(N, signs, terms)
+        family = dict(zip(keys, _lusztig(N, signs, keys, dual)))
     finally:
         _w0_memo = None
     if _cache.current_dir() is not None:

@@ -420,7 +420,7 @@ FULL_SCALES = {
     "center": {"mn": 4, "r_max": 8, "random_polys": 200,
                "random_shapes": [(1, 1), (1, 2), (2, 2), (2, 3)]},
     "recovery-round-trip": {"mn": 3, "t": 3},
-    "canonical-basis-units": {"N": 3, "shapes": [(1, 1), (1, 2), (2, 1), (2, 2)]},
+    "canonical-basis-units": {"N": 3, "shapes": [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]},
     "m1n1-sanity": {},
 }
 

@@ -192,6 +192,20 @@ def test_each_printed_number_has_a_criterion_a_fault_turns_red(monkeypatch, name
     assert red == victims
 
 
+def test_perturbed_r_step_turns_the_basis_criterion_red(monkeypatch):
+    # the family builder takes every key with a same-sign descent one
+    # R-step (qcanon.r_apply) from an earlier key's vector, so families
+    # built with it perturbed are wrong
+    from wblocks import cache, qcanon
+    from wblocks.verify import _perturb, run_suite
+
+    monkeypatch.setattr(cache, "_cache_dir", None)
+    monkeypatch.setattr(qcanon, "_family_memo", {})
+    monkeypatch.setattr(qcanon, "r_apply", _perturb(qcanon.r_apply))
+    red = {r["name"] for r in run_suite("quick") if not r["ok"]}
+    assert red == {"canonical-basis-units"}
+
+
 def test_perturbation_follows_the_result_type():
     from wblocks.characters import CompChar
     from wblocks.combinat import Composition

@@ -14,7 +14,6 @@ from wblocks.combinat import BlockKey, Composition, match_rows, weight_of
 from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom
 from wblocks.qcanon import (
     TensorVec,
-    act_gen,
     canonical,
     d_basis,
     dual_canonical,
@@ -40,6 +39,43 @@ def unit(N, signs, key):
 def w0_word(k):
     """s1, s2 s1, s3 s2 s1, ...: a reduced word for the longest element."""
     return [i for top in range(1, k) for i in range(top, 0, -1)]
+
+
+def _slot_K_exp(sign, i, j):
+    """Exponent of q from K_i on v_j^{sign}: (alpha_i, eps_j) for the
+    standard symmetric form, negated on the dual module."""
+    e = (1 if j == i else 0) - (1 if j == i + 1 else 0)
+    return e if sign == "+" else -e
+
+
+def act_gen(gen, i, v):
+    """Action of F_i, E_i, K_i or K_i^{-1} on tensor space through the
+    iterated comultiplication (F carries K's to its right, E carries
+    K^{-1}'s to its left): the generators psi is checked against."""
+    N, signs = v.N, v.signs
+    if not 1 <= i < N:
+        raise ValueError(f"generator index {i} out of range 1..{N - 1}")
+    k = len(signs)
+    out = {}
+    for key, c in v.terms.items():
+        c = LaurentQ(c)
+        if gen in ("K", "Kinv"):
+            e = sum(_slot_K_exp(signs[a], i, key[a]) for a in range(k))
+            out[key] = out.get(key, ZERO) + c.shift(e if gen == "K" else -e)
+            continue
+        for a in range(k):
+            s, j = signs[a], key[a]
+            if gen == "F" and (s, j) in (("+", i), ("-", i + 1)):
+                new_j = 2 * i + 1 - j
+                shift = sum(_slot_K_exp(signs[b], i, key[b]) for b in range(a + 1, k))
+            elif gen == "E" and (s, j) in (("+", i + 1), ("-", i)):
+                new_j = 2 * i + 1 - j
+                shift = -sum(_slot_K_exp(signs[b], i, key[b]) for b in range(a))
+            else:
+                continue
+            new_key = key[:a] + (new_j,) + key[a + 1 :]
+            out[new_key] = out.get(new_key, ZERO) + c.shift(shift)
+    return TensorVec(N, signs, out)
 
 
 def rand_vec(rng, N, signs, nterms=3):
@@ -266,10 +302,11 @@ class TestCanonicalBases:
                             assert b.terms[key] == {0: 1}
                             assert all(min(c) >= 1 for k2, c in b.terms.items() if k2 != key)
 
-    @pytest.mark.parametrize("dual,bar,calls", [(True, "psi_star", 2022), (False, "psi", 1285)])
+    @pytest.mark.parametrize("dual,bar,calls", [(True, "psi_star", 91), (False, "psi", 54)])
     def test_family_takes_one_positive_part_per_reduction(self, monkeypatch, dual, bar, calls):
         # the benchmark counts reductions through LaurentQ.positive_part and
-        # injects faults through the module's psi and psi_star
+        # injects faults through the module's psi and psi_star; only the 10
+        # root keys of the 93 call bar and reduce through positive_part
         monkeypatch.setattr(cache, "_cache_dir", None)
         monkeypatch.setattr(qc, "_family_memo", {})
         counts = {"positive_part": 0, bar: 0}
@@ -283,9 +320,9 @@ class TestCanonicalBases:
         monkeypatch.setattr(LaurentQ, "positive_part", counted("positive_part", LaurentQ.positive_part))
         monkeypatch.setattr(qc, bar, counted(bar, getattr(qc, bar)))
         qc._basis_family(3, "+++---", (), dual)
-        assert counts == {"positive_part": calls, bar: 93}
+        assert counts == {"positive_part": calls, bar: 10}
 
-    def test_bar_with_a_head_that_is_not_antisymmetric_is_rejected(self):
+    def test_bar_with_a_head_that_is_not_antisymmetric_is_rejected(self, monkeypatch):
         keys = [(1, 1), (2, 2)]
 
         def bar_adding(c):
@@ -295,9 +332,45 @@ class TestCanonicalBases:
                 return v
             return bar
 
-        assert qc._lusztig(2, "+-", keys, bar_adding({1: 1, -1: -1})) == [[], [(0, 1, 1)]]
+        monkeypatch.setattr(qc, "psi_star", bar_adding({1: 1, -1: -1}))
+        assert qc._lusztig(2, "+-", keys, True) == [
+            unit(2, "+-", (1, 1)), TensorVec(2, "+-", {(2, 2): 1, (1, 1): {1: 1}})]
+        monkeypatch.setattr(qc, "psi_star", bar_adding({1: 1}))
         with pytest.raises(ArithmeticError, match="non-triangular"):
-            qc._lusztig(2, "+-", keys, bar_adding({1: 1}))
+            qc._lusztig(2, "+-", keys, True)
+
+
+class TestRStepRoute:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_bars_invert_each_same_sign_r_step(self, N):
+        # psi(R_a v) == R_a^{-1} psi(v), and the same for psi_star, on every
+        # unit vector of the (+)^m (-)^n spaces with k <= 4: the identity the
+        # R-step route of _lusztig rests on
+        for k in range(2, 5):
+            for m in range(k + 1):
+                signs = "+" * m + "-" * (k - m)
+                slots = [a for a in range(1, k) if signs[a - 1] == signs[a]]
+                for key in itertools.product(range(1, N + 1), repeat=k):
+                    v = unit(N, signs, key)
+                    for bar in (psi, psi_star):
+                        bv = bar(v)
+                        for a in slots:
+                            assert bar(r_apply(a, v)) == r_apply(a, bv, inverse=True), (signs, key, a)
+
+    @pytest.mark.parametrize("N,signs,weight,roots", [(4, "+++---", (), 20),
+                                                      (5, "+++--", ((3, 1),), 15)])
+    def test_families_equal_the_all_roots_route(self, monkeypatch, N, signs, weight, roots):
+        # with no key taken for one R-step from another, every key starts
+        # from its bar image; both routes must give the same vectors
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        for dual in (True, False):
+            monkeypatch.setattr(qc, "_family_memo", {})
+            family = qc._basis_family(N, signs, weight, dual)
+            assert sum(qc._descent(signs, key, dual) is None for key in family) == roots
+            with monkeypatch.context() as mp:
+                mp.setattr(qc, "_family_memo", {})
+                mp.setattr(qc, "_descent", lambda signs, key, dual: None)
+                assert qc._basis_family(N, signs, weight, dual) == family
 
 
 class TestWeightSpaceKeys:
@@ -684,7 +757,7 @@ class TestJsonAndCache:
                 sizes.clear()
                 fn(3, (1, 2, 3), (3, 2, 1))
                 assert qc._w0_memo is None
-                assert len(sizes) == 93 and sizes[-1] > sizes[0] > 0
+                assert len(sizes) == 10 and sizes[-1] > sizes[0] > 0
             monkeypatch.setattr(qc, "psi", lambda v, word=None: v.scaled(LaurentQ({1: 1})))
             with pytest.raises(ArithmeticError, match="non-triangular"):
                 canonical(3, (1, 2), (2, 1))
@@ -693,14 +766,15 @@ class TestJsonAndCache:
             qc._family_memo.clear()
 
     def test_bar_returning_its_input_leaves_constants_intact(self, monkeypatch):
-        # the Lusztig loop writes into the coefficient dicts bar returns
+        # the Lusztig loop writes into the coefficient dicts bar returns;
+        # (2, 1, 1, 2) is a root key of the canonical family, so it calls bar
         monkeypatch.setattr(qc, "psi", lambda v, word=None: v)
         qc._family_memo.clear()
         try:
-            b = canonical(3, (1, 2), (2, 1))
+            b = canonical(3, (2, 1), (1, 2))
         finally:
             qc._family_memo.clear()
-        assert b == unit(3, "++--", (1, 2, 2, 1))
+        assert b == unit(3, "++--", (2, 1, 1, 2))
         assert ONE.coeffs == {0: 1}
 
     def test_no_cache_payload_without_cache_dir(self, monkeypatch):

@@ -17,8 +17,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wblocks"
 # Independent routes the tests compare the program against.  They stay until
 # verify.py checks the same properties with them.
 ORACLES = {
-    "act_gen",  # E, F, K on tensor space: psi intertwines the generators
-    "r_apply",  # one R-matrix step: inverse and braid relations; the bench traces it
     "s_mul",  # product of the x/y algebra: associativity
     "psi_star_S",  # bar involution of the algebra, built without tensor space
     "dominance_leq",  # dominance order: the head of a simple character is least
