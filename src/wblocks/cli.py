@@ -26,9 +26,9 @@ class ResourceError(Exception):
 
 
 # Largest weight space `cb` computes a basis family of.  N=6 +++--- at weight
-# 0 (996 vectors) fits, at 0.4-1.2 s per family on a 2-vCPU VM; time grows
-# faster than the square of the size (N=8, 2528 vectors: 2.0-6.2 s), so N=10
-# +++--- at weight 0 (5140 vectors) would take over 26 times as long.
+# 0 (996 vectors) fits, at 0.4 s per family on a 2-vCPU VM; time grows about
+# as the square of the size (N=8, 2528 vectors: 1.7-2.4 s), so N=10 +++---
+# at weight 0 (5140 vectors) would take about 27 times as long as N=6.
 CB_MAX_VECTORS = 1000
 
 

@@ -11,9 +11,11 @@ arguments, and ``LaurentQ._raw(d)`` is a view of d, no copy.
 ``_addmul`` is the one multiply-accumulate loop on raw dicts: LaurentQ's
 sums, differences and products, the long division of ``_ldivexact``, the
 closed forms at the end of the module and the raw sums of qcanon and
-blockan go through it, with one exception.  The reduction pass that
-``qcanon._lusztig`` runs for a root key sums into (rank, exponent) keys by
-hand; its docstring says why.
+blockan go through it, with two exceptions, the hottest loops of
+``qcanon._lusztig``, which sum integers into (rank, exponent) keys by hand.
+The reduction pass of a root key forms each product once for both of its
+sums.  The R-step of every other key (``qcanon._rank_step``, then its
+constant-term subtractions) only moves, shifts and scales terms.
 """
 
 from __future__ import annotations

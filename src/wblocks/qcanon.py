@@ -180,22 +180,13 @@ def r_apply(slot: int, v: TensorVec, inverse: bool = False) -> TensorVec:
     return TensorVec._from_raw(v.N, new_signs, out)
 
 
-# While a family is built (see _basis_family): (N, inverse) -> the memo of
-# _w0_unit that its keys share.  None at all other times.
-_w0_memo = None
-
-
 def _w0_parts(N: int, signs: str, key: tuple, inverse: bool, memo) -> list:
     """R_{w0} of the unit vector at key as parts (a, tail, image): the sum of
     a * (image x tail), with a a coefficient dict and image raw terms on the
-    first k-1 slots, to be read only.
-
-    The reduced word for w0 is s_1, s_2 s_1, ..., s_{k-1} ... s_1, applied
-    right to left: first s_1, s_2, ..., s_{k-1}, then the same word for k-1
-    on slots 1..k-1.  So the first factor moves to the end by k-1 R-steps,
-    and the first k-1 factors of each resulting term have their image looked
-    up in memo.
-    """
+    first k-1 slots, to be read only.  The word s_1, s_2 s_1, ...,
+    s_{k-1} ... s_1, applied right to left, moves the first factor to the
+    end by k-1 R-steps, then takes the same word for k-1 on slots 1..k-1,
+    whose images memo holds."""
     moved = {key: {0: 1}}
     for idx in range(1, len(signs)):
         signs, moved = _r_step(N, signs, moved, idx, inverse)
@@ -203,22 +194,15 @@ def _w0_parts(N: int, signs: str, key: tuple, inverse: bool, memo) -> list:
             for k2, a in moved.items()]
 
 
-def _w0_unit(N: int, signs: str, key: tuple, inverse: bool, memo) -> dict:
-    """R_{w0} of the unit vector at key as raw terms, to be read only.
-    memo = (images, coeffs) maps (signs, key) to its image, and each
-    coefficient's items to the one dict that all images share for it: the
-    images of a family hold only a few dozen distinct coefficients."""
-    images, coeffs = memo
-    out = images.get((signs, key))
+def _w0_unit(N: int, signs: str, key: tuple, inverse: bool, memo: dict) -> dict:
+    """R_{w0} of the unit vector at key as raw terms, read-only, memoized."""
+    out = memo.get((signs, key))
     if out is None:
         if len(key) <= 1:
             return {key: {0: 1}}
-        out = {}
+        out = memo[(signs, key)] = {}
         for a, tail, image in _w0_parts(N, signs, key, inverse, memo):
             _acc(out, ((k2 + tail, x) for k2, x in image.items()), a)
-        for k2, x in out.items():
-            out[k2] = coeffs.setdefault(tuple(x.items()), x)
-        images[(signs, key)] = out
     return out
 
 
@@ -228,10 +212,10 @@ def _psi_key(v_key, signs, N, inverse: bool, word, memo):
     of a * (terms x tail), and e is the exponent of the q-prefactor from the
     pairwise form values.
 
-    With word None the image is built factor by factor (_w0_parts), with
-    the images of sub-keys memoized in memo, an (images, coeffs) pair that
-    keys sharing sub-keys can share.  An explicit word is applied R-step by
-    R-step instead, as one part with an empty tail.
+    Every reduced word for w0 gives the same image (braid relations).  With
+    word None it is built factor by factor (_w0_parts), memoizing sub-key
+    images in memo.  A word, checked by _bar, is applied step by step with
+    r_apply, as one part with an empty tail: the families' route.
     """
     k = len(signs)
     e = 0
@@ -245,20 +229,27 @@ def _psi_key(v_key, signs, N, inverse: bool, word, memo):
     cur_signs, cur = signs[::-1], tuple(reversed(v_key))
     if word is None:
         return _w0_parts(N, cur_signs, cur, inverse, memo), e
-    cur = {cur: {0: 1}}
+    v = TensorVec._from_raw(N, cur_signs, {cur: {0: 1}})
     for idx in reversed(word):
-        cur_signs, cur = _r_step(N, cur_signs, cur, idx, inverse)
-    if cur_signs != signs:
-        raise AssertionError("reduced word did not restore the sign sequence")
-    return [({0: 1}, (), cur)], e
+        v = r_apply(idx, v, inverse)
+    return [({0: 1}, (), v.terms)], e
 
 
 def _bar(v: TensorVec, inverse: bool, word) -> TensorVec:
     """Anti-linear extension of _psi_key: the sum of bar(c) * psi(key), with
     bar(c) * q^e accumulated straight into one dict per output key.  The
-    keys share one memo of sub-key images, that of the family being built
-    if there is one."""
-    memo = ({}, {}) if _w0_memo is None else _w0_memo.setdefault((v.N, inverse), ({}, {}))
+    keys share one memo of sub-key images.  Raises ValueError unless word
+    is None or a reduced word for w0 (k(k-1)/2 slots, product reversing 1..k)."""
+    k = len(v.signs)
+    if word is not None:
+        perm = list(range(k))
+        for s in word:
+            if not 0 < s < k:
+                raise ValueError(f"slot {s} out of range 1..{k - 1}")
+            perm[s - 1], perm[s] = perm[s], perm[s - 1]
+        if len(word) != k * (k - 1) // 2 or perm != list(range(k))[::-1]:
+            raise ValueError(f"{list(word)} is not a reduced word for w0 on {k} slots")
+    memo: dict = {}
     acc: dict = {}
     for key, c in v.terms.items():
         parts, e = _psi_key(key, v.signs, v.N, inverse, word, memo)
@@ -389,65 +380,95 @@ def _descent(signs: str, key: tuple, dual: bool):
     return None
 
 
+def _block_word(m: int, n: int) -> list:
+    """The reduced word for w0 that families pass to the bars.  Applied right
+    to left to the reversed signs (-)^n (+)^m, it is w0 on the n minus
+    slots, then on the m plus slots, then the m n steps carrying the plus
+    block past the minus block: Lusztig's psi_{M x N} = Theta (psi_M x
+    psi_N) for the two blocks (Introduction to Quantum Groups, ch. 4), the
+    block steps giving Theta up to the flip and a power of q.  The blocks of
+    a reversed root key are weakly monotone, so only the block steps branch."""
+    cross = [s for b in reversed(range(m)) for s in range(b + 1, n + b + 1)]
+    return cross + [n + i for r in range(1, m) for i in range(r, 0, -1)] + [
+        i for r in range(1, n) for i in range(r, 0, -1)]
+
+
+def _rank_step(table: list, triples: list, p: int, dual: bool) -> dict:
+    """x = (R_a - q) b (dual) or (R_a^{-1} + q) b on ranks, for b with unit
+    term at rank p and correction triples, as {(rank, exponent): coeff},
+    zeros kept.  table[j] = (s, h): on same-sign slots R_a^{+-1} moves the
+    term at j to s, the rank of keys[j] with slots a and a + 1 swapped, and
+    with the -q or +q leaves -q^h (dual) or q^h at j; or, for equal entries,
+    0 or q + q^-1."""
+    x: dict = {}
+    sign = -1 if dual else 1
+    for j, e, y in ((p, 0, 1), *triples):
+        s, h = table[j]
+        if s != j:
+            k = (s, e)
+            x[k] = x.get(k, 0) + y
+            k = (j, e + h)
+            x[k] = x.get(k, 0) + sign * y
+        elif not dual:
+            for k in ((j, e + 1), (j, e - 1)):
+                x[k] = x.get(k, 0) + y
+    return x
+
+
 def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
     """Lusztig's lemma on ranks: for each key in order, the vector
     b = key + (a q Z[q] combination of earlier keys) fixed by psi_star
     (dual) or psi, returned in the order of keys.  lower[j] holds the
-    correction of keys[j] as (rank, exponent, coeff) triples.
+    correction of keys[j] as (rank, exponent, coeff) triples until, after
+    the last key, it is replaced by the vector.
 
     A key with a same-sign descent at slot a (_descent) is R_a^{+-1} of
     key', the key with slots a and a + 1 swapped, of earlier rank.  Both
     bars send R_a v to R_a^{-1} bar(v), and R_a - R_a^{-1} = q - q^-1 on
     same-sign slots, so x = (R_a - q) b_key' (dual) or (R_a^{-1} + q) b_key'
     is bar-invariant with unit term at key (Kazhdan-Lusztig 1979; Brundan,
-    math/0203011).  Its coefficients lie in Z[q], as R_a^{+-1} has entries
-    1, q^{+-1} and +-(q - q^-1), so top rank down, each constant term mu
-    goes by subtracting mu b_head; by Lusztig's uniqueness the result is b.
+    math/0203011).  _rank_step forms x from lower[key'].  x lies in Z[q],
+    and b_j is 1 at j plus terms of degree >= 1, so by Lusztig's uniqueness
+    b is x minus mu b_j for each constant term mu of x, at rank j.
 
-    A root key, with no such descent, starts from bar(unit).  c is the
-    correction being built, {(rank, exponent): coeff}, and d = bar(b) - b,
-    {rank: {exponent: coeff}}, reduced to zero.  The head of d has the
-    largest rank, below i, and its coefficient r is antisymmetric under
-    bar, so r = p - bar(p) with p its part of positive degree.  b gains
-    p * b_head and d loses r * b_head.  b_head is 1 at head, so d's head
-    term is popped, not cancelled; for each term of p, one pass over
-    b_head's triples adds a p to c and a (bar(p) - p) to d, where a is the
-    triple's coefficient.  A sum that cancels stays as a zero until its
-    rank is popped from d or c becomes triples.  d starts as copies of the
-    coefficient dicts of bar(unit), since nothing writes to the dicts of a
-    built vector; so even a bar that returns its input or a stored vector
-    leaves that vector intact.  This pass is written out by hand rather
-    than through _acc and laurent._addmul: it is the hottest loop of a root
-    key, and it forms each product a * p once for both c and d.
+    A root key, with no such descent, starts from bar(unit), along the block
+    word (_block_word).  c is the correction being built, {(rank, exponent):
+    coeff}, and d = bar(b) - b, {rank: {exponent: coeff}}, reduced to zero.
+    The head of d has the largest rank, below i, and its coefficient r is
+    antisymmetric under bar, so r = p - bar(p) with p its part of positive
+    degree.  b gains p * b_head and d loses r * b_head.  b_head is 1 at
+    head, so d's head term is popped, not cancelled; for each term of p,
+    one pass over b_head's triples adds a p to c and a (bar(p) - p) to d,
+    where a is the triple's coefficient.  A sum that cancels stays as a
+    zero until its rank is popped from d or c becomes triples.  d starts as
+    copies of the coefficient dicts of bar(unit), since nothing writes to
+    the dicts of a built vector; so even a bar that returns its input or a
+    stored vector leaves that vector intact.  The laurent module docstring
+    says why this pass is written out by hand.
     """
     bar = psi_star if dual else psi
+    m, n = _split_signs(signs)
+    w0 = _block_word(m, n)
     rank = {key: i for i, key in enumerate(keys)}
+    tables = {a: [(rank[k[: a - 1] + (k[a], k[a - 1]) + k[a + 1 :]],
+                   -1 if ((k[a - 1] > k[a]) == (a < m)) == dual else 1) for k in keys]
+              for a in range(1, m + n) if a != m}
     lower: list = []
-    vecs: list = []
     for i, key in enumerate(keys):
         a = _descent(signs, key, dual)
         if a is not None:
-            parent = vecs[rank[key[: a - 1] + (key[a], key[a - 1]) + key[a + 1 :]]]
-            x = r_apply(a, parent, inverse=not dual)
-            _acc(x.terms, parent.terms.items(), {1: -1 if dual else 1})
-            d = {rank[k2]: cf for k2, cf in x.terms.items()}
-            if d.pop(i, None) != {0: 1}:
-                raise ArithmeticError("R-step lost the unit term (internal bug)")
-            order = sorted(d)
-            if order and order[-1] >= i:
+            p = tables[a][i][0]
+            c = _rank_step(tables[a], lower[p], p, dual)
+            if c.pop((i, 0), 0) != 1 or any(y and j >= i for (j, _), y in c.items()):
                 raise ArithmeticError("non-triangular R-step (internal bug)")
-            triples = []
-            while order:
-                head = order.pop()
-                r = d.pop(head)
-                mu = r.pop(0, 0)
-                if mu:
-                    _acc(d, ((j, {e: y}) for j, e, y in lower[head]), {0: -mu})
-                    order = sorted(d)
-                triples += [(head, e, v) for e, v in r.items()]
+            for head, mu in [(j, y) for (j, e), y in c.items() if not e and y]:
+                del c[(head, 0)]
+                for j, e, y in lower[head]:
+                    k = (j, e)
+                    c[k] = c.get(k, 0) - mu * y
         else:
-            c: dict = {}
-            d = {rank[k2]: dict(x) for k2, x in bar(TensorVec.unit(N, signs, key)).terms.items()}
+            c = {}
+            d = {rank[k]: dict(x) for k, x in bar(TensorVec.unit(N, signs, key), w0).terms.items()}
             _acc(d, ((i, {0: 1}),), {0: -1})
             while d:
                 head = max(d)
@@ -471,15 +492,16 @@ def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
                         dj[e] = dj.get(e, 0) - v
                         e = ea - ep
                         dj[e] = dj.get(e, 0) + v
-            triples = [(j, e, x) for (j, e), x in c.items() if x]
+        triples = [(j, e, x) for (j, e), x in c.items() if x]
         if triples and min(e for _, e, _ in triples) < 1:
             raise ArithmeticError("basis coefficient not in qZ[q] (internal bug)")
         lower.append(triples)
+    for i, key in enumerate(keys):
         terms = {key: {0: 1}}
-        for j, e, x in triples:
+        for j, e, x in lower[i]:
             terms.setdefault(keys[j], {})[e] = x
-        vecs.append(TensorVec._from_raw(N, signs, terms))
-    return vecs
+        lower[i] = TensorVec._from_raw(N, signs, terms)
+    return lower
 
 
 _family_memo: dict = {}
@@ -544,11 +566,8 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
 
     A computed family comes from Lusztig's lemma on ranks (_lusztig), with
     the keys sorted by key_stat.  A key with a same-sign descent is one
-    R-step from the vector of an earlier key; only a root key takes psi or
-    psi_star of its unit vector, built factor by factor with the images of
-    sub-keys memoized in _w0_memo, which the root keys of this family share
-    and which is dropped as soon as the family is done."""
-    global _w0_memo
+    R-step on ranks from an earlier key's correction; only a root key takes
+    psi or psi_star of its unit vector, along the block word (_block_word)."""
     memo_key = (N, signs, weight, dual)
     if memo_key in _family_memo:
         return _family_memo[memo_key]
@@ -578,11 +597,7 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     keys = sorted(space, key=lambda k: key_stat(signs, k))
     if not dual:
         keys.reverse()
-    _w0_memo = {}
-    try:
-        family = dict(zip(keys, _lusztig(N, signs, keys, dual)))
-    finally:
-        _w0_memo = None
+    family = dict(zip(keys, _lusztig(N, signs, keys, dual)))
     if _cache.current_dir() is not None:
         rank = {k: i for i, k in enumerate(space)}
         vecs = [_encode_vec(rank, family[k]) for k in space]

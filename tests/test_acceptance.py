@@ -194,16 +194,25 @@ def test_each_printed_number_has_a_criterion_a_fault_turns_red(monkeypatch, name
 
 def test_perturbed_r_step_turns_the_basis_criterion_red(monkeypatch):
     # the family builder takes every key with a same-sign descent one
-    # R-step (qcanon.r_apply) from an earlier key's vector, so families
-    # built with it perturbed are wrong
+    # R-step on ranks (qcanon._rank_step) from an earlier key's correction,
+    # so families built with a step that adds q at the earlier key are wrong
     from wblocks import cache, qcanon
-    from wblocks.verify import _perturb, run_suite
+    from wblocks.verify import run_suite
+
+    def perturbed(real):
+        def step(table, triples, p, dual):
+            x = real(table, triples, p, dual)
+            x[(p, 1)] = x.get((p, 1), 0) + 1
+            return x
+        return step
 
     monkeypatch.setattr(cache, "_cache_dir", None)
-    monkeypatch.setattr(qcanon, "_family_memo", {})
-    monkeypatch.setattr(qcanon, "r_apply", _perturb(qcanon.r_apply))
-    red = {r["name"] for r in run_suite("quick") if not r["ok"]}
-    assert red == {"canonical-basis-units"}
+    monkeypatch.setattr(qcanon, "_rank_step", perturbed(qcanon._rank_step))
+    for profile, victims in (("quick", {"canonical-basis-units"}),
+                             ("full", {"canonical-basis-units", "appendixb-pairing"})):
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        red = {r["name"] for r in run_suite(profile) if not r["ok"]}
+        assert red == victims, profile
 
 
 def test_perturbation_follows_the_result_type():

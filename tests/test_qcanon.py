@@ -41,6 +41,17 @@ def w0_word(k):
     return [i for top in range(1, k) for i in range(top, 0, -1)]
 
 
+def block_word(m, n):
+    """w0 on the n minus slots, then on the m plus slots, then the m n steps
+    carrying the plus block past the minus block, each step written out."""
+    steps = []  # in the order they act on (-)^n (+)^m
+    steps += [i for i in reversed(w0_word(n))]
+    steps += [n + i for i in reversed(w0_word(m))]
+    for b in range(m):  # the plus entry at slot n + 1 + b moves to slot 1 + b
+        steps += list(range(n + b, b, -1))
+    return steps[::-1]
+
+
 def _slot_K_exp(sign, i, j):
     """Exponent of q from K_i on v_j^{sign}: (alpha_i, eps_j) for the
     standard symmetric form, negated on the dual module."""
@@ -214,6 +225,31 @@ class TestBarInvolutions:
             v = rand_vec(rng, 4, signs, nterms=4)
             assert psi(v) == psi(v, word=word), signs
 
+    def test_block_word_is_the_bars_route(self):
+        # the word the family builder passes: psi and psi_star along it equal
+        # the memoized factor-by-factor route on every unit vector
+        for k in range(1, 6):
+            for m in range(k + 1):
+                signs = "+" * m + "-" * (k - m)
+                word = qc._block_word(m, k - m)
+                assert word == block_word(m, k - m) and len(word) == k * (k - 1) // 2
+                for N in (1, 2, 3):
+                    for key in itertools.product(range(1, N + 1), repeat=k):
+                        v = unit(N, signs, key)
+                        assert psi(v, word=word) == psi(v), (signs, key)
+                        assert psi_star(v, word=word) == psi_star(v), (signs, key)
+
+    @pytest.mark.parametrize("bar", [psi, psi_star])
+    def test_word_that_is_not_a_reduced_word_for_w0_is_rejected(self, bar):
+        v = unit(3, "++", (1, 2))
+        for word in ([], [1, 1, 1], [2], [0]):
+            with pytest.raises(ValueError):
+                bar(v, word=word)
+        for word in ([1, 1, 2], [1, 2, 2], [2, 1, 2, 1]):  # length 3 but not w0, too long
+            with pytest.raises(ValueError):
+                bar(unit(3, "+++", (1, 2, 3)), word=word)
+        assert bar(v, word=[1]) == bar(v)
+
     def test_psi_star_triangular(self):
         N, signs = 3, "++--"
         for key in itertools.product(range(1, N + 1), repeat=4):
@@ -326,7 +362,7 @@ class TestCanonicalBases:
         keys = [(1, 1), (2, 2)]
 
         def bar_adding(c):
-            def bar(v):
+            def bar(v, word=None):
                 if (2, 2) in v.terms:
                     return v + TensorVec(2, "+-", {(1, 1): LaurentQ(c)})
                 return v
@@ -356,6 +392,26 @@ class TestRStepRoute:
                         bv = bar(v)
                         for a in slots:
                             assert bar(r_apply(a, v)) == r_apply(a, bv, inverse=True), (signs, key, a)
+
+    @pytest.mark.parametrize("fault", ["extra-term", "no-unit"])
+    def test_r_step_that_is_not_unitriangular_is_rejected(self, monkeypatch, fault):
+        real = qc._rank_step
+
+        def step(table, triples, p, dual):
+            x = real(table, triples, p, dual)
+            i = table[p][0]  # the unit term at p moves to the new key's rank
+            if fault == "extra-term":
+                x[(i, 1)] = 1
+            else:
+                x.pop((i, 0))
+            return x
+
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        monkeypatch.setattr(qc, "_family_memo", {})
+        monkeypatch.setattr(qc, "_rank_step", step)
+        for dual in (True, False):
+            with pytest.raises(ArithmeticError, match="non-triangular R-step"):
+                qc._basis_family(3, "++--", ((1, 1), (2, -1)), dual)
 
     @pytest.mark.parametrize("N,signs,weight,roots", [(4, "+++---", (), 20),
                                                       (5, "+++--", ((3, 1),), 15)])
@@ -737,33 +793,27 @@ class TestJsonAndCache:
         got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
         assert got == expected
 
-    def test_psi_memo_lives_only_while_a_family_is_built(self, monkeypatch):
-        # the keys of one family share the memo of sub-key images; it is
-        # dropped when the family is done, also when building it fails
-        sizes = []
+    def test_family_bars_take_the_block_word(self, monkeypatch):
+        # each root key's bar runs along the block word of w0, checked and
+        # applied R-step by R-step, with no memo of sub-key images
+        words = []
 
         def spy(real):
             def bar(v, word=None):
-                out = real(v, word)
-                sizes.append(sum(len(images) for images, _ in qc._w0_memo.values()))
-                return out
+                words.append(word)
+                return real(v, word)
             return bar
 
+        monkeypatch.setattr(cache, "_cache_dir", None)
         monkeypatch.setattr(qc, "psi", spy(qc.psi))
         monkeypatch.setattr(qc, "psi_star", spy(qc.psi_star))
-        qc._family_memo.clear()
-        try:
-            for fn in (dual_canonical, canonical):
-                sizes.clear()
-                fn(3, (1, 2, 3), (3, 2, 1))
-                assert qc._w0_memo is None
-                assert len(sizes) == 10 and sizes[-1] > sizes[0] > 0
-            monkeypatch.setattr(qc, "psi", lambda v, word=None: v.scaled(LaurentQ({1: 1})))
-            with pytest.raises(ArithmeticError, match="non-triangular"):
-                canonical(3, (1, 2), (2, 1))
-            assert qc._w0_memo is None
-        finally:
-            qc._family_memo.clear()
+        word = [3, 4, 5, 2, 3, 4, 1, 2, 3, 4, 5, 4, 1, 2, 1]
+        assert block_word(3, 3) == word
+        for dual in (True, False):
+            words.clear()
+            monkeypatch.setattr(qc, "_family_memo", {})
+            qc._basis_family(3, "+++---", (), dual)
+            assert words == [word] * 10
 
     def test_bar_returning_its_input_leaves_constants_intact(self, monkeypatch):
         # the Lusztig loop writes into the coefficient dicts bar returns;
