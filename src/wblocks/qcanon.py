@@ -215,7 +215,7 @@ def _psi_key(v_key, signs, N, inverse: bool, word, memo):
     Every reduced word for w0 gives the same image (braid relations).  With
     word None it is built factor by factor (_w0_parts), memoizing sub-key
     images in memo.  A word, checked by _bar, is applied step by step with
-    r_apply, as one part with an empty tail: the families' route.
+    r_apply, as one part with an empty tail; families pass _block_word.
     """
     k = len(signs)
     e = 0

@@ -45,7 +45,7 @@ def block_word(m, n):
     """w0 on the n minus slots, then on the m plus slots, then the m n steps
     carrying the plus block past the minus block, each step written out."""
     steps = []  # in the order they act on (-)^n (+)^m
-    steps += [i for i in reversed(w0_word(n))]
+    steps += reversed(w0_word(n))
     steps += [n + i for i in reversed(w0_word(m))]
     for b in range(m):  # the plus entry at slot n + 1 + b moves to slot 1 + b
         steps += list(range(n + b, b, -1))
