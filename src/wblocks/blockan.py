@@ -75,20 +75,28 @@ def _tau_choices(lam: Composition, kap: Composition, gamma: Composition):
             hi = end if hi is None or end > hi else hi
     if lo is None:
         return []
-    lam_w, kap_w, gamma_w = ([0] * (hi - lo + 2) for _ in range(3))
-    for c, w in ((lam, lam_w), (kap, kap_w), (gamma, gamma_w)):
-        w[c.offset - lo:c.offset - lo + len(c.parts)] = c.parts
+    # part i of a composition c is c.parts[i - c.offset] inside its support
+    lam_p, lam_o, kap_p, kap_o, gamma_p, gamma_o = (
+        lam.parts, lam.offset, kap.parts, kap.offset, gamma.parts, gamma.offset)
     rows = []
     rho_i = lam_prev = rho_prev = 0
-    for lam_i, lam_next, kap_i, gamma_i in zip(lam_w, lam_w[1:], kap_w, gamma_w):
+    lam_next = lam_p[0] if lam_p and lam_o == lo else 0
+    for i in range(lo, hi + 1):
+        lam_i = lam_next
+        k = i + 1 - lam_o
+        lam_next = lam_p[k] if 0 <= k < len(lam_p) else 0
         rho_i += lam_i
         low = rho_i if rho_i > lam_i else lam_i
         high = lam_i + (lam_prev if lam_prev < rho_prev else rho_prev)
         if rho_i < 0 or low > high:
             return None
+        k = i - gamma_o
+        gamma_i = gamma_p[k] if 0 <= k < len(gamma_p) else 0
         rows.append(((lam_i, lam_next, rho_i, gamma_i), range(low, high + 1)))
         lam_prev, rho_prev = lam_i, rho_i
-        rho_i -= kap_i
+        k = i - kap_o
+        if 0 <= k < len(kap_p):
+            rho_i -= kap_p[k]
     return rows
 
 
@@ -177,24 +185,37 @@ def graded_cartan(xi: BlockKey, lam: Composition, kap: Composition) -> LaurentQ:
     b_i]! [beta_i + gamma_i]!, and [k]! = q^{-k(k-1)/2} prod_{d=2..k}
     Phi_d(q^2)^{floor(k/d)}, so every term is a q-power times a product of
     cyclotomic polynomials in q^2 (laurent.qfact_quotient), with no
-    polynomial division.  The result is asserted to be a polynomial in q with
+    polynomial division.  That product depends only on the term's vector of
+    net powers of each [k]!, k <= max(m, n, t + |gamma|), and a cell has far
+    fewer distinct vectors than terms.  So the terms are grouped by vector as
+    {q-shift: count}, and each group costs one qfact_quotient and one
+    _addmul.  The result is asserted to be a polynomial in q with
     non-negative coefficients (positive grading)."""
-    total: dict = {}
+    groups: dict = {}
+    base = [0] * (max(xi.m, xi.n, xi.t + xi.gamma.total) + 1)
+    base[xi.m] += 1
+    base[xi.n] += 1
     s0 = comb(xi.m, 2) + comb(xi.n, 2)
     for terms in _tau_terms(xi, lam, kap):
-        num = [xi.m, xi.n]
-        den = []
+        net = base.copy()
         s = s0
         for beta, a, b, g in terms:
-            num.append(beta)
-            den += (a, beta - a, b, beta - b, g)
+            net[beta] += 1
+            net[a] -= 1
+            net[beta - a] -= 1
+            net[b] -= 1
+            net[beta - b] -= 1
+            net[g] -= 1
             s += (a + b) * g - comb(beta, 2) - comb(g, 2)
-        shift, poly = qfact_quotient(num, den)
-        _addmul(total, poly.coeffs, {s + shift: 1})
-    out = LaurentQ._raw(total)
-    if not (out.is_poly_in_q() and out.has_nonneg_coeffs()):
+        shifts = groups.setdefault(tuple(net), {})
+        shifts[s] = shifts.get(s, 0) + 1
+    total: dict = {}
+    for net, shifts in groups.items():
+        shift, poly = qfact_quotient(net)
+        _addmul(total, poly.coeffs, {s + shift: c for s, c in shifts.items()})
+    if total and (min(total) < 0 or min(total.values()) < 0):
         raise ArithmeticError("graded Cartan entry not in N[q] (internal bug)")
-    return out
+    return LaurentQ._raw(total)
 
 
 # ---------------------------------------------------------------------------

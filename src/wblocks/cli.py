@@ -232,6 +232,11 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_center(args) -> int:
+    # in_J pairs x_i with y_{i + s_minus}, so the shape must be a pyramid
+    try:
+        combinat.Pyramid(args.m, args.n, args.s_minus)
+    except ValueError as exc:
+        raise UsageError(f"invalid pyramid shape: {exc}") from exc
     es = center.e_super(args.r, args.m, args.n)
     out = {
         "r": args.r,

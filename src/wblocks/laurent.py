@@ -16,6 +16,11 @@ blockan go through it, with two exceptions, the hottest loops of
 The reduction pass of a root key forms each product once for both of its
 sums.  The R-step of every other key (``qcanon._rank_step``, then its
 constant-term subtractions) only moves, shifts and scales terms.
+
+``qfact_quotient`` takes a quotient of quantum factorials as one integer
+vector, the net power of each [k]! indexed by k, which is also the memo key
+of its cyclotomic product; blockan.graded_cartan groups a cell's terms by
+that vector and calls it once per group.
 """
 
 from __future__ import annotations
@@ -165,13 +170,6 @@ class LaurentQ:
             raise ValueError("zero polynomial has no exponents")
         return max(self.coeffs)
 
-    def is_poly_in_q(self) -> bool:
-        """True iff all exponents are >= 0."""
-        return all(e >= 0 for e in self.coeffs)
-
-    def has_nonneg_coeffs(self) -> bool:
-        return all(c >= 0 for c in self.coeffs.values())
-
     def positive_part(self) -> "LaurentQ":
         """The part with strictly positive exponents."""
         return LaurentQ._raw({e: c for e, c in self.coeffs.items() if e > 0})
@@ -249,32 +247,26 @@ def _factorial_quotient(net: tuple) -> tuple:
     return shift, LaurentQ._raw(poly)
 
 
-def qfact_quotient(num, den) -> tuple:
-    """The quotient prod_{k in num} [k]! / prod_{k in den} [k]! as a pair
-    (shift, P) with quotient q^shift * P, without dividing polynomials: only
-    each Phi_d(q^2) is built once, by exact division.
+def qfact_quotient(net) -> tuple:
+    """The product prod_k [k]!^net[k] over a sequence net of integer
+    exponents indexed by k (a factorial of the denominator counts -1), as a
+    pair (shift, P) with product q^shift * P, without dividing polynomials:
+    only each Phi_d(q^2) is built once, by exact division.
 
     With symmetric q-integers [k] = q^{1-k} (q^{2k} - 1) / (q^2 - 1), and
     q^{2k} - 1 = prod_{d | k} Phi_d(q^2), so
 
         [k]! = q^{-k(k-1)/2} * prod_{d=2..k} Phi_d(q^2)^{floor(k/d)}.
 
-    The quotient is therefore q^shift * prod_d Phi_d(q^2)^{e_d}, where e_d is
-    the sum of floor(k/d) over num minus that over den.  The cyclotomic
-    polynomials are irreducible and pairwise coprime, so the quotient is a
-    Laurent polynomial iff every e_d >= 0; a negative one raises
-    ValueError("inexact Laurent division"), as divexact does.  Results are
-    memoized on the reduced exponent vector (the net power of each [k]!,
-    k >= 2); P is shared between calls and must not be modified.
+    The product is therefore q^shift * prod_d Phi_d(q^2)^{e_d}, where e_d is
+    the sum of net[k] * floor(k/d) over k.  The cyclotomic polynomials are
+    irreducible and pairwise coprime, so the product is a Laurent polynomial
+    iff every e_d >= 0; a negative one raises ValueError("inexact Laurent
+    division"), as divexact does.  Results are memoized on the reduced
+    vector ([0]! = [1]! = 1, so net[0] and net[1] are dropped, and so are
+    trailing zeros); P is shared between calls and must not be modified.
     """
-    if min(num, default=0) < 0 or min(den, default=0) < 0:
-        raise ValueError("qfact requires n >= 0")
-    net = [0] * (max(1, max(num, default=0), max(den, default=0)) + 1)
-    for k in num:
-        net[k] += 1
-    for k in den:
-        net[k] -= 1
-    while len(net) > 2 and not net[-1]:
-        net.pop()
-    net[0] = net[1] = 0  # [0]! = [1]! = 1
-    return _factorial_quotient(tuple(net))
+    key = [0, 0, *net[2:]]
+    while len(key) > 2 and not key[-1]:
+        key.pop()
+    return _factorial_quotient(tuple(key))

@@ -83,7 +83,7 @@ class TestVermaMult:
                         assert d == ONE, (xi, beta)
                         diagonal += 1
                     elif d:
-                        assert min(d.coeffs) > 0 and d.has_nonneg_coeffs(), (xi, beta, lam, d)
+                        assert min(d.coeffs) > 0 and min(d.coeffs.values()) > 0, (xi, beta, lam, d)
                         off_diagonal += 1
         assert (diagonal, off_diagonal) == (880, 935)
 
@@ -202,6 +202,27 @@ class TestGradedCartanRoute:
         assert cells == 9000
 
     @pytest.mark.parametrize(
+        "xi",
+        [
+            key([], 0, [], 0, 0, 0, 0),
+            key([1], 0, [], 0, 0, 1, 0),
+            key([], 0, [2], -1, 0, 0, 2),
+            key([1], 0, [1], 1, 0, 1, 1),
+            key([1, 1], 0, [1], 2, 0, 2, 1),
+            key([2, 0, 1], -2, [3], -1, 0, 3, 3),
+        ],
+        ids=["m0n0", "m1n0", "m0n2", "m1n1", "m2n1", "m3n3"],
+    )
+    def test_degenerate_blocks(self, xi):
+        # t = 0: the one cell is [P(0) : L(0)], whose tau-terms have beta = a
+        # = b = 0, so the factorial vector reaches only m, n and gamma's parts
+        zero = Composition()
+        assert compositions_in_window(xi.t, -3, 3) == [zero]
+        got = graded_cartan(xi, zero, zero)
+        assert got == graded_cartan_by_division(xi, zero, zero)
+        assert got.eval1() == cartan_entry(xi, zero, zero)
+
+    @pytest.mark.parametrize(
         "xi,digest",
         [
             (BlockKey(Composition(), Composition(), 4, 4, 4),
@@ -287,7 +308,7 @@ class TestGradedCartan:
         for lam in lams:
             for kap in lams:
                 g = graded_cartan(xi, lam, kap)
-                assert g.is_poly_in_q() and g.has_nonneg_coeffs()
+                assert min(g.coeffs, default=0) >= 0 and min(g.coeffs.values(), default=0) >= 0
 
     def test_top_degree_diagonal(self):
         for xi in [XI_11, XI_22, key([1], 0, [2], 1, 1, 2, 3)]:

@@ -169,11 +169,48 @@ class TestExitCodes:
     def test_signs_mismatch(self):
         assert main(["cb", "--N", "2", "--signs", "--", "--key", "2;2"]) == 1
 
-    @pytest.mark.parametrize("m,n,r", [("-1", "2", "2"), ("2", "-3", "2"), ("3", "4", "0")])
-    def test_center_bad_shape_or_degree(self, m, n, r):
+    @pytest.mark.parametrize(
+        "m,n,r,exit_code,err_start",
+        [("-1", "2", "2", 1, "usage error: invalid pyramid shape: need 0 <= m <= n"),
+         ("2", "-3", "2", 1, "usage error: invalid pyramid shape: need 0 <= m <= n"),
+         ("3", "4", "0", 2, "error: ValueError: ")],
+        ids=["-1-2-2", "2--3-2", "3-4-0"],
+    )
+    def test_center_bad_shape_or_degree(self, m, n, r, exit_code, err_start):
         code, out, err = call_main(["center", "--m", m, "--n", n, "--r", r])
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ValueError: ")
+        assert (code, out) == (exit_code, "")
+        assert err.startswith(err_start)
+
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [(["--m", "3", "--n", "2", "--r", "2"], "0 <= m <= n"),
+         (["--m", "1", "--n", "3", "--r", "2", "--s-minus", "-1"], "0 <= s_minus <= n - m"),
+         (["--m", "1", "--n", "3", "--r", "2", "--s-minus", "3"], "0 <= s_minus <= n - m")],
+        ids=["m-above-n", "s-minus-negative", "s-minus-above-n-minus-m"],
+    )
+    def test_center_shape_is_checked_before_any_computation(self, monkeypatch, argv, bound):
+        from wblocks import center
+
+        def computed(*args, **kwargs):
+            raise AssertionError("center computed before the shape check")
+
+        for name in ("e_super", "in_I", "in_J", "hc_series_coeff"):
+            monkeypatch.setattr(center, name, computed)
+        code, out, err = call_main(["center", *argv])
+        assert (code, out) == (1, "")
+        assert err == f"usage error: invalid pyramid shape: need {bound}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--m", "2", "--n", "2", "--r", "2"], ["--m", "1", "--n", "3", "--r", "2", "--s-minus", "2"],
+         ["--m", "0", "--n", "2", "--r", "1", "--s-minus", "2"]],
+        ids=["m-equals-n", "s-minus-at-n-minus-m", "m-zero"],
+    )
+    def test_center_accepts_every_pyramid_shape(self, argv):
+        code, out, err = call_main(["center", *argv])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["in_I"] and data["in_J"] and data["series_matches"]
 
     def test_cb_weight_space_too_large(self, capsys):
         # N=10 +++--- at weight 0 has 5140 vectors

@@ -206,6 +206,17 @@ def cyclotomic_q2(d):
     return out
 
 
+def vec(num, den):
+    """The factorial-exponent vector of prod_{k in num} [k]! / prod_{k in
+    den} [k]!: entry k is the net power of [k]!."""
+    net = [0] * (max([0, *num, *den]) + 1)
+    for k in num:
+        net[k] += 1
+    for k in den:
+        net[k] -= 1
+    return net
+
+
 class TestFactorialQuotient:
     @pytest.mark.parametrize("k", range(16))
     def test_qfact_cyclotomic_identity(self, k):
@@ -215,42 +226,45 @@ class TestFactorialQuotient:
             for _ in range(k // d):
                 rhs = rhs * cyclotomic_q2(d)
         assert qfact(k) == rhs.shift(-k * (k - 1) // 2)
-        shift, poly = qfact_quotient([k], [])
+        shift, poly = qfact_quotient(vec([k], []))
         assert poly.shift(shift) == qfact(k)
 
-    @given(
-        st.lists(st.integers(min_value=0, max_value=9), max_size=5),
-        st.lists(st.integers(min_value=0, max_value=9), max_size=5),
-    )
+    @given(st.lists(st.integers(min_value=-2, max_value=2), max_size=10))
     @settings(max_examples=60)
-    def test_matches_division(self, num, den):
-        top = ONE
-        for k in num:
-            top = top * qfact(k)
-        bottom = ONE
-        for k in den:
-            bottom = bottom * qfact(k)
+    def test_matches_division(self, net):
+        top = bottom = ONE
+        for k, e in enumerate(net):
+            for _ in range(abs(e)):
+                if e > 0:
+                    top = top * qfact(k)
+                else:
+                    bottom = bottom * qfact(k)
         try:
             with time_limit(5):
                 top.divexact(bottom)
         except ValueError:
             with pytest.raises(ValueError, match="inexact Laurent division"):
-                qfact_quotient(num, den)
+                qfact_quotient(net)
         else:
-            shift, quo = qfact_quotient(num, den)
+            shift, quo = qfact_quotient(net)
             assert quo.shift(shift) * bottom == top
 
     def test_qbinom_as_quotient(self):
         for n in range(10):
             for r in range(n + 1):
-                shift, poly = qfact_quotient([n], [r, n - r])
+                shift, poly = qfact_quotient(vec([n], [r, n - r]))
                 assert poly.shift(shift) == qbinom(n, r)
 
     @pytest.mark.parametrize("num,den", [([2], [3]), ([4], [2, 2, 2]), ([], [2]), ([6], [3, 3, 3])])
     def test_negative_exponent_raises(self, num, den):
         with pytest.raises(ValueError, match="inexact Laurent division"):
-            qfact_quotient(num, den)
+            qfact_quotient(vec(num, den))
 
-    def test_negative_argument_raises(self):
-        with pytest.raises(ValueError):
-            qfact_quotient([3], [-1])
+    def test_trivial_and_trailing_entries_share_the_memo(self):
+        # [0]! = [1]! = 1, so entries 0 and 1 and trailing zeros leave the
+        # product, and its memo key, unchanged
+        out = qfact_quotient((0, 0, -1, 1))
+        assert out[1].shift(out[0]) == qint(3)
+        assert qfact_quotient([5, -3, -1, 1, 0, 0]) is out
+        assert qfact_quotient((0, 0, -1, 1, 0)) is out
+        assert qfact_quotient([]) == qfact_quotient([4, -7]) == (0, ONE)
