@@ -66,7 +66,13 @@ def _tau_choices(lam: Composition, kap: Composition, gamma: Composition):
     is empty when rho has a negative part or a range is empty (a failed
     recursive inequality rho_i <= lam_i + min(lam_{i-1}, rho_{i-1})).  Past
     either end of the window tau_i = 0, and every row there contributes the
-    factor 1: at the first position tau_i = rho_i = lam_i."""
+    factor 1: at the first position tau_i = rho_i = lam_i.
+
+    With beta_i = lam_{i+1} + tau_i - tau_{i+1}, a_i = tau_i - lam_i and
+    b_i = tau_i - rho_i, 0 <= a_i, b_i <= beta_i, so no term needs a sign
+    check: tau_i >= max(lam_i, rho_i) gives a_i, b_i >= 0, and tau_{i+1} <=
+    lam_{i+1} + min(lam_i, rho_i) gives beta_i - a_i = lam_i + lam_{i+1} -
+    tau_{i+1} >= 0 and beta_i - b_i = rho_i + lam_{i+1} - tau_{i+1} >= 0."""
     lo = hi = None
     for c in (lam, kap, gamma):
         if c.parts:
@@ -100,47 +106,31 @@ def _tau_choices(lam: Composition, kap: Composition, gamma: Composition):
     return rows
 
 
-def _tau_terms(xi: BlockKey, lam: Composition, kap: Composition):
-    """For each tau of the Cartan entry [P(lam) : L(kap)], the list of
-    (beta_i, a_i, b_i, beta_i + gamma_i) over the rows of _tau_choices, with
-    beta_i = lam_{i+1} + tau_i - tau_{i+1}, a_i = tau_i - lam_i and
-    b_i = tau_i - rho_i.
+def cartan_entry(xi: BlockKey, lam: Composition, kap: Composition) -> int:
+    """Closed formula for the Cartan entry [P(lam) : L(kap)] of the block:
+    m! n! times the sum over tau of prod_i C(beta_i, a_i) C(beta_i, b_i) /
+    (beta_i! (beta_i + gamma_i)!) over the rows of _tau_choices.
 
-    0 <= a_i, b_i <= beta_i always, so no term needs a sign check: the
-    ranges give tau_i >= max(lam_i, rho_i), hence a_i, b_i >= 0, and
-    tau_{i+1} <= lam_{i+1} + min(lam_i, rho_i), hence beta_i - a_i =
-    lam_i + lam_{i+1} - tau_{i+1} >= 0 and beta_i - b_i = rho_i + lam_{i+1}
-    - tau_{i+1} >= 0."""
+    Row i's factor depends only on (tau_i, tau_{i+1}), with tau = 0 past the
+    last row, so the rows are walked from the last to the first with one
+    state (tau_i, num, term_den) per suffix of tau.  The beta_i sum to t and
+    the beta_i + gamma_i to t + |gamma|, so every term_den divides t! (t +
+    |gamma|)!, and the sum is taken in integers over that one denominator."""
     if lam.total != xi.t or kap.total != xi.t:
         raise ValueError("lambda and kappa must be compositions of t")
     choices = _tau_choices(lam, kap, xi.gamma)
     if choices is None:
-        return
-    rows = [row for row, _ in choices]
-    for taus in itertools.product(*(rng for _, rng in choices)):
-        yield [
-            (beta := lam_next + tau_i - tau_next, tau_i - lam_i, tau_i - rho_i, beta + gamma_i)
-            for (lam_i, lam_next, rho_i, gamma_i), tau_i, tau_next
-            in zip(rows, taus, taus[1:] + (0,))
+        return 0
+    states = [(0, 1, 1)]
+    for (lam_i, lam_next, rho_i, gamma_i), taus in reversed(choices):
+        states = [
+            (tau_i, num * comb(beta, tau_i - lam_i) * comb(beta, tau_i - rho_i),
+             term_den * factorial(beta) * factorial(beta + gamma_i))
+            for tau_i in taus for tau_next, num, term_den in states
+            for beta in (lam_next + tau_i - tau_next,)
         ]
-
-
-def cartan_entry(xi: BlockKey, lam: Composition, kap: Composition) -> int:
-    """Closed formula for the Cartan entry [P(lam) : L(kap)] of the block:
-    m! n! times the sum over tau of prod_i C(beta_i, a_i) C(beta_i, b_i) /
-    (beta_i! (beta_i + gamma_i)!), with the terms of _tau_terms.
-
-    The beta_i sum to t and the beta_i + gamma_i to t + |gamma|, so every
-    term's denominator divides t! (t + |gamma|)!, and the sum is taken in
-    integers over that one denominator."""
     den = factorial(xi.t) * factorial(xi.t + xi.gamma.total)
-    total = 0
-    for terms in _tau_terms(xi, lam, kap):
-        num = term_den = 1
-        for beta, a, b, g in terms:
-            num *= comb(beta, a) * comb(beta, b)
-            term_den *= factorial(beta) * factorial(g)
-        total += num * (den // term_den)
+    total = sum(num * (den // term_den) for _, num, term_den in states)
     out, rest = divmod(total * factorial(xi.m) * factorial(xi.n), den)
     if rest:
         raise ArithmeticError("Cartan entry came out non-integral (internal bug)")
@@ -178,35 +168,45 @@ def cartan_oracle(xi: BlockKey, lam: Composition, kap: Composition) -> int:
 def graded_cartan(xi: BlockKey, lam: Composition, kap: Composition) -> LaurentQ:
     """Graded Cartan entry: the sum over tau of q^{s(tau)} [m]! [n]! times
     prod_i qbinom(beta_i, a_i) qbinom(beta_i, b_i) / ([beta_i]! [beta_i +
-    gamma_i]!), with the terms of _tau_terms.
+    gamma_i]!), by cartan_entry's suffix walk.
 
-    Each term cancels to a quotient of quantum factorials,
-    [m]! [n]! prod [beta_i]! / prod [a_i]! [beta_i - a_i]! [b_i]! [beta_i -
-    b_i]! [beta_i + gamma_i]!, and [k]! = q^{-k(k-1)/2} prod_{d=2..k}
-    Phi_d(q^2)^{floor(k/d)}, so every term is a q-power times a product of
-    cyclotomic polynomials in q^2 (laurent.qfact_quotient), with no
-    polynomial division.  That product depends only on the term's vector of
-    net powers of each [k]!, k <= max(m, n, t + |gamma|), and a cell has far
-    fewer distinct vectors than terms.  So the terms are grouped by vector as
-    {q-shift: count}, and each group costs one qfact_quotient and one
-    _addmul.  The result is asserted to be a polynomial in q with
-    non-negative coefficients (positive grading)."""
-    groups: dict = {}
+    Each term cancels to [m]! [n]! prod [beta_i]! / prod [a_i]! [beta_i -
+    a_i]! [b_i]! [beta_i - b_i]! [beta_i + gamma_i]!, and [k]! =
+    q^{-k(k-1)/2} prod_{d=2..k} Phi_d(q^2)^{floor(k/d)}, so every term is a
+    q-power times a product of cyclotomic polynomials in q^2
+    (laurent.qfact_quotient), with no polynomial division.  A suffix state
+    is (tau_i, net, s): net lists the net power of each [k]!, k <= max(m, n,
+    t + |gamma|), copied per branch, and s is the q-shift.  A cell has few
+    distinct vectors, so the leaves are grouped by vector as {q-shift:
+    count}, with one qfact_quotient and one _addmul per group.  The result
+    is asserted to lie in N[q] (positive grading)."""
+    if lam.total != xi.t or kap.total != xi.t:
+        raise ValueError("lambda and kappa must be compositions of t")
+    choices = _tau_choices(lam, kap, xi.gamma)
+    if choices is None:
+        return ZERO
     base = [0] * (max(xi.m, xi.n, xi.t + xi.gamma.total) + 1)
     base[xi.m] += 1
     base[xi.n] += 1
-    s0 = comb(xi.m, 2) + comb(xi.n, 2)
-    for terms in _tau_terms(xi, lam, kap):
-        net = base.copy()
-        s = s0
-        for beta, a, b, g in terms:
-            net[beta] += 1
-            net[a] -= 1
-            net[beta - a] -= 1
-            net[b] -= 1
-            net[beta - b] -= 1
-            net[g] -= 1
-            s += (a + b) * g - comb(beta, 2) - comb(g, 2)
+    states = [(0, base, comb(xi.m, 2) + comb(xi.n, 2))]
+    for (lam_i, lam_next, rho_i, gamma_i), taus in reversed(choices):
+        new = []
+        for tau_i in taus:
+            a, b = tau_i - lam_i, tau_i - rho_i
+            for tau_next, net, s in states:
+                beta = lam_next + tau_i - tau_next
+                g = beta + gamma_i
+                net = net.copy()
+                net[beta] += 1
+                net[a] -= 1
+                net[beta - a] -= 1
+                net[b] -= 1
+                net[beta - b] -= 1
+                net[g] -= 1
+                new.append((tau_i, net, s + (a + b) * g - comb(beta, 2) - comb(g, 2)))
+        states = new
+    groups: dict = {}
+    for _, net, s in states:
         shifts = groups.setdefault(tuple(net), {})
         shifts[s] = shifts.get(s, 0) + 1
     total: dict = {}

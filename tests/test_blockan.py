@@ -153,12 +153,43 @@ class TestCartan:
                 assert cartan_entry(xi, lam, kap) == cartan_entry(xi, kap, lam)
 
 
+def reference_tau_terms(xi, lam, kap):
+    """Every tau-term of [P(lam) : L(kap)] as its list of rows (beta_i, a_i,
+    b_i, beta_i + gamma_i), one tau at a time by itertools.product over the
+    ranges of _tau_choices: the reference routes below share no walk with
+    the closed forms they check."""
+    choices = blockan._tau_choices(lam, kap, xi.gamma)
+    if choices is None:
+        return
+    for taus in itertools.product(*(rng for _, rng in choices)):
+        terms = []
+        for (row, _), tau_i, tau_next in zip(choices, taus, taus[1:] + (0,)):
+            lam_i, lam_next, rho_i, gamma_i = row
+            beta = lam_next + tau_i - tau_next
+            terms.append((beta, tau_i - lam_i, tau_i - rho_i, beta + gamma_i))
+        yield terms
+
+
+def cartan_entry_by_terms(xi, lam, kap):
+    """Reference route for cartan_entry: m! n! times the sum of each
+    tau-term's product of binomials over factorials, in exact fractions."""
+    total = Fraction(0)
+    for terms in reference_tau_terms(xi, lam, kap):
+        term = Fraction(1)
+        for beta, a, b, g in terms:
+            term *= Fraction(comb(beta, a) * comb(beta, b), factorial(beta) * factorial(g))
+        total += term
+    total *= factorial(xi.m) * factorial(xi.n)
+    assert total.denominator == 1
+    return int(total)
+
+
 def graded_cartan_by_division(xi, lam, kap):
     """Reference route for graded_cartan: each tau-term assembled from
     quantum binomials and factorials, then one exact polynomial division."""
     total = ZERO
     mn_fact = qfact(xi.m) * qfact(xi.n)
-    for terms in blockan._tau_terms(xi, lam, kap):
+    for terms in reference_tau_terms(xi, lam, kap):
         num = mn_fact
         den = ONE
         s = comb(xi.m, 2) + comb(xi.n, 2)
@@ -201,6 +232,18 @@ class TestGradedCartanRoute:
                         cells += 1
         assert cells == 9000
 
+    def test_ungraded_matches_term_route(self):
+        cells = 0
+        for xi in _blocks_up_to_4():
+            for lo in range(-3, 2):
+                lams = compositions_in_window(xi.t, lo, lo + 2)
+                for lam in lams:
+                    for kap in lams:
+                        got = cartan_entry(xi, lam, kap)
+                        assert got == cartan_entry_by_terms(xi, lam, kap), (xi, lam, kap)
+                        cells += 1
+        assert cells == 9000
+
     @pytest.mark.parametrize(
         "xi",
         [
@@ -218,9 +261,10 @@ class TestGradedCartanRoute:
         # = b = 0, so the factorial vector reaches only m, n and gamma's parts
         zero = Composition()
         assert compositions_in_window(xi.t, -3, 3) == [zero]
+        assert all(len(rng) == 1 for _, rng in blockan._tau_choices(zero, zero, xi.gamma))
         got = graded_cartan(xi, zero, zero)
         assert got == graded_cartan_by_division(xi, zero, zero)
-        assert got.eval1() == cartan_entry(xi, zero, zero)
+        assert got.eval1() == cartan_entry(xi, zero, zero) == cartan_entry_by_terms(xi, zero, zero)
 
     @pytest.mark.parametrize(
         "xi,digest",
@@ -256,6 +300,99 @@ class TestGradedCartanRoute:
 
 PINNED_BLOCKS = [BlockKey(Composition(), Composition(), 4, 4, 4),
                  BlockKey(Composition(), Composition([2], 1), 4, 4, 6)]
+
+
+EMPTY_BLOCK = key([], 0, [], 0, 0, 0, 0)
+LAM_A, LAM_B = comp([1, 0, 0, 3]), comp([1, 1, 0, 2])
+EDGE_CELLS = [
+    (EMPTY_BLOCK, Composition(), Composition()),
+    (key([2, 0, 1], -2, [3], -1, 0, 3, 3), Composition(), Composition()),
+    (XI_11, Composition.eps(0), Composition.eps(2)),
+    (XI_11, Composition.eps(3), Composition.eps(0)),
+    (PINNED_BLOCKS[0], LAM_A, LAM_B),
+    (PINNED_BLOCKS[1], LAM_A, LAM_B),
+    (PINNED_BLOCKS[1], comp([1, 1, 1, 1]), comp([1, 1, 1, 1])),
+]
+EDGE_IDS = ["no-rows", "t0-gamma", "m1n1-none", "m1n1-none-t",
+            "t4m4n4-none", "t4m4n6-none", "t4m4n6-many"]
+
+
+class TestSuffixWalkEdges:
+    """Cells at the edges of the tau walk: no rows at all (one empty term),
+    rows of one choice each (t = 0), no tau at all, and the largest sum."""
+
+    @pytest.mark.parametrize("xi,lam,kap", EDGE_CELLS, ids=EDGE_IDS)
+    def test_edge_cell(self, xi, lam, kap):
+        choices = blockan._tau_choices(lam, kap, xi.gamma)
+        value = cartan_entry(xi, lam, kap)
+        graded = graded_cartan(xi, lam, kap)
+        assert value == cartan_entry_by_terms(xi, lam, kap) == graded.eval1()
+        assert graded == graded_cartan_by_division(xi, lam, kap)
+        if choices is None:
+            assert value == 0 and graded == ZERO
+        else:
+            assert value > 0
+
+    def test_no_rows_is_one_empty_term(self):
+        zero = Composition()
+        assert blockan._tau_choices(zero, zero, EMPTY_BLOCK.gamma) == []
+        assert list(reference_tau_terms(EMPTY_BLOCK, zero, zero)) == [[]]
+        assert cartan_entry(EMPTY_BLOCK, zero, zero) == 1
+        assert graded_cartan(EMPTY_BLOCK, zero, zero) == ONE
+
+    def test_none_cells_of_a_pinned_window(self):
+        xi = PINNED_BLOCKS[0]
+        lams = compositions_in_window(xi.t, 0, 3)
+        none = [(lam, kap) for lam in lams for kap in lams
+                if blockan._tau_choices(lam, kap, xi.gamma) is None]
+        assert len(none) == 672
+        for lam, kap in none:
+            assert cartan_entry(xi, lam, kap) == 0
+            assert graded_cartan(xi, lam, kap) == ZERO
+
+    @pytest.mark.parametrize("fn", [cartan_entry, graded_cartan], ids=["ungraded", "graded"])
+    @pytest.mark.parametrize("lam,kap", [(comp([1, 1]), Composition.eps(0)),
+                                         (Composition.eps(0), comp([2])),
+                                         (Composition(), Composition())],
+                             ids=["lam", "kap", "both"])
+    def test_wrong_total_raises_before_the_walk(self, monkeypatch, fn, lam, kap):
+        calls = []
+        monkeypatch.setattr(blockan, "_tau_choices", lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            fn(XI_11, lam, kap)
+        assert calls == []
+
+
+class TestTauChoicesCalls:
+    """bench/tracer.py derives blockan.tau_terms from the _tau_choices calls,
+    and bench/selftest.py relies on one module-level call per cell."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        fn = blockan._tau_choices
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(blockan, "_tau_choices", counted)
+        return calls
+
+    @pytest.mark.parametrize("xi", PINNED_BLOCKS, ids=["t4m4n4", "t4m4n6nu2@1"])
+    @pytest.mark.parametrize("graded", [False, True], ids=["ungraded", "graded"])
+    def test_one_call_per_evaluated_cell(self, monkeypatch, xi, graded):
+        lams = compositions_in_window(xi.t, 0, 3)
+        calls = self._count(monkeypatch)
+        cartan_matrix(xi, lams, graded=graded)
+        assert len(lams) == 35 and len(calls) == 630
+
+    @pytest.mark.parametrize("xi,lam,kap", EDGE_CELLS, ids=EDGE_IDS)
+    @pytest.mark.parametrize("fn", [cartan_entry, graded_cartan], ids=["ungraded", "graded"])
+    def test_one_call_per_cell_function(self, monkeypatch, fn, xi, lam, kap):
+        calls = self._count(monkeypatch)
+        fn(xi, lam, kap)
+        assert calls == [(lam, kap, xi.gamma)]
 
 
 class TestCartanMatrix:
