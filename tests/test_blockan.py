@@ -218,30 +218,30 @@ def _digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
+def _cells_up_to_4():
+    """Every cell of _blocks_up_to_4 over windows of width 3 covering
+    -3..3; narrower windows are subsets."""
+    for xi in _blocks_up_to_4():
+        for lo in range(-3, 2):
+            lams = compositions_in_window(xi.t, lo, lo + 2)
+            for lam in lams:
+                for kap in lams:
+                    yield xi, lam, kap
+
+
 class TestGradedCartanRoute:
     def test_matches_division_route(self):
         cells = 0
-        for xi in _blocks_up_to_4():
-            # windows of width 3 covering -3..3; narrower windows are subsets
-            for lo in range(-3, 2):
-                lams = compositions_in_window(xi.t, lo, lo + 2)
-                for lam in lams:
-                    for kap in lams:
-                        got = graded_cartan(xi, lam, kap)
-                        assert got == graded_cartan_by_division(xi, lam, kap), (xi, lam, kap)
-                        cells += 1
+        for xi, lam, kap in _cells_up_to_4():
+            assert graded_cartan(xi, lam, kap) == graded_cartan_by_division(xi, lam, kap), (xi, lam, kap)
+            cells += 1
         assert cells == 9000
 
     def test_ungraded_matches_term_route(self):
         cells = 0
-        for xi in _blocks_up_to_4():
-            for lo in range(-3, 2):
-                lams = compositions_in_window(xi.t, lo, lo + 2)
-                for lam in lams:
-                    for kap in lams:
-                        got = cartan_entry(xi, lam, kap)
-                        assert got == cartan_entry_by_terms(xi, lam, kap), (xi, lam, kap)
-                        cells += 1
+        for xi, lam, kap in _cells_up_to_4():
+            assert cartan_entry(xi, lam, kap) == cartan_entry_by_terms(xi, lam, kap), (xi, lam, kap)
+            cells += 1
         assert cells == 9000
 
     @pytest.mark.parametrize(
