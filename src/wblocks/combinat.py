@@ -158,7 +158,7 @@ class Composition:
 @dataclass(frozen=True)
 class Pyramid:
     """Two-row pyramid shape: m top boxes, n bottom boxes, s_minus height-1
-    columns on the left (s_plus = n - m - s_minus on the right)."""
+    columns on the left and n - m - s_minus on the right."""
 
     m: int
     n: int
@@ -169,10 +169,6 @@ class Pyramid:
             raise ValueError("need 0 <= m <= n")
         if not 0 <= self.s_minus <= self.n - self.m:
             raise ValueError("need 0 <= s_minus <= n - m")
-
-    @property
-    def s_plus(self) -> int:
-        return self.n - self.m - self.s_minus
 
     def row(self, i: int) -> int:
         self._check_box(i)

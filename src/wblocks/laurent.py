@@ -105,12 +105,6 @@ class LaurentQ:
         out.coeffs = d
         return out
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.coeffs == ({0: other} if other else {})
@@ -129,12 +123,6 @@ class LaurentQ:
         if isinstance(other, int):
             other = LaurentQ(other)
         return LaurentQ._raw(_addmul(dict(self.coeffs), other.coeffs, {0: -1}))
-
-    def __rsub__(self, other):
-        return LaurentQ(other) - self
-
-    def __neg__(self):
-        return LaurentQ._raw({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):

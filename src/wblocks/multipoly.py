@@ -87,12 +87,6 @@ class MultiPoly:
         if self.m != other.m or self.n != other.n:
             raise ValueError("variable sets differ")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return (self.m, self.n, self.terms) == (other.m, other.n, other.terms)
@@ -107,15 +101,6 @@ class MultiPoly:
         return MultiPoly._raw(self.m, self.n, out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._raw(self.m, self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

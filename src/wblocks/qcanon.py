@@ -89,15 +89,9 @@ class TensorVec:
         return NotImplemented
 
     def __add__(self, other: "TensorVec") -> "TensorVec":
-        return self._plus(other, {0: 1})
-
-    def __sub__(self, other: "TensorVec") -> "TensorVec":
-        return self._plus(other, {0: -1})
-
-    def _plus(self, other: "TensorVec", sign: dict) -> "TensorVec":
         self._check(other)
         acc = {k: dict(c) for k, c in self.terms.items()}
-        _acc(acc, other.terms.items(), sign)
+        _acc(acc, other.terms.items(), {0: 1})
         return TensorVec._from_raw(self.N, self.signs, acc)
 
     def scaled(self, c) -> "TensorVec":
@@ -180,43 +174,12 @@ def r_apply(slot: int, v: TensorVec, inverse: bool = False) -> TensorVec:
     return TensorVec._from_raw(v.N, new_signs, out)
 
 
-def _w0_parts(N: int, signs: str, key: tuple, inverse: bool, memo) -> list:
-    """R_{w0} of the unit vector at key as parts (a, tail, image): the sum of
-    a * (image x tail), with a a coefficient dict and image raw terms on the
-    first k-1 slots, to be read only.  The word s_1, s_2 s_1, ...,
-    s_{k-1} ... s_1, applied right to left, moves the first factor to the
-    end by k-1 R-steps, then takes the same word for k-1 on slots 1..k-1,
-    whose images memo holds."""
-    moved = {key: {0: 1}}
-    for idx in range(1, len(signs)):
-        signs, moved = _r_step(N, signs, moved, idx, inverse)
-    return [(a, k2[-1:], _w0_unit(N, signs[:-1], k2[:-1], inverse, memo))
-            for k2, a in moved.items()]
-
-
-def _w0_unit(N: int, signs: str, key: tuple, inverse: bool, memo: dict) -> dict:
-    """R_{w0} of the unit vector at key as raw terms, read-only, memoized."""
-    out = memo.get((signs, key))
-    if out is None:
-        if len(key) <= 1:
-            return {key: {0: 1}}
-        out = memo[(signs, key)] = {}
-        for a, tail, image in _w0_parts(N, signs, key, inverse, memo):
-            _acc(out, ((k2 + tail, x) for k2, x in image.items()), a)
-    return out
-
-
-def _psi_key(v_key, signs, N, inverse: bool, word, memo):
-    """R_{w0} (or its inverse version) applied to the reversed pure tensor,
-    as (parts, e): the image is q^e times the sum over parts (a, tail, terms)
-    of a * (terms x tail), and e is the exponent of the q-prefactor from the
-    pairwise form values.
-
-    Every reduced word for w0 gives the same image (braid relations).  With
-    word None it is built factor by factor (_w0_parts), memoizing sub-key
-    images in memo.  A word, checked by _bar, is applied step by step with
-    r_apply, as one part with an empty tail; families pass _block_word.
-    """
+def _psi_key(v_key, signs, N, inverse: bool, word):
+    """R_{w0} (or its inverse version) applied to the reversed pure tensor
+    along word, as (terms, e): the image is q^e times the raw terms, to be
+    read only, and e is the exponent of the q-prefactor from the pairwise
+    form values.  Every reduced word for w0 gives the same image (braid
+    relations); _bar checks the word, and families pass _block_word."""
     k = len(signs)
     e = 0
     for r in range(k):
@@ -226,48 +189,43 @@ def _psi_key(v_key, signs, N, inverse: bool, word, memo):
                 ss = 1 if signs[s] == "+" else -1
                 e += sr * ss
     e = e if inverse else -e
-    cur_signs, cur = signs[::-1], tuple(reversed(v_key))
-    if word is None:
-        return _w0_parts(N, cur_signs, cur, inverse, memo), e
-    v = TensorVec._from_raw(N, cur_signs, {cur: {0: 1}})
+    v = TensorVec._from_raw(N, signs[::-1], {tuple(reversed(v_key)): {0: 1}})
     for idx in reversed(word):
         v = r_apply(idx, v, inverse)
-    return [({0: 1}, (), v.terms)], e
+    return v.terms, e
 
 
 def _bar(v: TensorVec, inverse: bool, word) -> TensorVec:
     """Anti-linear extension of _psi_key: the sum of bar(c) * psi(key), with
-    bar(c) * q^e accumulated straight into one dict per output key.  The
-    keys share one memo of sub-key images.  Raises ValueError unless word
-    is None or a reduced word for w0 (k(k-1)/2 slots, product reversing 1..k)."""
+    bar(c) * q^e accumulated straight into one dict per output key.  Raises
+    ValueError unless word is a reduced word for w0 (k(k-1)/2 slots, product
+    reversing 1..k)."""
     k = len(v.signs)
-    if word is not None:
-        perm = list(range(k))
-        for s in word:
-            if not 0 < s < k:
-                raise ValueError(f"slot {s} out of range 1..{k - 1}")
-            perm[s - 1], perm[s] = perm[s], perm[s - 1]
-        if len(word) != k * (k - 1) // 2 or perm != list(range(k))[::-1]:
-            raise ValueError(f"{list(word)} is not a reduced word for w0 on {k} slots")
-    memo: dict = {}
+    perm = list(range(k))
+    for s in word:
+        if not 0 < s < k:
+            raise ValueError(f"slot {s} out of range 1..{k - 1}")
+        perm[s - 1], perm[s] = perm[s], perm[s - 1]
+    if len(word) != k * (k - 1) // 2 or perm != list(range(k))[::-1]:
+        raise ValueError(f"{list(word)} is not a reduced word for w0 on {k} slots")
     acc: dict = {}
     for key, c in v.terms.items():
-        parts, e = _psi_key(key, v.signs, v.N, inverse, word, memo)
-        b = {e - x: y for x, y in c.items()}
-        for a, tail, terms in parts:
-            _acc(acc, ((k2 + tail, x) for k2, x in terms.items()), _addmul({}, a, b))
+        terms, e = _psi_key(key, v.signs, v.N, inverse, word)
+        _acc(acc, terms.items(), {e - x: y for x, y in c.items()})
     return TensorVec._from_raw(v.N, v.signs, acc)
 
 
-def psi(v: TensorVec, word=None) -> TensorVec:
+def psi(v: TensorVec, word) -> TensorVec:
     """The bar involution compatible with bar on the quantum group
-    (anti-linear; built from the R-matrix along a reduced word for w0)."""
+    (anti-linear; built from the R-matrix along word, a reduced word for
+    w0, which is required)."""
     return _bar(v, False, word)
 
 
-def psi_star(v: TensorVec, word=None) -> TensorVec:
+def psi_star(v: TensorVec, word) -> TensorVec:
     """The adjoint bar involution with respect to the orthonormal-basis
-    form (anti-linear; built from inverse R-matrices)."""
+    form (anti-linear; built from inverse R-matrices along word, a reduced
+    word for w0, which is required)."""
     return _bar(v, True, word)
 
 

@@ -412,14 +412,14 @@ FULL_SCALES = {
     "cartan-vs-oracle": {"mn": 3, "t": 3, "gamma_width": 3, "lam_width": 4},
     "graded-vs-ungraded": {"mn": 5, "t": 5, "gamma_width": 3, "lam_width": 4},
     "appendixb-pairing": {"mn": 3, "t": 3},
-    "character-identities": {"mn": 3, "t": 3, "gamma_width": 2, "lam_width": 3},
+    "character-identities": {"mn": 4, "t": 4, "gamma_width": 2, "lam_width": 3},
     "verma-order-independence": {"entry_hi": 3, "D": 4},
     "h-laws": {"t_eps": 6, "t_strict": 4, "width": 3, "row_mn": 3},
     "top-degree": {"mn": 5, "t": 5, "gamma_width": 3, "lam_width": 3},
     "linkage-weight-fibers": {"entry_hi": 4, "shapes": [(1, 1), (1, 2), (2, 2)]},
     "center": {"mn": 4, "r_max": 8, "random_polys": 200,
                "random_shapes": [(1, 1), (1, 2), (2, 2), (2, 3)]},
-    "recovery-round-trip": {"mn": 3, "t": 3},
+    "recovery-round-trip": {"mn": 4, "t": 4},
     "canonical-basis-units": {"N": 3, "shapes": [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]},
     "m1n1-sanity": {},
 }

@@ -82,7 +82,7 @@ class TestVermaMult:
                     if beta == lam:
                         assert d == ONE, (xi, beta)
                         diagonal += 1
-                    elif d:
+                    elif d != 0:
                         assert min(d.coeffs) > 0 and min(d.coeffs.values()) > 0, (xi, beta, lam, d)
                         off_diagonal += 1
         assert (diagonal, off_diagonal) == (880, 935)

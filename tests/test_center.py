@@ -24,17 +24,22 @@ from wblocks.center import (
 from wblocks.multipoly import MultiPoly
 
 
+def neg(f):
+    """-f, built from the negated term dict."""
+    return MultiPoly(f.m, f.n, {k: -c for k, c in f.terms.items()})
+
+
 class TestESuper:
     def test_r1(self):
         m, n = 2, 2
-        expect = e_sym(m, n, 1) - h_sym(m, n, 1)
+        expect = e_sym(m, n, 1) + neg(h_sym(m, n, 1))
         assert e_super(1, m, n) == expect
 
     def test_r2_m1n1(self):
         f = e_super(2, 1, 1)
         x1 = MultiPoly.x(1, 1, 1)
         y1 = MultiPoly.y(1, 1, 1)
-        assert f == y1 * y1 - x1 * y1
+        assert f == y1 * y1 + neg(x1 * y1)
 
     def test_m_zero_collapses(self):
         for r in (1, 2, 3):
@@ -138,7 +143,7 @@ class TestSymmetricPieces:
                 h_ref = h_ref + _product_of_variables(m, n, combo)
             assert e_sym(m, n, r) == e_ref, (m, n, r)
             assert h_sym(m, n, r) == h_ref, (m, n, r)
-            assert (r <= m) == bool(e_ref) and (r == 0 or n > 0) == bool(h_ref)
+            assert (r <= m) == (e_ref.terms != {}) and (r == 0 or n > 0) == (h_ref.terms != {})
             for f in (e_sym(m, n, r), h_sym(m, n, r)):
                 assert all(type(c) is int for c in f.terms.values())
 
@@ -197,7 +202,7 @@ def _ref_subst(f, var, g):
 
 def _ref_congruence(f, i, j):
     g = _ref_partial(f, i - 1) + _ref_partial(f, f.m + j - 1)
-    return _ref_subst(g, i - 1, MultiPoly.y(f.m, f.n, j)).is_zero()
+    return _ref_subst(g, i - 1, MultiPoly.y(f.m, f.n, j)).terms == {}
 
 
 class TestReferenceCalculus:
@@ -213,10 +218,10 @@ class TestReferenceCalculus:
         assert _ref_partial(self.x(1) * self.y(1), 0) == self.y(1)
 
     def test_partial_wrong_variable(self):
-        assert _ref_partial(self.x(1) * self.x(1), 2).is_zero()
+        assert _ref_partial(self.x(1) * self.x(1), 2).terms == {}
 
     def test_subst_kills_difference(self):
-        assert _ref_subst(self.x(1) - self.y(1), 0, self.y(1)).is_zero()
+        assert _ref_subst(self.x(1) + neg(self.y(1)), 0, self.y(1)).terms == {}
 
     def test_partial_leibniz(self):
         f = self.x(1) * self.x(1) * self.y(2) + 3 * self.x(2)
@@ -249,7 +254,8 @@ def _random_case(rng):
     if kind == 3:
         x, y = MultiPoly.x(m, n, rng.randint(1, m)), MultiPoly.y(m, n, rng.randint(1, n))
         k = rng.randint(1, 3)
-        return m, n, (x - y) * (x - y) * _random_poly(rng, m, n, 1) + _power(x, k) - _power(y, k)
+        d = x + neg(y)
+        return m, n, d * d * _random_poly(rng, m, n, 1) + _power(x, k) + neg(_power(y, k))
     f = MultiPoly(m, n)
     for _ in range(rng.randint(1, 3)):
         term = MultiPoly.constant(m, n, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
@@ -302,14 +308,14 @@ class TestMembership:
         x1 = MultiPoly.x(m, n, 1)
         y1 = MultiPoly.y(m, n, 1)
         y2 = MultiPoly.y(m, n, 2)
-        f = x1 * y2 - x1 * x1 * Fraction(1, 2) - y2 * y2 * Fraction(1, 2) + y1
+        f = x1 * y2 + (x1 * x1 + y2 * y2) * Fraction(-1, 2) + y1
         assert in_J(f, m, n, s_minus)
         assert not in_I(f, m, n)
 
     def test_in_J_no_symmetry_demand(self):
         # x1 - y1 satisfies the congruences without any symmetry
         m, n = 2, 2
-        f = MultiPoly.x(m, n, 1) - MultiPoly.y(m, n, 1)
+        f = MultiPoly.x(m, n, 1) + neg(MultiPoly.y(m, n, 1))
         assert in_J(f, m, n, 0)
         assert not in_I(f, m, n)
 
@@ -317,7 +323,7 @@ class TestMembership:
 class TestSeriesRoute:
     def test_r1(self):
         m, n = 2, 3
-        assert hc_series_coeff(1, m, n) == e_sym(m, n, 1) - h_sym(m, n, 1)
+        assert hc_series_coeff(1, m, n) == e_sym(m, n, 1) + neg(h_sym(m, n, 1))
 
     def test_r2_m1n1(self):
         assert hc_series_coeff(2, 1, 1) == e_super(2, 1, 1)
@@ -372,7 +378,7 @@ def _ref_e_super(r, m, n):
     out = MultiPoly(m, n)
     for s in range(min(r, m) + 1):
         term = e_sym(m, n, s) * h_sym(m, n, r - s)
-        out = out + (-term if (r - s) % 2 else term)
+        out = out + (neg(term) if (r - s) % 2 else term)
     return out
 
 
@@ -388,7 +394,7 @@ def _ref_hc_series_coeff(r, m, n):
         yk = MultiPoly.y(m, n, k)
         geo = [MultiPoly.constant(m, n, 1)]
         for _ in range(r):
-            geo.append(-(geo[-1] * yk))
+            geo.append(neg(geo[-1] * yk))
         new = [MultiPoly(m, n) for _ in range(r + 1)]
         for d1 in range(r + 1):
             for d2 in range(r + 1 - d1):

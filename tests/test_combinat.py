@@ -49,7 +49,6 @@ class TestPyramid:
 
     def test_degenerate_top_row(self):
         p = Pyramid(0, 3, 2)
-        assert p.s_plus == 1
         assert [p.col(i) for i in (1, 2, 3)] == [1, 2, 3]
 
 

