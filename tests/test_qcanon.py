@@ -839,8 +839,7 @@ class TestJsonAndCache:
         assert got == expected
 
     def test_family_bars_take_the_block_word(self, monkeypatch):
-        # each root key's bar runs along the block word of w0, checked and
-        # applied R-step by R-step, with no memo of sub-key images
+        # each root key's bar runs along the block word of w0
         words = []
 
         def spy(real):
