@@ -13,8 +13,9 @@ to its definition by file, first line (that of its first decorator, if any)
 and name, so a method is never covered by another class's method of the
 same name.
 
-Classes and module-level names have no code object to enter; a public one
-must be referenced somewhere in the package outside its own definition.
+Classes and module-level names have no code object to enter;
+tests/test_surface.py checks statically that a public one is referenced in
+the package.
 """
 
 import ast
@@ -190,36 +191,6 @@ def _drive(workdir: str):
         stdout_of[tuple(argv)] = out.getvalue()
 
 
-def _public_names_unreferenced(root) -> list:
-    """Public top-level classes and module-level assigned names of root that
-    no code in root names (by name, attribute or import) outside their own
-    definition."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(pathlib.Path(root).glob("*.py"))}
-    defs = []
-    for file, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                defs.append((file, node.name, node))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                    if isinstance(target, ast.Name):
-                        defs.append((file, target.id, node))
-    spans = {}
-    for file, name, node in defs:
-        spans.setdefault(name, []).append((file, node.lineno, node.end_lineno))
-    used = set()
-    for file, tree in trees.items():
-        for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name) else node.attr
-                    if isinstance(node, ast.Attribute) else node.name
-                    if isinstance(node, ast.alias) else None)
-            if name is not None and not any(file == f and lo <= node.lineno <= hi
-                                            for f, lo, hi in spans.get(name, ())):
-                used.add(name)
-    return [f"{file}:{node.lineno} {name}" for file, name, node in defs
-            if not name.startswith("_") and name not in used]
-
-
 def test_every_function_is_entered_or_allowlisted(tmp_path):
     env = {k: v for k, v in os.environ.items() if not k.startswith("WBLOCKS_")}
     env["PYTHONPATH"] = str(SRC)
@@ -231,11 +202,6 @@ def test_every_function_is_entered_or_allowlisted(tmp_path):
     assert missed == [], "functions no program path enters: " + ", ".join(missed)
     assert stale == [], "allowlisted but entered or not defined: " + ", ".join(stale)
     assert all(reason.strip() and "\n" not in reason for reason in ALLOWLIST.values())
-
-
-def test_every_public_class_and_module_name_is_referenced():
-    unused = _public_names_unreferenced(PACKAGE)
-    assert unused == [], "public names the package never uses: " + ", ".join(unused)
 
 
 SYNTHETIC = '''
