@@ -14,14 +14,16 @@ from .multipoly import MultiPoly, _acc
 
 def _monomial_sum(m: int, n: int, combos) -> MultiPoly:
     """The sum of the monomials prod_{k in combo} v_k, each with coefficient
-    1, over combos of distinct multisets of exponent-tuple slots k."""
+    1, over combos of distinct multisets of exponent-tuple slots k.  Distinct
+    multisets are distinct monomials, so the terms need no merging or
+    validation."""
     terms = {}
     for combo in combos:
         e = [0] * (m + n)
         for k in combo:
             e[k] += 1
         terms[tuple(e)] = 1
-    return MultiPoly(m, n, terms)
+    return MultiPoly._raw(m, n, terms)
 
 
 def e_sym(m: int, n: int, r: int) -> MultiPoly:
@@ -44,16 +46,20 @@ def e_super(r: int, m: int, n: int) -> MultiPoly:
     elementary symmetric (x) with complete symmetric (y) pieces of total
     degree r.  The two pieces of a product have disjoint variables, so each
     pair of their monomials is one distinct monomial of the sum, with
-    coefficient (-1)^{r-s}; no polynomial product is formed."""
+    coefficient (-1)^{r-s}; no polynomial product is formed.  The pieces are
+    built on their own blocks, e_sym(m, 0, s) on the x's and h_sym(0, n,
+    r - s) on the y's, and each monomial of the sum is the concatenation of
+    an x block and a y block, written once."""
     if r < 1:
         raise ValueError("e_super requires r >= 1")
     _check_shape(m, n)
     out: dict = {}
     for s in range(min(r, m) + 1):
         sign = -1 if (r - s) % 2 else 1
-        h = h_sym(m, n, r - s).terms
-        for k in e_sym(m, n, s).terms:
-            _acc(out, h, k, sign)
+        ys = h_sym(0, n, r - s).terms
+        for x in e_sym(m, 0, s).terms:
+            for y in ys:
+                out[x + y] = sign
     return MultiPoly._raw(m, n, out)
 
 
@@ -93,7 +99,9 @@ def _congruence_holds(f: MultiPoly, i: int, j: int) -> bool:
     The quotient ring is a polynomial ring: substitute x_i <- y_j.  A term
     c x_i^a y_j^b rest then becomes (a + b) c y_j^{a+b-1} rest, so the
     congruence holds iff, for every s >= 1 and every rest, the coefficients
-    of the monomials x_i^a y_j^{s-a} rest sum to 0.
+    of the monomials x_i^a y_j^{s-a} rest sum to 0.  Each sum is keyed by
+    the exponent tuple with slot x_i set to s and slot y_j set to 0, which
+    determines (rest, s) and is determined by it.
 
     On a symmetric f the pair (1, 1) decides every pair: the variable swap
     (x_1 x_i)(y_1 y_j) fixes f and carries d/dx_1 + d/dy_1 to d/dx_i +
@@ -104,7 +112,10 @@ def _congruence_holds(f: MultiPoly, i: int, j: int) -> bool:
     for k, c in f.terms.items():
         s = k[xi] + k[yj]
         if s:
-            key = k[:xi] + (s,) + k[xi + 1:yj] + k[yj + 1:]
+            key = list(k)
+            key[xi] = s
+            key[yj] = 0
+            key = tuple(key)
             sums[key] = sums.get(key, 0) + c
     return not any(sums.values())
 
@@ -143,28 +154,43 @@ def hc_series_coeff(r: int, m: int, n: int) -> MultiPoly:
     """Coefficient of u^{-r} in prod_k (1 + u^{-1} x_k) / prod_k
     (1 + u^{-1} y_k), computed by truncated series expansion in u^{-1}.
 
-    series[d] holds the coefficient of u^{-d}, d <= r, as one term dict
-    updated in place.  Multiplying by (1 + u^{-1} x_k) runs top-down,
-    series[d] += x_k series[d-1]; dividing by (1 + u^{-1} y_k) runs
-    bottom-up, series[d] -= y_k series[d-1], since the quotient S' of S
-    satisfies S'[d] = S[d] - y_k S'[d-1].
+    The numerator involves only the x's and the denominator only the y's,
+    so each is expanded on its own block: xs[d] and ys[d] hold the u^{-d}
+    coefficients, d <= r, as term dicts over the m x slots and the n y
+    slots, updated in place.  Multiplying by (1 + u^{-1} x_k) runs
+    top-down, xs[d] += x_k xs[d-1]; dividing by (1 + u^{-1} y_k) runs
+    bottom-up, ys[d] -= y_k ys[d-1], since the quotient S' of S satisfies
+    S'[d] = S[d] - y_k S'[d-1].  The u^{-r} coefficient of the product is
+    sum_s xs[s] ys[r-s]; its monomials are concatenations of an x block and a
+    y block, each met once.
 
     This is the generating-series route to e_super; the two are compared as
-    an independent cross-check.
+    an independent cross-check.  Splitting the series by block is a
+    property of the generating function, not of e_super: the monomials and
+    coefficients still come only from the variables' recurrences, and no
+    piece of e_super (e_sym, h_sym, _monomial_sum) is entered, so a fault
+    in one of those moves only one side of the comparison.
     """
     if r < 1:
         raise ValueError("hc_series_coeff requires r >= 1")
     _check_shape(m, n)
-    series = [{(0,) * (m + n): 1}] + [{} for _ in range(r)]
+    xs = [{(0,) * m: 1}] + [{} for _ in range(r)]
     for k in range(1, m + 1):
-        (xk,) = MultiPoly.x(m, n, k).terms
+        (xk,) = MultiPoly.x(m, 0, k).terms
         for d in range(r, 0, -1):
-            _acc(series[d], series[d - 1], xk)
+            _acc(xs[d], xs[d - 1], xk)
+    ys = [{(0,) * n: 1}] + [{} for _ in range(r)]
     for k in range(1, n + 1):
-        (yk,) = MultiPoly.y(m, n, k).terms
+        (yk,) = MultiPoly.y(0, n, k).terms
         for d in range(1, r + 1):
-            _acc(series[d], series[d - 1], yk, -1)
-    return MultiPoly._raw(m, n, series[r])
+            _acc(ys[d], ys[d - 1], yk, -1)
+    out: dict = {}
+    for s in range(min(r, m) + 1):
+        y_terms = ys[r - s].items()
+        for x, a in xs[s].items():
+            for y, b in y_terms:
+                out[x + y] = a * b
+    return MultiPoly._raw(m, n, out)
 
 
 def symmetrize(f: MultiPoly) -> MultiPoly:

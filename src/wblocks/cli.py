@@ -31,6 +31,13 @@ class ResourceError(Exception):
 # at weight 0 (5140 vectors) would take about 27 times as long as N=6.
 CB_MAX_VECTORS = 1000
 
+# Largest Cartan matrix, in cells, that `cartan` and `graded-cartan` compute.
+# m=n=2, mu=0;nu=0;t=2 over -15..15 (496 labels, 246,016 cells) takes 0.46 s
+# ungraded and 0.95 s graded on a 2-vCPU VM; m=n=t=4 over -4..4 (495 labels)
+# takes 0.79 s and 2.1 s.  The cost of a cell grows with t (t=6: about 5 us
+# ungraded, 27 us graded), and the printed matrix grows with the cells.
+CARTAN_MAX_CELLS = 250_000
+
 
 # ---------------------------------------------------------------------------
 # flag-string parsing
@@ -151,7 +158,7 @@ def cmd_cartan(args, graded: bool) -> int:
     xi = parse_block(args.block, args.m, args.n)
     w = parse_window(args.window)
     lams = _matrix_labels(xi, w)
-    if len(lams) > 2000:
+    if len(lams) ** 2 > CARTAN_MAX_CELLS:
         raise ResourceError(
             f"window yields {len(lams)} labels ({len(lams) ** 2} cells); narrow it"
         )

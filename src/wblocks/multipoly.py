@@ -24,7 +24,9 @@ def _coeff(c):
 
 def _acc(out: dict, terms: dict, shift=None, scale=1):
     """out += scale * x^shift * terms, in place, zeros dropped; a sum that
-    comes out integral is stored as an int."""
+    comes out integral is stored as an int.  The one MultiPoly kernel:
+    MultiPoly.__add__ and __mul__ and the block recurrences of
+    center.hc_series_coeff call it."""
     for k, c in terms.items():
         if shift is not None:
             k = tuple(map(add, shift, k))

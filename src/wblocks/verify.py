@@ -417,7 +417,7 @@ FULL_SCALES = {
     "h-laws": {"t_eps": 6, "t_strict": 4, "width": 3, "row_mn": 3},
     "top-degree": {"mn": 5, "t": 5, "gamma_width": 3, "lam_width": 3},
     "linkage-weight-fibers": {"entry_hi": 4, "shapes": [(1, 1), (1, 2), (2, 2)]},
-    "center": {"mn": 4, "r_max": 8, "random_polys": 200,
+    "center": {"mn": 5, "r_max": 8, "random_polys": 200,
                "random_shapes": [(1, 1), (1, 2), (2, 2), (2, 3)]},
     "recovery-round-trip": {"mn": 4, "t": 4},
     "canonical-basis-units": {"N": 3, "shapes": [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]},

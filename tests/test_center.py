@@ -21,7 +21,7 @@ from wblocks.center import (
     is_symmetric,
     symmetrize,
 )
-from wblocks.multipoly import MultiPoly
+from wblocks.multipoly import MultiPoly, _acc
 
 
 def neg(f):
@@ -448,6 +448,119 @@ class TestOnePassRoutes:
                 MultiPoly(m, n))
         assert is_symmetric(f)
         assert not in_I(f, m, n) and not _ref_in_I(f, m, n)
+
+
+# The all-variable routes of e_super and hc_series_coeff, kept here as the
+# references for the block routes of center: every term dict spans all m + n
+# slots and every monomial comes from one multipoly._acc shift.
+
+def _acc_e_super(r, m, n):
+    """sum_s (-1)^{r-s} e_s(x) h_{r-s}(y), each product accumulated by
+    shifting h_sym's terms by one e_sym monomial."""
+    out = {}
+    for s in range(min(r, m) + 1):
+        h = h_sym(m, n, r - s).terms
+        for k in e_sym(m, n, s).terms:
+            _acc(out, h, k, -1 if (r - s) % 2 else 1)
+    return MultiPoly._raw(m, n, out)
+
+
+def _acc_hc_series_coeff(r, m, n):
+    """The u^{-r} coefficient of prod (1 + u^{-1} x_k) / prod (1 + u^{-1}
+    y_k), one series over all m + n slots."""
+    series = [{(0,) * (m + n): 1}] + [{} for _ in range(r)]
+    for k in range(1, m + 1):
+        (xk,) = MultiPoly.x(m, n, k).terms
+        for d in range(r, 0, -1):
+            _acc(series[d], series[d - 1], xk)
+    for k in range(1, n + 1):
+        (yk,) = MultiPoly.y(m, n, k).terms
+        for d in range(1, r + 1):
+            _acc(series[d], series[d - 1], yk, -1)
+    return MultiPoly._raw(m, n, series[r])
+
+
+class TestBlockRoutes:
+    @pytest.mark.parametrize("m,n", SHAPES_4)
+    def test_match_all_variable_routes(self, m, n):
+        for r in range(1, 9):
+            for got, ref in ((e_super(r, m, n), _acc_e_super(r, m, n)),
+                             (hc_series_coeff(r, m, n), _acc_hc_series_coeff(r, m, n))):
+                assert (got.m, got.n) == (m, n)
+                assert got.terms == ref.terms, (m, n, r)
+                assert all(len(k) == m + n for k in got.terms), (m, n, r)
+                assert all(type(c) is int and c in (1, -1) for c in got.terms.values())
+
+    def test_pieces_build_raw_term_dicts(self, monkeypatch):
+        # the pieces' terms are distinct monomials with coefficient 1, so
+        # they are not passed through MultiPoly's validating constructor
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("MultiPoly.__init__")
+
+        monkeypatch.setattr(MultiPoly, "__init__", forbidden)
+        for m, n in SHAPES_4:
+            for r in range(1, 9):
+                e_super(r, m, n)
+                hc_series_coeff(r, m, n)
+        assert e_sym(3, 0, 2).terms == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
+        assert h_sym(0, 2, 2).terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+
+
+def _slice_keyed_congruence(f, i, j):
+    """The congruence with each sum keyed by (rest, s) as one tuple: the
+    exponent tuple with slot y_j removed and slot x_i set to s."""
+    xi, yj = i - 1, f.m + j - 1
+    sums = {}
+    for k, c in f.terms.items():
+        s = k[xi] + k[yj]
+        if s:
+            key = k[:xi] + (s,) + k[xi + 1:yj] + k[yj + 1:]
+            sums[key] = sums.get(key, 0) + c
+    return not any(sums.values())
+
+
+def _pair_members(m, n, i, j):
+    """Polynomials that pass the congruence at (i, j) by construction:
+    (x_i - y_j)^2 g + x_i^k - y_j^k, with g a product of the first and last
+    slots' variables."""
+    x, y = MultiPoly.x(m, n, i), MultiPoly.y(m, n, j)
+    d = x + neg(y)
+    g = MultiPoly.x(m, n, 1) * MultiPoly.y(m, n, n) + 3 * MultiPoly.x(m, n, m)
+    return [d * d * g + _power(x, k) + neg(_power(y, k)) for k in (1, 2, 3)]
+
+
+CONGRUENCE_SHAPES = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 4), (4, 2), (3, 4)]
+
+
+class TestCongruenceKeys:
+    @pytest.mark.parametrize("m,n", CONGRUENCE_SHAPES)
+    def test_every_pair_matches_substitution(self, m, n):
+        # every (i, j), the first and last slots included, on polynomials that
+        # pass the congruence at one pair and fail it at others
+        verdicts = {True: 0, False: 0}
+        for i0, j0 in itertools.product((1, m), (1, n)):
+            polys = _pair_members(m, n, i0, j0)
+            polys += [f + MultiPoly.x(m, n, m) * MultiPoly.y(m, n, 1) for f in polys]
+            polys.append(e_super(3, m, n))
+            for f in polys:
+                for i in range(1, m + 1):
+                    for j in range(1, n + 1):
+                        got = _congruence_holds(f, i, j)
+                        assert got == _ref_congruence(f, i, j), (m, n, i, j, f)
+                        assert got == _slice_keyed_congruence(f, i, j), (m, n, i, j, f)
+                        verdicts[got] += 1
+        assert min(verdicts.values()) > 0, verdicts
+
+    @pytest.mark.parametrize("m,n", CONGRUENCE_SHAPES)
+    def test_rational_coefficients_cancel_across_keys(self, m, n):
+        # x_i^2/2 - y_j^2/2 passes at (i, j); scaling one side breaks it
+        for i, j in ((1, 1), (m, n), (1, n), (m, 1)):
+            x2 = _power(MultiPoly.x(m, n, i), 2)
+            y2 = _power(MultiPoly.y(m, n, j), 2)
+            f = x2 * Fraction(1, 2) + y2 * Fraction(-1, 2)
+            g = x2 * Fraction(1, 2) + y2 * Fraction(-1, 3)
+            assert _congruence_holds(f, i, j) and _ref_congruence(f, i, j)
+            assert not _congruence_holds(g, i, j) and not _ref_congruence(g, i, j)
 
 
 class TestWorkCounts:

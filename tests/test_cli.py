@@ -217,6 +217,26 @@ class TestExitCodes:
         assert main(["cb", "--N", "10", "--signs", "+++---", "--key", "1,2,3;3,2,1"]) == 2
         assert "ResourceError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["cartan", "graded-cartan"])
+    def test_cartan_cells_over_bound(self, cmd):
+        # t=2 over -15..16 has 528 labels, 278,784 cells
+        argv = [cmd, "--m", "2", "--n", "2", "--block", "mu=0;nu=0;t=2", "--window=-15..16"]
+        assert 528 ** 2 > cli.CARTAN_MAX_CELLS
+        code, out, err = call_main(argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: ResourceError: window yields 528 labels (278784 cells); "
+                       "narrow it\n")
+
+    def test_cartan_cells_within_bound(self):
+        # t=2 over -15..15 has 496 labels, 246,016 cells
+        argv = ["--no-cache", "cartan", "--m", "2", "--n", "2", "--block", "mu=0;nu=0;t=2",
+                "--window=-15..15"]
+        assert 496 ** 2 <= cli.CARTAN_MAX_CELLS
+        code, out, err = call_main(argv)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert len(data["labels"]) == 496 and len(data["matrix"]) == 496
+
     def test_cb_weight_space_within_bound(self, capsys):
         # N=4 +++--- at weight 0 has 256 vectors
         assert main(["cb", "--N", "4", "--signs", "+++---", "--key", "1,2,3;3,2,1"]) == 0
