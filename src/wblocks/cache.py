@@ -45,7 +45,7 @@ def get(request):
     try:
         with open(path) as fh:
             stored = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):  # unreadable, not UTF-8, not JSON, too deep
         return None
     if not isinstance(stored, dict) or stored.get("request") != request:
         return None

@@ -352,8 +352,9 @@ COMMANDS = {
 
 def build_parser(command: str | None = None):
     """The parser with only `command`'s subparser, or with all of them.
-    argparse is imported here, so a line that _read_table reads never
-    loads it."""
+    argparse is imported here, so a line that _read_table reads whole, valid
+    or not, never loads it; help, abbreviations and the lines the table
+    leaves are read here."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -413,8 +414,8 @@ def _scan_front(argv) -> _Front:
     """One pass over the global flags before the command.  When `exact` is
     false (abbreviations, help, a value like '-d'), only the full parser
     reads the line as argparse would, so main builds that one; when it is
-    true and a command follows, main tries _read_table, then that command's
-    parser."""
+    true, main tries _read_table, then the parser of the command that
+    follows (the full one if none does)."""
     takes_value = {flag for flag, kwargs in GLOBAL_FLAGS if "action" not in kwargs}
     names = ["-h", "--help", *(flag for flag, _ in GLOBAL_FLAGS)]
     given, exact, i = {}, True, 0
@@ -436,17 +437,33 @@ def _scan_front(argv) -> _Front:
     return _Front(given.get("--config"), given, command, argv[i + (command is not None):], exact)
 
 
+def _choice_error(name, value, choices) -> UsageError:
+    return UsageError(f"argument {name}: invalid choice: {value!r} "
+                      f"(choose from {', '.join(map(repr, choices))})")
+
+
 def _read_table(front: _Front):
     """The namespace argparse makes of an exact line, read straight from
-    COMMANDS; None unless each token after the command is a full flag of it,
-    as '--flag value' (a value not starting with '-'), '--flag=value' or a
-    bare store_true flag, each value passes its type and choices, and no
-    required flag is missing."""
-    if not (front.exact and front.command):
+    COMMANDS, or the UsageError argparse raises for it, worded as argparse
+    words it; None (argparse reads the line) unless each token after the
+    command is a full flag of it, as '--flag value' (a value not starting
+    with '-'), '--flag=value' (for a typed or choice flag, a value other
+    than '--') or a bare store_true flag.  As in argparse, the first value
+    that fails its type or choices is the error, else the required flags
+    missing, in spec order.  With no command, an empty rest is a missing
+    command and an unknown first token an invalid choice, unless a token
+    starts with '-'."""
+    if not front.exact:
         return None
+    if front.command is None:
+        if not front.rest:
+            raise UsageError("the following arguments are required: command")
+        if any(tok.startswith("-") for tok in front.rest):
+            return None
+        raise _choice_error("command", front.rest[0], COMMANDS)
     fn, _, specs = COMMANDS[front.command]
     kwargs_of = dict(specs)
-    given, rest, i = {}, front.rest, 0
+    given, error, rest, i = {}, None, front.rest, 0
     while i < len(rest):
         flag, eq, value = rest[i].partition("=")
         kwargs = kwargs_of.get(flag)
@@ -461,21 +478,25 @@ def _read_table(front: _Front):
             if i == len(rest) or rest[i].startswith("-"):
                 return None
             value = rest[i]
-        if "type" in kwargs:
+        elif value == "--" and ("type" in kwargs or "choices" in kwargs):
+            return None  # argparse drops the '--' and stores [] unchecked
+        if "type" in kwargs and error is None:
             try:
                 value = kwargs["type"](value)
             except ValueError:
-                return None
-        if "choices" in kwargs and value not in kwargs["choices"]:
-            return None
+                error = UsageError(f"argument {flag}: invalid {kwargs['type'].__name__} "
+                                   f"value: {value!r}")
+        if "choices" in kwargs and error is None and value not in kwargs["choices"]:
+            error = _choice_error(flag, value, kwargs["choices"])
         given[flag] = value
         i += 1
+    missing = [flag for flag, kwargs in specs if kwargs.get("required") and flag not in given]
+    if error or missing:
+        raise error or UsageError(f"the following arguments are required: {', '.join(missing)}")
     args = SimpleNamespace(cache_dir=front.given.get("--cache-dir"),
                            no_cache="--no-cache" in front.given, config=front.config,
                            command=front.command, fn=fn)
     for flag, kwargs in specs:
-        if flag not in given and kwargs.get("required"):
-            return None
         default = kwargs.get("default", False if "action" in kwargs else None)
         setattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
     return args
@@ -512,8 +533,11 @@ def _apply_config(argv, front: _Front):
 def main(argv=None) -> int:
     """Run one command line and return its exit code.  The line, with its
     config flags added, is read by _read_table, else by the named command's
-    parser (exact global flags), else by the full parser.  Only the parsers
-    import argparse, so they word every usage error and all help."""
+    parser (exact global flags), else by the full parser.  The table words
+    the usage errors of the lines it reads whole; the property test in
+    tests/test_cli.py holds that wording to argparse's on the running Python
+    (3.11.7 when written).  Only the parsers import argparse, so they word
+    all help and every other usage error."""
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_window_flags(list(argv))

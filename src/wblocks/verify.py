@@ -461,6 +461,7 @@ FAULTS = {
     "h-count": (blockan, "h_count"),
     "e-super": (center, "e_super"),
     "graded-cartan": (blockan, "graded_cartan"),
+    "simple-char": (characters, "ch_simple_w"),
 }
 
 

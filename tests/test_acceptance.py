@@ -117,6 +117,7 @@ FAULT_VICTIMS = {
     "h-count": {"h-laws", "recovery-round-trip"},
     "e-super": {"center"},
     "graded-cartan": {"graded-vs-ungraded", "appendixb-pairing", "top-degree", "m1n1-sanity"},
+    "simple-char": {"character-identities"},
 }
 
 
@@ -137,6 +138,14 @@ def test_fault_injection_hits_only_the_dependent_criterion(fault, victims):
     results = run_suite("quick", fault=fault)
     red = {r["name"] for r in results if not r["ok"]}
     assert red == victims
+
+
+def test_simple_char_fault_is_caught_at_full():
+    # character-identities checks m, n, t <= 4 at FULL; the fault reddens it there too
+    from wblocks.verify import run_suite
+
+    red = {r["name"] for r in run_suite("full", fault="simple-char") if not r["ok"]}
+    assert red == FAULT_VICTIMS["simple-char"]
 
 
 def test_perturbed_ungraded_closed_form_turns_its_dependents_red(monkeypatch):

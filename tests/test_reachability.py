@@ -86,8 +86,12 @@ LINES = [
     (["--no-c", "h", "--lambda", "0"], None),
     (["verify", "--profile", "quick"], None),
     (["verify", "--json"], None),
-    # usage and computation errors: exit 1 or 2
+    # usage and computation errors: exit 1 or 2; the table words the first
+    # three, argparse the next
     ([], None),
+    (["frobnicate"], None),
+    (["char", "--m", "2", "--n", "2", "--block", B22, "--lambda", "0", "--kind", "odd"], None),
+    (["h", "--lambda", "0", "extra"], None),
     (["h", "--lambda", "parts"], None),
     (["h", "--lambda", "offset=0;x"], None),
     (["blocks", "--m", "2", "--n", "2", "--window", "0:2"], None),
