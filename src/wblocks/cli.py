@@ -52,8 +52,16 @@ def parse_composition(text: str) -> Composition:
     fields = dict(_kv(item) for item in text.split(";") if item)
     if "parts" not in fields:
         raise UsageError(f"bad composition {text!r}: need parts=...")
-    parts = [int(x) for x in fields["parts"].split(",") if x != ""]
-    return Composition(parts, int(fields.get("offset", "0")))
+    return Composition(_ints(fields["parts"]), int(fields.get("offset", "0")))
+
+
+def _ints(text: str) -> list[int]:
+    """Comma-separated integers, none for the empty text; an empty entry
+    ('2,,1', '1,') is a usage error."""
+    items = text.split(",") if text else []
+    if "" in items:
+        raise UsageError(f"bad list {text!r}: empty entry")
+    return [int(x) for x in items]
 
 
 def _kv(item: str):
@@ -78,8 +86,8 @@ def parse_block(text: str, m: int, n: int) -> BlockKey:
         if fields.get(name) == "0":
             comps[name] = Composition()
         elif f"{name}.parts" in fields:
-            parts = [int(x) for x in fields[f"{name}.parts"].split(",") if x != ""]
-            comps[name] = Composition(parts, int(fields.get(f"{name}.offset", "0")))
+            comps[name] = Composition(_ints(fields[f"{name}.parts"]),
+                                      int(fields.get(f"{name}.offset", "0")))
         elif name in fields:
             raise UsageError(f"bad {name} in block: use {name}=0 or {name}.parts=...")
         else:
@@ -106,9 +114,7 @@ def parse_key(text: str):
     rows = text.split(";")
     if len(rows) != 2:
         raise UsageError(f"bad key {text!r}: expected top;bottom")
-    top = tuple(int(x) for x in rows[0].split(",") if x != "")
-    bottom = tuple(int(x) for x in rows[1].split(",") if x != "")
-    return top, bottom
+    return tuple(_ints(rows[0])), tuple(_ints(rows[1]))
 
 
 def _emit(obj):
@@ -350,23 +356,33 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None):
-    """The parser with only `command`'s subparser, or with all of them.
-    argparse is imported here, so a line that _read_table reads whole, valid
-    or not, never loads it; help, abbreviations and the lines the table
-    leaves are read here."""
+def _dest(flag, kwargs) -> str:
+    return kwargs.get("dest", flag[2:].replace("-", "_"))
+
+
+def build_parser():
+    """The parser of every command.  argparse is imported here, so a line
+    that _read_table reads whole, valid or not, never loads it; help,
+    abbreviations and the lines the table leaves are read here."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
             raise UsageError(message)
 
+        def parse_args(self, args=None, namespace=None):
+            # argparse drops the '--' of '--flag=--' and stores [] unchecked
+            ns = super().parse_args(args, namespace)
+            for flag, kwargs in COMMANDS[ns.command][2]:
+                if getattr(ns, _dest(flag, kwargs)) == []:
+                    raise UsageError(f"argument {flag}: expected one argument")
+            return ns
+
     parser = _Parser(prog="wblocks", description=__doc__)
     for flag, kwargs in GLOBAL_FLAGS:
         parser.add_argument(flag, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else (command,):
-        fn, help_text, flags = COMMANDS[name]
+    for name, (fn, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         for flag, kwargs in flags:
@@ -412,10 +428,9 @@ class _Front(NamedTuple):
 
 def _scan_front(argv) -> _Front:
     """One pass over the global flags before the command.  When `exact` is
-    false (abbreviations, help, a value like '-d'), only the full parser
-    reads the line as argparse would, so main builds that one; when it is
-    true, main tries _read_table, then the parser of the command that
-    follows (the full one if none does)."""
+    false (abbreviations, help, a value like '-d'), only the parser reads
+    the line as argparse would; when it is true, main tries _read_table
+    first."""
     takes_value = {flag for flag, kwargs in GLOBAL_FLAGS if "action" not in kwargs}
     names = ["-h", "--help", *(flag for flag, _ in GLOBAL_FLAGS)]
     given, exact, i = {}, True, 0
@@ -447,12 +462,12 @@ def _read_table(front: _Front):
     COMMANDS, or the UsageError argparse raises for it, worded as argparse
     words it; None (argparse reads the line) unless each token after the
     command is a full flag of it, as '--flag value' (a value not starting
-    with '-'), '--flag=value' (for a typed or choice flag, a value other
-    than '--') or a bare store_true flag.  As in argparse, the first value
-    that fails its type or choices is the error, else the required flags
-    missing, in spec order.  With no command, an empty rest is a missing
-    command and an unknown first token an invalid choice, unless a token
-    starts with '-'."""
+    with '-'), '--flag=value' (a value other than '--') or a bare
+    store_true flag.  As in argparse, the first value that fails its type
+    or choices is the error, else the required flags missing, in spec
+    order.  With no command, an empty rest is a missing command and an
+    unknown first token an invalid choice, unless a token starts with
+    '-'."""
     if not front.exact:
         return None
     if front.command is None:
@@ -478,8 +493,8 @@ def _read_table(front: _Front):
             if i == len(rest) or rest[i].startswith("-"):
                 return None
             value = rest[i]
-        elif value == "--" and ("type" in kwargs or "choices" in kwargs):
-            return None  # argparse drops the '--' and stores [] unchecked
+        elif value == "--":
+            return None
         if "type" in kwargs and error is None:
             try:
                 value = kwargs["type"](value)
@@ -498,7 +513,7 @@ def _read_table(front: _Front):
                            command=front.command, fn=fn)
     for flag, kwargs in specs:
         default = kwargs.get("default", False if "action" in kwargs else None)
-        setattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+        setattr(args, _dest(flag, kwargs), given.get(flag, default))
     return args
 
 
@@ -532,12 +547,11 @@ def _apply_config(argv, front: _Front):
 
 def main(argv=None) -> int:
     """Run one command line and return its exit code.  The line, with its
-    config flags added, is read by _read_table, else by the named command's
-    parser (exact global flags), else by the full parser.  The table words
-    the usage errors of the lines it reads whole; the property test in
-    tests/test_cli.py holds that wording to argparse's on the running Python
-    (3.11.7 when written).  Only the parsers import argparse, so they word
-    all help and every other usage error."""
+    config flags added, is read by _read_table, else by the parser.  The
+    table words the usage errors of the lines it reads whole; the property
+    test in tests/test_cli.py holds that wording to argparse's on the
+    running Python (3.11.7 when written).  Only the parser imports argparse,
+    so it words all help and every other usage error."""
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_window_flags(list(argv))
@@ -546,9 +560,7 @@ def main(argv=None) -> int:
         if front.config is not None:
             argv = _apply_config(argv, front)
             front = _scan_front(argv)
-        args = _read_table(front)
-        if args is None:
-            args = build_parser(front.command if front.exact else None).parse_args(argv)
+        args = _read_table(front) or build_parser().parse_args(argv)
         if args.no_cache:
             cache.configure(None)
         elif args.cache_dir:

@@ -169,6 +169,37 @@ class TestExitCodes:
     def test_signs_mismatch(self):
         assert main(["cb", "--N", "2", "--signs", "--", "--key", "2;2"]) == 1
 
+    # argparse drops the '--' of '--flag=--' and stores []; the line ends the
+    # same way whether or not the table could read the global flags
+    @pytest.mark.parametrize("argv,flag", [
+        (["char", "--m", "1", "--n", "1", "--block=--", "--lambda", "0"], "--block"),
+        (["blocks", "--m=--", "--n", "1", "--window", "0..1"], "--m"),
+        (["char", "--m", "1", "--n", "1", "--block", "mu=0;nu=0;t=1", "--lambda", "0", "--kind=--"],
+         "--kind"),
+    ])
+    def test_flag_given_dashes_has_no_value(self, argv, flag):
+        for front in ("--no-c", "--no-cache"):
+            assert call_main([front, *argv]) == \
+                (1, "", f"usage error: argument {flag}: expected one argument\n"), front
+
+    # an empty entry of an integer list is a usage error; an entry int()
+    # cannot read stays a computation error
+    @pytest.mark.parametrize("argv,code", [
+        (["h", "--lambda", "offset=0;parts=2,,1"], 1),
+        (["h", "--lambda", "offset=0;parts=,1"], 1),
+        (["end-dim", "--m", "2", "--n", "2", "--block", "mu.parts=1,;nu=0;t=1", "--i", "1"], 1),
+        (["cb", "--N", "3", "--signs", "++-", "--key", "1,,2;2"], 1),
+        (["cb", "--N", "3", "--signs", "++-", "--key", "1,2;2,"], 1),
+        (["cb", "--N", "3", "--signs", "+-", "--key", "1;x"], 2),
+    ])
+    def test_integer_list_entries(self, argv, code):
+        exit_code, out, err = call_main(argv)
+        assert (exit_code, out) == (code, "")
+        assert ("empty entry" in err) == (code == 1), err
+
+    def test_empty_parts_is_the_zero_composition(self):
+        assert call_main(["h", "--lambda", "offset=0;parts="]) == call_main(["h", "--lambda", "0"])
+
     @pytest.mark.parametrize(
         "m,n,r,exit_code,err_start",
         [("-1", "2", "2", 1, "usage error: invalid pyramid shape: need 0 <= m <= n"),
@@ -336,11 +367,8 @@ def _table(argv):
 
 # tokens for the flags of one spec: each value spelling in both forms, the
 # flag without its value, and store_true's explicit values
-# ('--flag=--' of a str flag is left out: argparse drops the '--' and stores
-# [], where the table keeps the string, as main did before the table words
-# errors)
 _VALUES = {int: ["0", "2", " 3", "-1", "x", "1.5", "", "--"],
-           str: ["0", "a;b", "", "0..2", "-1..1", "-d"]}
+           str: ["0", "a;b", "", "0..2", "-1..1", "-d", "--"]}
 
 
 def _flag_tokens(spec):
@@ -363,9 +391,10 @@ def _required_tokens(spec):
 def _lines(draw):
     """(argv, plain): a line of one command drawn from its flag specs, with
     flags repeated and bad values among them, or a line with no command or
-    an unknown one.  It is plain when no separated value starts with '-' and
-    no token is one that argparse may read although it is not a full flag of
-    the command ('--flag=--' is one: argparse drops the '--' and stores [])."""
+    an unknown one.  It is plain when no separated value starts with '-', no
+    token is one that argparse may read although it is not a full flag of
+    the command, and no '--flag=--' (a usage error) is given a value again
+    later in the line."""
     command = draw(st.sampled_from([*COMMANDS, None, "frobnicate"]))
     front = draw(st.lists(st.sampled_from([["--no-cache"], ["--cache-dir", "d"], ["--cache-dir=d"],
                                            ["--config", "c.json"]]), max_size=2))
@@ -382,8 +411,10 @@ def _lines(draw):
     groups += draw(st.lists(st.sampled_from([["extra"], ["--bogus"], ["--help"], ["-h"], ["--"],
                                              ["--lam", "0"], ["--m=1", "2"]]), max_size=1))
     groups = draw(st.permutations(groups))
+    flags = [g[0].split("=", 1)[0] for g in groups]
     plain = not any(len(g) == 2 and g[1].startswith("-") or g[0] in ("--", "--lam")
-                    or g[0].endswith("=--") for g in groups)
+                    or g[0].endswith("=--") and flags[i] in flags[i + 1:]
+                    for i, g in enumerate(groups))
     return front + [command] + [t for g in groups for t in g], plain
 
 
@@ -399,12 +430,11 @@ class TestParserTable:
     @pytest.mark.parametrize("valid", [True, False], ids=["valid", "malformed"])
     @pytest.mark.parametrize("command", list(PARSER_LINES))
     def test_one_command_parser_agrees_with_full(self, command, valid):
+        # the table reads each command's lines as the parser does
         argv = PARSER_LINES[command][0 if valid else 1]
         for line in (argv, ["--no-cache", "--cache-dir", "d", *argv]):
-            one = _parse(build_parser(command), line)
             full = _parse(build_parser(), line)
-            assert one == full
-            assert isinstance(one, str) != valid, one
+            assert isinstance(full, str) != valid, full
             table = _table(line)
             if valid:
                 assert vars(table) == vars(full)
@@ -456,28 +486,26 @@ class TestParserTable:
         assert front.given.get("--cache-dir") == args.cache_dir
         assert ("--no-cache" in front.given) == args.no_cache
 
-    def test_main_builds_only_the_named_command(self, monkeypatch, tmp_path):
-        # [] when the table reads the line, [command] for an exact line it
-        # leaves to argparse, [None] otherwise
+    def test_main_builds_a_parser_only_for_lines_the_table_leaves(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cache, "_cache_dir", None)
         real, calls = cli.build_parser, []
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: calls.append(command)
-                            or real(command))
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
         for argv, code, built in [
-            (["h", "--lambda", "0"], 0, []),
+            (["h", "--lambda", "0"], 0, False),
             (["--no-cache", "cartan", "--m", "1", "--n", "1", "--block", B11, "--window", "-1..1",
-              "--format=csv"], 0, []),
-            (["h"], 1, []),
-            (["h", "--lambda", "0", "extra"], 1, ["h"]),
-            (["h", "--lam", "0"], 0, ["h"]),
-            (["end-dim", "--m", "1", "--n", "1", "--block", B11, "--i", "-1"], 0, ["end-dim"]),
-            (["--cache", str(tmp_path), "h", "--lambda", "0"], 0, [None]),
-            (["frobnicate"], 1, []),
-            (["frobnicate", "--c"], 1, [None]),
+              "--format=csv"], 0, False),
+            (["h"], 1, False),
+            (["h", "--lambda", "0", "extra"], 1, True),
+            (["h", "--lam", "0"], 0, True),
+            (["h", "--lambda=--"], 1, True),
+            (["end-dim", "--m", "1", "--n", "1", "--block", B11, "--i", "-1"], 0, True),
+            (["--cache", str(tmp_path), "h", "--lambda", "0"], 0, True),
+            (["frobnicate"], 1, False),
+            (["frobnicate", "--c"], 1, True),
         ]:
             calls.clear()
             assert call_main(argv)[0] == code, argv
-            assert calls == built, argv
+            assert calls == [1] * built, argv
 
     # the 8 usage errors of the cli-session benchmark that argparse worded
     # before the table did, with argparse's stderr for each
@@ -520,6 +548,16 @@ class TestParserTable:
         for argv in (["--help"], ["h", "--lam", "0"]):
             proc = run(argv)
             assert (proc.returncode, proc.stderr) == (0, "True\n"), argv
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_names_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: wblocks {command} ")
+        for flag, _ in COMMANDS[command][2]:
+            assert re.search(rf"{re.escape(flag)}(?![\w-])", out), flag
 
     def test_help_lists_every_command(self):
         # in a process of its own, where argparse is first imported for help

@@ -92,6 +92,7 @@ LINES = [
     (["frobnicate"], None),
     (["char", "--m", "2", "--n", "2", "--block", B22, "--lambda", "0", "--kind", "odd"], None),
     (["h", "--lambda", "0", "extra"], None),
+    (["blocks", "--m=--", "--n", "1", "--window", "0..1"], None),
     (["h", "--lambda", "parts"], None),
     (["h", "--lambda", "offset=0;x"], None),
     (["blocks", "--m", "2", "--n", "2", "--window", "0:2"], None),
