@@ -490,22 +490,23 @@ class TestParserTable:
         monkeypatch.setattr(cache, "_cache_dir", None)
         real, calls = cli.build_parser, []
         monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+        # (line, exit code, parsers built)
         for argv, code, built in [
-            (["h", "--lambda", "0"], 0, False),
+            (["h", "--lambda", "0"], 0, 0),
             (["--no-cache", "cartan", "--m", "1", "--n", "1", "--block", B11, "--window", "-1..1",
-              "--format=csv"], 0, False),
-            (["h"], 1, False),
-            (["h", "--lambda", "0", "extra"], 1, True),
-            (["h", "--lam", "0"], 0, True),
-            (["h", "--lambda=--"], 1, True),
-            (["end-dim", "--m", "1", "--n", "1", "--block", B11, "--i", "-1"], 0, True),
-            (["--cache", str(tmp_path), "h", "--lambda", "0"], 0, True),
-            (["frobnicate"], 1, False),
-            (["frobnicate", "--c"], 1, True),
+              "--format=csv"], 0, 0),
+            (["h"], 1, 0),
+            (["h", "--lambda", "0", "extra"], 1, 1),
+            (["h", "--lam", "0"], 0, 1),
+            (["h", "--lambda=--"], 1, 1),
+            (["end-dim", "--m", "1", "--n", "1", "--block", B11, "--i", "-1"], 0, 1),
+            (["--cache", str(tmp_path), "h", "--lambda", "0"], 0, 1),
+            (["frobnicate"], 1, 0),
+            (["frobnicate", "--c"], 1, 1),
         ]:
             calls.clear()
             assert call_main(argv)[0] == code, argv
-            assert calls == [1] * built, argv
+            assert len(calls) == built, argv
 
     # the 8 usage errors of the cli-session benchmark that argparse worded
     # before the table did, with argparse's stderr for each
