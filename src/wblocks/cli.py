@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -263,6 +262,8 @@ def cmd_center(args) -> int:
 
 
 def cmd_cb(args) -> int:
+    if args.N < 1:
+        raise UsageError(f"--N {args.N} is below 1")
     wanted = []
     for what, text in (("key", args.key), ("--pair-with", args.pair_with)):
         if text is None:
@@ -373,7 +374,7 @@ def build_parser():
         def parse_args(self, args=None, namespace=None):
             # argparse drops the '--' of '--flag=--' and stores [] unchecked
             ns = super().parse_args(args, namespace)
-            for flag, kwargs in COMMANDS[ns.command][2]:
+            for flag, kwargs in (*GLOBAL_FLAGS, *COMMANDS[ns.command][2]):
                 if getattr(ns, _dest(flag, kwargs)) == []:
                     raise UsageError(f"argument {flag}: expected one argument")
             return ns
@@ -428,9 +429,9 @@ class _Front(NamedTuple):
 
 def _scan_front(argv) -> _Front:
     """One pass over the global flags before the command.  When `exact` is
-    false (abbreviations, help, a value like '-d'), only the parser reads
-    the line as argparse would; when it is true, main tries _read_table
-    first."""
+    false (abbreviations, help, a value like '-d' or '--'), only the parser
+    reads the line as argparse would; when it is true, main tries
+    _read_table first."""
     takes_value = {flag for flag, kwargs in GLOBAL_FLAGS if "action" not in kwargs}
     names = ["-h", "--help", *(flag for flag, _ in GLOBAL_FLAGS)]
     given, exact, i = {}, True, 0
@@ -438,7 +439,8 @@ def _scan_front(argv) -> _Front:
         tok = argv[i]
         if "=" in tok:
             given[flag] = tok.split("=", 1)[1]
-            exact = exact and flag in takes_value and tok.startswith(flag + "=")
+            exact = exact and flag in takes_value and tok.startswith(flag + "=") \
+                and given[flag] != "--"
         elif flag in takes_value:
             i += 1
             given[flag] = argv[i] if i < len(argv) else None
@@ -449,7 +451,9 @@ def _scan_front(argv) -> _Front:
             exact = exact and tok == flag and flag not in ("-h", "--help")
         i += 1
     command = argv[i] if i < len(argv) and argv[i] in COMMANDS else None
-    return _Front(given.get("--config"), given, command, argv[i + (command is not None):], exact)
+    config = given.get("--config")  # '--' is no value to argparse, so names no file
+    return _Front(None if config == "--" else config, given, command,
+                  argv[i + (command is not None):], exact)
 
 
 def _choice_error(name, value, choices) -> UsageError:

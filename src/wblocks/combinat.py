@@ -170,20 +170,6 @@ class Pyramid:
         if not 0 <= self.s_minus <= self.n - self.m:
             raise ValueError("need 0 <= s_minus <= n - m")
 
-    def row(self, i: int) -> int:
-        self._check_box(i)
-        return 1 if i <= self.m else 2
-
-    def col(self, i: int) -> int:
-        self._check_box(i)
-        if i <= self.m:
-            return self.s_minus + i
-        return i - self.m
-
-    def _check_box(self, i: int):
-        if not 1 <= i <= self.m + self.n:
-            raise IndexError(f"box index {i} out of range 1..{self.m + self.n}")
-
 
 @dataclass(frozen=True)
 class Window:
@@ -211,12 +197,6 @@ class Tableau:
         object.__setattr__(self, "bottom", tuple(int(b) for b in self.bottom))
         if len(self.top) != self.pyramid.m or len(self.bottom) != self.pyramid.n:
             raise ValueError("row lengths do not match the pyramid")
-
-    def entry(self, j: int) -> int:
-        """Entry of box j, boxes numbered 1..m+n top row first."""
-        self.pyramid._check_box(j)
-        m = self.pyramid.m
-        return self.top[j - 1] if j <= m else self.bottom[j - m - 1]
 
 
 def match_rows(top, bottom):

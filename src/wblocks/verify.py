@@ -13,10 +13,10 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from . import blockan, center, characters, combinat, qcanon
-from .combinat import BlockKey, Composition, Pyramid, Tableau, Window
+from .combinat import BlockKey, Composition, Pyramid, Window
 from .laurent import LaurentQ, qfact
 from .multipoly import MultiPoly
 
@@ -169,20 +169,6 @@ def crit_character_identities(scale: dict) -> str:
             assert acc == chM, (xi, lam)
         blocks += 1
     return f"{blocks} blocks: decomposition, dims 2^m / 2^(m-t), length 2^t, down-up route"
-
-
-def crit_verma_order_independence(scale: dict) -> str:
-    p = Pyramid(2, 2, 0)
-    orders = [characters.natural_order(p), characters.revlex_order(p)]
-    count = 0
-    vals = range(1, scale["entry_hi"] + 1)
-    for top in itertools.product(vals, repeat=2):
-        for bottom in itertools.product(vals, repeat=2):
-            A = Tableau(p, top, bottom)
-            chars = [characters.verma_char_trunc(p, o, A, scale["D"]) for o in orders]
-            assert chars[0] == chars[1], (top, bottom)
-            count += 1
-    return f"{count} tableaux, natural == reverse-lexicographic to height {scale['D']}"
 
 
 def crit_h_laws(scale: dict) -> str:
@@ -413,7 +399,6 @@ FULL_SCALES = {
     "graded-vs-ungraded": {"mn": 5, "t": 5, "gamma_width": 3, "lam_width": 4},
     "appendixb-pairing": {"mn": 3, "t": 3},
     "character-identities": {"mn": 4, "t": 4, "gamma_width": 2, "lam_width": 3},
-    "verma-order-independence": {"entry_hi": 3, "D": 4},
     "h-laws": {"t_eps": 6, "t_strict": 4, "width": 3, "row_mn": 3},
     "top-degree": {"mn": 5, "t": 5, "gamma_width": 3, "lam_width": 3},
     "linkage-weight-fibers": {"entry_hi": 4, "shapes": [(1, 1), (1, 2), (2, 2)]},
@@ -429,7 +414,6 @@ QUICK_SCALES = {
     "graded-vs-ungraded": {"mn": 2, "t": 2, "gamma_width": 2, "lam_width": 3},
     "appendixb-pairing": {"mn": 1, "t": 1},
     "character-identities": {"mn": 2, "t": 2, "gamma_width": 2, "lam_width": 2},
-    "verma-order-independence": {"entry_hi": 2, "D": 3},
     "h-laws": {"t_eps": 4, "t_strict": 3, "width": 3, "row_mn": 2},
     "top-degree": {"mn": 2, "t": 2, "gamma_width": 2, "lam_width": 2},
     "linkage-weight-fibers": {"entry_hi": 3, "shapes": [(1, 1), (1, 2)]},
@@ -445,7 +429,6 @@ CRITERIA = {
     "graded-vs-ungraded": crit_graded_vs_ungraded,
     "appendixb-pairing": crit_appendixb_pairing,
     "character-identities": crit_character_identities,
-    "verma-order-independence": crit_verma_order_independence,
     "h-laws": crit_h_laws,
     "top-degree": crit_top_degree,
     "linkage-weight-fibers": crit_linkage_fibers,

@@ -10,18 +10,10 @@ from wblocks.characters import (
     ch_simple_w,
     ch_verma_w,
     decompose_char,
-    natural_order,
-    revlex_order,
-    rho_order,
-    tableau_weight,
-    verma_char_trunc,
-    weight_coords,
 )
 from wblocks.combinat import (
     BlockKey,
     Composition,
-    Pyramid,
-    Tableau,
     aligned_tableau,
     down_up,
     lambda_of,
@@ -30,72 +22,6 @@ from wblocks.combinat import (
 
 def comp(parts, offset=0):
     return Composition(parts, offset)
-
-
-class TestRhoAndWeights:
-    def test_rho_all_odd(self):
-        p = Pyramid(0, 3, 1)
-        assert rho_order(p, natural_order(p)) == (1, 2, 3)
-
-    def test_rho_1_1(self):
-        p = Pyramid(1, 1, 0)
-        assert rho_order(p, natural_order(p)) == (0, 0)
-
-    def test_entries_recover_from_weight(self):
-        p = Pyramid(2, 3, 1)
-        A = Tableau(p, (4, 1), (0, 2, 7))
-        for order in (natural_order(p), revlex_order(p)):
-            lam = tableau_weight(p, order, A)
-            rho = rho_order(p, order)
-            for j in range(1, 6):
-                assert lam[j - 1] + rho[j - 1] == A.entry(j)
-
-    def test_bad_order_rejected(self):
-        p = Pyramid(1, 1, 0)
-        with pytest.raises(ValueError):
-            rho_order(p, (1, 3))
-
-
-class TestVermaTruncated:
-    def test_height_zero(self):
-        p = Pyramid(1, 1, 0)
-        A = Tableau(p, (5,), (3,))
-        ch = verma_char_trunc(p, natural_order(p), A, 0)
-        assert ch.terms == {(5, -3): 1}
-
-    def test_height_one_odd_factor(self):
-        p = Pyramid(1, 1, 0)
-        A = Tableau(p, (5,), (3,))
-        ch = verma_char_trunc(p, natural_order(p), A, 1)
-        assert ch.terms == {(5, -3): 1, (4, -2): 1}
-
-    def test_even_factor_multiplicities(self):
-        # two equal-parity boxes contribute a geometric series
-        p = Pyramid(2, 2, 0)
-        A = Tableau(p, (3, 1), (1, 1))
-        ch = verma_char_trunc(p, natural_order(p), A, 2)
-        lam = weight_coords(p, tableau_weight(p, natural_order(p), A))
-        step = (-1, 1, 0, 0)
-        w1 = tuple(a + b for a, b in zip(lam, step))
-        w2 = tuple(a + 2 * b for a, b in zip(lam, step))
-        assert ch.terms[lam] == 1 and ch.terms[w1] >= 1 and w2 in ch.terms
-
-    @pytest.mark.parametrize("D", [0, 1, 2, 3, 4])
-    def test_order_independence_m2n2(self, D):
-        p = Pyramid(2, 2, 0)
-        for top in itertools.product([1, 2, 3], repeat=2):
-            for bottom in itertools.product([1, 2, 3], repeat=2):
-                A = Tableau(p, top, bottom)
-                c_nat = verma_char_trunc(p, natural_order(p), A, D)
-                c_rev = verma_char_trunc(p, revlex_order(p), A, D)
-                assert c_nat == c_rev, (top, bottom, D)
-
-    def test_requires_normal_order(self):
-        p = Pyramid(2, 2, 0)
-        A = Tableau(p, (5, 4), (3, 3))
-        with pytest.raises(ValueError):
-            # top boxes out of sequence: not a normal order
-            verma_char_trunc(p, (2, 1, 3, 4), A, 1)
 
 
 class TestWCharacters:

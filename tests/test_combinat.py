@@ -37,19 +37,11 @@ def T(top, bottom, s_minus=0):
 
 
 class TestPyramid:
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            Pyramid(1, 1, 0).col(0)
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Pyramid(3, 2, 0)
         with pytest.raises(ValueError):
             Pyramid(1, 2, 2)
-
-    def test_degenerate_top_row(self):
-        p = Pyramid(0, 3, 2)
-        assert [p.col(i) for i in (1, 2, 3)] == [1, 2, 3]
 
 
 class TestDefectAtyp:

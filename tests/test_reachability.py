@@ -42,7 +42,6 @@ ALLOWLIST = {
     "qcanon._word": "S oracle: the word of an S key, for s_mul and _psi_star_word",
     "combinat.Composition.dominance_leq": "oracle: tests check the head of a simple character",
     "laurent.LaurentQ.bar": "oracle: psi_star_S bars its coefficients with it",
-    "characters.WeightChar.__repr__": "pytest prints it when an assertion fails",
     "characters.CompChar.__repr__": "pytest prints it when an assertion fails",
     "multipoly.MultiPoly.__repr__": "pytest prints it when an assertion fails",
     "qcanon.TensorVec.__repr__": "pytest prints it when an assertion fails",

@@ -76,3 +76,33 @@ def test_oracles_are_still_defined():
     trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
     names = {name for tree in trees for name, _, _ in _definitions(tree)}
     assert ORACLES <= names
+
+
+def _imported_names(tree):
+    """(bound name, line) of every module-level import but __future__'s."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def _exported(tree):
+    """The strings listed in a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_module_level_import_is_used_in_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
+                   if name not in used]
+    assert not unused, "imports their module never uses: " + ", ".join(unused)
