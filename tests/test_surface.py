@@ -7,6 +7,9 @@ or import, a method as an attribute.
 So BlockKey.to_json calling self.mu.to_json() is no use of Composition.to_json.
 Properties are data, not methods, and are left out.  Tests may call a definition too, but one that only tests reach is
 dead weight, unless it is one of the oracles below.
+
+Every module-level import is used in its module, by name or through
+__all__.
 """
 
 import ast
