@@ -416,6 +416,20 @@ def _option(tok, names):
     return hits[0] if len(hits) == 1 else None
 
 
+def _is_value(tok, names) -> bool:
+    """Whether argparse takes tok, after a flag that needs a value, as that
+    value: tok does not start with '-', or is '-' itself, or else names no
+    option (of names, or '-h' with text glued on) and is a negative number
+    such as -1 or -.5, or holds a space."""
+    if not tok.startswith("-") or tok == "-":
+        return True
+    if tok == "--" or tok.startswith("-h") or _option(tok, names):
+        return False
+    whole, dot, frac = tok[1:].partition(".")
+    number = frac.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return number or " " in tok
+
+
 class _Front(NamedTuple):
     """The global flags before the command, read the way argparse reads
     them (any spelling it accepts, '=value' or a value in the next token)."""
@@ -443,9 +457,11 @@ def _scan_front(argv) -> _Front:
                 and given[flag] != "--"
         elif flag in takes_value:
             i += 1
-            given[flag] = argv[i] if i < len(argv) else None
-            exact = exact and tok == flag and given[flag] is not None \
-                and not given[flag].startswith("-")
+            if i == len(argv) or not _is_value(argv[i], names):
+                given[flag], exact = None, False
+                break  # argparse stops here: expected one argument
+            given[flag] = argv[i]
+            exact = exact and tok == flag and not argv[i].startswith("-")
         else:
             given[flag] = None
             exact = exact and tok == flag and flag not in ("-h", "--help")

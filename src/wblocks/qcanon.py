@@ -373,6 +373,32 @@ def _rank_step(table: list, triples: list, p: int, dual: bool) -> dict:
     return x
 
 
+def _dual_root(N: int, signs: str, key: tuple) -> TensorVec:
+    """The dual canonical vector at an anti-dominant key, in closed form:
+    the tensor-space lift of the z_c products of d_basis.  Scanning the top
+    slots from the last, each is paired with the first unpaired bottom slot
+    of its value c, if any, so the pairs nest outward from the boundary.
+    The vector is the sum over r_k in [0, c_k - 1] of (-q)^(sum r_k) times
+    the key with the k-th pair set to c_k - r_k: every other key lies in
+    the weight space, ranks below this one, and has a q Z[q] coefficient."""
+    m = signs.count("+")
+    free = list(range(m, len(key)))
+    pairs = []
+    for i in reversed(range(m)):
+        j = next((j for j in free if key[j] == key[i]), None)
+        if j is not None:
+            free.remove(j)
+            pairs.append((i, j))
+    terms = {}
+    for rs in itertools.product(*(range(key[i]) for i, _ in pairs)):
+        k = list(key)
+        for (i, j), r in zip(pairs, rs):
+            k[i] = k[j] = key[i] - r
+        e = sum(rs)
+        terms[tuple(k)] = {e: (-1) ** e}
+    return TensorVec._from_raw(N, signs, terms)
+
+
 def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
     """Lusztig's lemma on ranks: for each key in order, the vector
     b = key + (a q Z[q] combination of earlier keys) fixed by psi_star
@@ -389,9 +415,11 @@ def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
     and b_j is 1 at j plus terms of degree >= 1, so by Lusztig's uniqueness
     b is x minus mu b_j for each constant term mu of x, at rank j.
 
-    A root key, with no such descent, starts from bar(unit), along the block
+    A root key, with no such descent, is anti-dominant in the dual family,
+    and its vector is the closed form _dual_root: no bar, no reduction.  A
+    root key of the canonical family starts from psi(unit), along the block
     word (_block_word).  c is the correction being built, {(rank, exponent):
-    coeff}, and d = bar(b) - b, {rank: {exponent: coeff}}, reduced to zero.
+    coeff}, and d = psi(b) - b, {rank: {exponent: coeff}}, reduced to zero.
     The head of d has the largest rank, below i, and its coefficient r is
     antisymmetric under bar, so r = p - bar(p) with p its part of positive
     degree.  b gains p * b_head and d loses r * b_head.  b_head is 1 at
@@ -399,12 +427,11 @@ def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
     one pass over b_head's triples adds a p to c and a (bar(p) - p) to d,
     where a is the triple's coefficient.  A sum that cancels stays as a
     zero until its rank is popped from d or c becomes triples.  d starts as
-    copies of the coefficient dicts of bar(unit), since nothing writes to
+    copies of the coefficient dicts of psi(unit), since nothing writes to
     the dicts of a built vector; so even a bar that returns its input or a
     stored vector leaves that vector intact.  The laurent module docstring
     says why this pass is written out by hand.
     """
-    bar = psi_star if dual else psi
     m, n = _split_signs(signs)
     w0 = _block_word(m, n)
     rank = {key: i for i, key in enumerate(keys)}
@@ -424,9 +451,15 @@ def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
                 for j, e, y in lower[head]:
                     k = (j, e)
                     c[k] = c.get(k, 0) - mu * y
+        elif dual:
+            # a key outside the weight space gets a rank past the last
+            c = {(rank.get(k, len(keys)), e): x
+                 for k, y in _dual_root(N, signs, key).terms.items() for e, x in y.items()}
+            if c.pop((i, 0), 0) != 1 or any(j >= i for j, _ in c):
+                raise ArithmeticError("non-triangular closed form (internal bug)")
         else:
             c = {}
-            d = {rank[k]: dict(x) for k, x in bar(TensorVec.unit(N, signs, key), w0).terms.items()}
+            d = {rank[k]: dict(x) for k, x in psi(TensorVec.unit(N, signs, key), w0).terms.items()}
             _acc(d, ((i, {0: 1}),), {0: -1})
             while d:
                 head = max(d)
@@ -524,8 +557,10 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
 
     A computed family comes from Lusztig's lemma on ranks (_lusztig), with
     the keys sorted by key_stat.  A key with a same-sign descent is one
-    R-step on ranks from an earlier key's correction; only a root key takes
-    psi or psi_star of its unit vector, along the block word (_block_word)."""
+    R-step on ranks from an earlier key's correction.  A root key of the
+    dual family is written down in closed form (_dual_root); only a root key
+    of the canonical family takes psi of its unit vector, along the block
+    word (_block_word)."""
     memo_key = (N, signs, weight, dual)
     if memo_key in _family_memo:
         return _family_memo[memo_key]

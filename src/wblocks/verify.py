@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from . import blockan, center, characters, combinat, qcanon
+from . import blockan, cache, center, characters, combinat, qcanon
 from .combinat import BlockKey, Composition, Pyramid, Window
 from .laurent import LaurentQ, qfact
 from .multipoly import MultiPoly
@@ -316,14 +316,21 @@ def crit_canonical_units(scale: dict) -> str:
     assert v22 == expected
 
     N = scale["N"]
-    proj = 0
+    proj = fixed = 0
     for m, n in scale["shapes"]:
+        word = qcanon._block_word(m, n)
         for key in itertools.product(range(1, N + 1), repeat=m + n):
             top, bottom = key[:m], key[m:]
             bstar = qcanon.dual_canonical(N, top, bottom)
             p = qcanon.project_to_S(bstar)
             if combinat.is_anti_dominant(top, bottom):
+                # b* of a root key is a closed form; by Lusztig's uniqueness
+                # being psi*-fixed and unitriangular determines it
+                assert qcanon.psi_star(bstar, word) == bstar, (top, bottom, "psi*")
+                assert bstar.terms.get(key) == {0: 1} and all(
+                    min(c) >= 1 for k, c in bstar.terms.items() if k != key), (top, bottom, "unitriangular")
                 assert p == qcanon.d_basis(N, top, bottom), (top, bottom)
+                fixed += 1
             else:
                 assert p.is_zero(), (top, bottom)
             proj += 1
@@ -345,7 +352,8 @@ def crit_canonical_units(scale: dict) -> str:
                     want = LaurentQ(1 if ka == kb else 0)
                     assert val == want, (ka, kb, val)
                     dual += 1
-    return f"unit vectors checked; {proj} projections pi(b*) == d or 0; {dual} duality pairings (b, b*) == delta"
+    return (f"unit vectors checked; {proj} projections pi(b*) == d or 0; {fixed} anti-dominant b* "
+            f"psi*-fixed and unitriangular; {dual} duality pairings (b, b*) == delta")
 
 
 def crit_m1n1_sanity(scale: dict) -> str:
@@ -445,6 +453,7 @@ FAULTS = {
     "e-super": (center, "e_super"),
     "graded-cartan": (blockan, "graded_cartan"),
     "simple-char": (characters, "ch_simple_w"),
+    "dual-root": (qcanon, "_dual_root"),
 }
 
 
@@ -477,13 +486,17 @@ def _perturb(fn):
 def run_suite(profile: str = "quick", fault: str | None = None):
     """Run the criteria of the given profile; returns a list of result dicts
     {name, ok, seconds, detail}.  With fault set, the named formula is
-    perturbed for the duration of the run (harness self-test)."""
+    perturbed for the duration of the run (harness self-test), and the
+    basis families are built afresh: none is read from or written to the
+    file cache, and the in-memory memo is emptied before and after."""
     scales = {"quick": QUICK_SCALES, "full": FULL_SCALES}[profile]
     injected = None
     if fault is not None:
         module, attr = FAULTS[fault]
-        injected = (module, attr, getattr(module, attr))
+        injected = (module, attr, getattr(module, attr), cache.current_dir())
         setattr(module, attr, _perturb(getattr(module, attr)))
+        cache.configure(None)
+        qcanon._family_memo.clear()
     results = []
     try:
         for name, fn in CRITERIA.items():
@@ -504,5 +517,7 @@ def run_suite(profile: str = "quick", fault: str | None = None):
             )
     finally:
         if injected is not None:
-            setattr(*injected)
+            setattr(*injected[:3])
+            cache.configure(injected[3])
+            qcanon._family_memo.clear()
     return results

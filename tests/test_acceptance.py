@@ -91,8 +91,8 @@ QUICK_RESULTS = [
      "4 generate-then-recover round trips (both orientations); 12 derived-move orbits "
      "with constant signature"),
     ("canonical-basis-units", True,
-     "unit vectors checked; 12 projections pi(b*) == d or 0; 26 duality pairings (b, b*) "
-     "== delta"),
+     "unit vectors checked; 12 projections pi(b*) == d or 0; 10 anti-dominant b* "
+     "psi*-fixed and unitriangular; 26 duality pairings (b, b*) == delta"),
     ("m1n1-sanity", True,
      "typical Cartan (1); atypical diagonal 1+q^2; neighbor support |i-j| <= 1"),
 ]
@@ -112,6 +112,7 @@ FAULT_VICTIMS = {
     "e-super": {"center"},
     "graded-cartan": {"graded-vs-ungraded", "appendixb-pairing", "top-degree", "m1n1-sanity"},
     "simple-char": {"character-identities"},
+    "dual-root": {"canonical-basis-units"},
 }
 
 
@@ -125,8 +126,7 @@ def test_criteria_no_fault_turns_red_are_pinned():
     # a gap that may only shrink: a new criterion needs a fault that turns it red
     from wblocks.verify import CRITERIA
 
-    assert set(CRITERIA) - set().union(*FAULT_VICTIMS.values()) == \
-        {"canonical-basis-units", "linkage-weight-fibers"}
+    assert set(CRITERIA) - set().union(*FAULT_VICTIMS.values()) == {"linkage-weight-fibers"}
 
 
 @pytest.mark.parametrize(
@@ -148,6 +148,53 @@ def test_simple_char_fault_is_caught_at_full():
 
     red = {r["name"] for r in run_suite("full", fault="simple-char") if not r["ok"]}
     assert red == FAULT_VICTIMS["simple-char"]
+
+
+def test_dual_root_fault_is_caught_at_full():
+    # only canonical-basis-units reads dual canonical vectors, at FULL too
+    from wblocks.verify import run_suite
+
+    red = {r["name"] for r in run_suite("full", fault="dual-root") if not r["ok"]}
+    assert red == FAULT_VICTIMS["dual-root"]
+
+
+def test_faulted_run_builds_families_afresh_and_keeps_none(monkeypatch, tmp_path):
+    # a family memoized or cached before the run would hide the fault, and
+    # one built under it must not outlive the run
+    from wblocks import cache, qcanon
+    from wblocks.verify import run_suite
+
+    monkeypatch.setattr(cache, "_cache_dir", str(tmp_path))
+    qcanon.dual_canonical(2, (2,), (2,))
+    files = sorted(tmp_path.iterdir())
+    assert files and qcanon._family_memo
+    red = {r["name"] for r in run_suite("quick", fault="dual-root") if not r["ok"]}
+    assert red == FAULT_VICTIMS["dual-root"]
+    assert sorted(tmp_path.iterdir()) == files and not qcanon._family_memo
+    assert cache.current_dir() == str(tmp_path)
+    assert qcanon._dual_root.__name__ == "_dual_root"  # the real builder is back
+    assert all(r["ok"] for r in run_suite("quick"))
+
+
+def test_psi_star_check_catches_a_closed_form_with_unit_and_degrees_intact(monkeypatch):
+    # negating the coefficients of degree >= 2 keeps the unit at the key
+    # and the rest in qZ[q], which _lusztig checks; b*(3; 3) of N = 3 is
+    # the first vector it changes, and psi*-invariance is the check that fails
+    from wblocks import cache, qcanon
+    from wblocks.verify import CRITERIA
+
+    real = qcanon._dual_root
+
+    def negated(N, signs, key):
+        terms = real(N, signs, key).terms
+        return qcanon.TensorVec(N, signs, {k: {e: -x if e >= 2 else x for e, x in c.items()}
+                                           for k, c in terms.items()})
+
+    monkeypatch.setattr(cache, "_cache_dir", None)
+    monkeypatch.setattr(qcanon, "_family_memo", {})
+    monkeypatch.setattr(qcanon, "_dual_root", negated)
+    with pytest.raises(AssertionError, match=r"\(\(3,\), \(3,\), 'psi\*'\)"):
+        CRITERIA["canonical-basis-units"]({"N": 3, "shapes": [(1, 1)]})
 
 
 def test_perturbed_ungraded_closed_form_turns_its_dependents_red(monkeypatch):

@@ -658,6 +658,35 @@ class TestConfig:
         assert call_main(["--conf", cfg, *self.CARTAN, *explicit]) == expected
         assert call_main(["--config", cfg, *self.CARTAN, *explicit]) == expected
 
+    # a separated value is the config path only where argparse reads it as
+    # the value; '-x' is a flag to argparse, so no file of that name is opened
+    @pytest.mark.parametrize("value", ["-x", "-h1", "-1.", "--co"])
+    def test_config_given_a_flag_is_not_opened(self, tmp_path, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / value).write_text(json.dumps({"format": "csv"}))
+        for flag in ("--config", "--cache-dir"):
+            assert call_main([flag, value, *self.CARTAN]) == \
+                (1, "", f"usage error: argument {flag}: expected one argument\n")
+
+    @pytest.mark.parametrize("value", ["-1", "-.5", "-a b"])
+    def test_config_path_that_argparse_reads_as_a_value(self, tmp_path, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / value).write_text(json.dumps({"format": "csv"}))
+        got = call_main(["--config", value, *self.CARTAN])
+        assert got[0] == 0 and got[1].startswith(',"offset=0;parts=1"')
+        assert got == call_main(["--config", self._config(tmp_path, {"format": "csv"}), *self.CARTAN])
+
+    @pytest.mark.parametrize("value", ["-x", "-h", "-h1", "-1", "-1.", "-.5", "-1.5", "-1e3", "-\uff11",
+                                       "-a b", "-", "", "x", "--", "--co", "--c", "--no-cache=1",
+                                       "--cache-dir x", "--cache-dir=a b", "--x y"])
+    def test_front_takes_a_value_where_argparse_does(self, value):
+        argv = ["--config", value, "h", "--lambda", "0"]
+        try:
+            taken = cli.build_parser().parse_args(argv).config == value
+        except cli.UsageError:
+            taken = False
+        assert (cli._scan_front(argv).config == value) == taken
+
     def test_abbreviated_global_flag_beats_the_config(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cache, "_cache_dir", None)
         monkeypatch.setattr(qcanon, "_family_memo", {})

@@ -10,7 +10,7 @@ import pytest
 from wblocks import cache, cli
 from wblocks import qcanon as qc
 from wblocks.blockan import compositions_in_window, graded_verma_mult
-from wblocks.combinat import BlockKey, Composition, match_rows, weight_of
+from wblocks.combinat import BlockKey, Composition, is_anti_dominant, match_rows, weight_of
 from wblocks.laurent import ONE, ZERO, LaurentQ, _addmul, qbinom
 from wblocks.qcanon import (
     TensorVec,
@@ -91,6 +91,34 @@ def w0_bar(v, inverse=False):
         for a, tail, image in w0_parts(v.N, v.signs[::-1], key[::-1], inverse, memo):
             qc._acc(acc, ((k2 + tail, x) for k2, x in image.items()), _addmul({}, a, b))
     return TensorVec._from_raw(v.N, v.signs, acc)
+
+
+def psi_star_reduction(N, signs, key, family, rank):
+    """Lusztig's lemma at key by psi_star: the unit vector plus p * b_head
+    for the positive part p of each head of psi_star(b) - b, along the block
+    word, with b_head read from family, which must hold every key of the
+    weight space that ranks below key; rank maps each key of the space to
+    its key_stat."""
+    m = signs.count("+")
+    b = unit(N, signs, key)
+    d = psi_star(b, qc._block_word(m, len(signs) - m)) + b.scaled(-1)
+    while not d.is_zero():
+        head = max(d.terms, key=rank.__getitem__)
+        assert rank[head] < rank[key], (key, head)
+        p = LaurentQ(d.terms[head]).positive_part()
+        b = b + family[head].scaled(p)
+        d = d + family[head].scaled(p.bar() - p)
+    return b
+
+
+def all_roots_family(N, signs, weight):
+    """The dual canonical family of a weight space with every key reduced
+    by psi_star_reduction, in the order of key_stat."""
+    rank = {k: key_stat(signs, k) for k in qc._weight_space(N, signs, weight)}
+    family = {}
+    for key in sorted(rank, key=rank.__getitem__):
+        family[key] = psi_star_reduction(N, signs, key, family, rank)
+    return family
 
 
 def _slot_K_exp(sign, i, j):
@@ -381,11 +409,12 @@ class TestCanonicalBases:
                             assert b.terms[key] == {0: 1}
                             assert all(min(c) >= 1 for k2, c in b.terms.items() if k2 != key)
 
-    @pytest.mark.parametrize("dual,bar,calls", [(True, "psi_star", 91), (False, "psi", 54)])
-    def test_family_takes_one_positive_part_per_reduction(self, monkeypatch, dual, bar, calls):
+    @pytest.mark.parametrize("dual,bar,calls,bars", [(True, "psi_star", 0, 0), (False, "psi", 54, 10)])
+    def test_family_takes_one_positive_part_per_reduction(self, monkeypatch, dual, bar, calls, bars):
         # the benchmark counts reductions through LaurentQ.positive_part and
-        # injects faults through the module's psi and psi_star; only the 10
-        # root keys of the 93 call bar and reduce through positive_part
+        # injects faults through the module's psi and psi_star; of the 93
+        # keys, only the 10 canonical root keys call bar and reduce through
+        # positive_part, and the dual root keys take their closed form
         monkeypatch.setattr(cache, "_cache_dir", None)
         monkeypatch.setattr(qc, "_family_memo", {})
         counts = {"positive_part": 0, bar: 0}
@@ -399,24 +428,25 @@ class TestCanonicalBases:
         monkeypatch.setattr(LaurentQ, "positive_part", counted("positive_part", LaurentQ.positive_part))
         monkeypatch.setattr(qc, bar, counted(bar, getattr(qc, bar)))
         qc._basis_family(3, "+++---", (), dual)
-        assert counts == {"positive_part": calls, bar: 10}
+        assert counts == {"positive_part": calls, bar: bars}
 
     def test_bar_with_a_head_that_is_not_antisymmetric_is_rejected(self, monkeypatch):
-        keys = [(1, 1), (2, 2)]
+        # the canonical family's order: (2, 2) first, then (1, 1)
+        keys = [(2, 2), (1, 1)]
 
         def bar_adding(c):
             def bar(v, word):
-                if (2, 2) in v.terms:
-                    return v + TensorVec(2, "+-", {(1, 1): LaurentQ(c)})
+                if (1, 1) in v.terms:
+                    return v + TensorVec(2, "+-", {(2, 2): LaurentQ(c)})
                 return v
             return bar
 
-        monkeypatch.setattr(qc, "psi_star", bar_adding({1: 1, -1: -1}))
-        assert qc._lusztig(2, "+-", keys, True) == [
-            unit(2, "+-", (1, 1)), TensorVec(2, "+-", {(2, 2): 1, (1, 1): {1: 1}})]
-        monkeypatch.setattr(qc, "psi_star", bar_adding({1: 1}))
+        monkeypatch.setattr(qc, "psi", bar_adding({1: 1, -1: -1}))
+        assert qc._lusztig(2, "+-", keys, False) == [
+            unit(2, "+-", (2, 2)), TensorVec(2, "+-", {(1, 1): 1, (2, 2): {1: 1}})]
+        monkeypatch.setattr(qc, "psi", bar_adding({1: 1}))
         with pytest.raises(ArithmeticError, match="non-triangular"):
-            qc._lusztig(2, "+-", keys, True)
+            qc._lusztig(2, "+-", keys, False)
 
 
 class TestRStepRoute:
@@ -461,16 +491,52 @@ class TestRStepRoute:
                                                       (5, "+++--", ((3, 1),), 15)])
     def test_families_equal_the_all_roots_route(self, monkeypatch, N, signs, weight, roots):
         # with no key taken for one R-step from another, every key starts
-        # from its bar image; both routes must give the same vectors
+        # from its bar image: in _lusztig for the canonical family, in
+        # all_roots_family for the dual one, whose root keys are the
+        # anti-dominant keys; both routes must give the same vectors
         monkeypatch.setattr(cache, "_cache_dir", None)
+        m = signs.count("+")
         for dual in (True, False):
             monkeypatch.setattr(qc, "_family_memo", {})
             family = qc._basis_family(N, signs, weight, dual)
-            assert sum(qc._descent(signs, key, dual) is None for key in family) == roots
+            root_keys = [key for key in family if qc._descent(signs, key, dual) is None]
+            assert len(root_keys) == roots
+            if dual:
+                assert all(is_anti_dominant(key[:m], key[m:]) for key in root_keys)
+                assert all_roots_family(N, signs, weight) == family
+                continue
             with monkeypatch.context() as mp:
                 mp.setattr(qc, "_family_memo", {})
                 mp.setattr(qc, "_descent", lambda signs, key, dual: None)
                 assert qc._basis_family(N, signs, weight, dual) == family
+
+
+class TestDualClosedForm:
+    def test_equals_the_psi_star_route_at_every_anti_dominant_key(self, monkeypatch):
+        # by induction on rank: while every lower vector of the family is
+        # right, psi_star_reduction gives the true b* at the next root key,
+        # so the first wrong closed form would differ from it
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        monkeypatch.setattr(qc, "_family_memo", {})
+        checked = mixed = 0
+        ranks = {}
+        for N in range(1, 5):
+            for k in range(1, 6):
+                for m in range(k + 1):
+                    signs = "+" * m + "-" * (k - m)
+                    for key in itertools.product(range(1, N + 1), repeat=k):
+                        if not is_anti_dominant(key[:m], key[m:]):
+                            continue
+                        weight = weight_of(key[:m], key[m:])
+                        family = qc._basis_family(N, signs, weight, True)
+                        if (N, signs, weight) not in ranks:
+                            ranks[N, signs, weight] = {k2: key_stat(signs, k2) for k2 in family}
+                        closed = qc._dual_root(N, signs, key)
+                        ref = psi_star_reduction(N, signs, key, family, ranks[N, signs, weight])
+                        assert closed == family[key] == ref, (N, signs, key)
+                        checked += 1
+                        mixed += 0 < m < k
+        assert (checked, mixed) == (1892, 1482)
 
 
 class TestWeightSpaceKeys:
@@ -839,7 +905,7 @@ class TestJsonAndCache:
         assert got == expected
 
     def test_family_bars_take_the_block_word(self, monkeypatch):
-        # each root key's bar runs along the block word of w0
+        # each canonical root key's bar runs along the block word of w0
         words = []
 
         def spy(real):
@@ -853,11 +919,11 @@ class TestJsonAndCache:
         monkeypatch.setattr(qc, "psi_star", spy(qc.psi_star))
         word = [3, 4, 5, 2, 3, 4, 1, 2, 3, 4, 5, 4, 1, 2, 1]
         assert block_word(3, 3) == word
-        for dual in (True, False):
+        for dual, bars in ((True, 0), (False, 10)):  # dual root keys take a closed form
             words.clear()
             monkeypatch.setattr(qc, "_family_memo", {})
             qc._basis_family(3, "+++---", (), dual)
-            assert words == [word] * 10
+            assert words == [word] * bars
 
     def test_bar_returning_its_input_leaves_constants_intact(self, monkeypatch):
         # the Lusztig loop writes into the coefficient dicts bar returns;

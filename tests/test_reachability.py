@@ -34,7 +34,6 @@ PACKAGE = SRC / "wblocks"
 # qualified name -> why it stays although no program path enters it
 ALLOWLIST = {
     "laurent.LaurentQ.__sub__": "bench/tracer.py wraps it for laurent.add",
-    "qcanon.TensorVec.__add__": "bench/tracer.py wraps it for qcanon.tensor_add",
     "qcanon.TensorVec.scaled": "bench/run.py inject_fault scales a faulted psi_star by q",
     "qcanon.s_mul": "S oracle: tests check associativity against it (ROADMAP item 5)",
     "qcanon.psi_star_S": "S oracle: bar of S built without tensor space (ROADMAP item 5)",
