@@ -339,13 +339,14 @@ def _descent(signs: str, key: tuple, dual: bool):
 
 
 def _block_word(m: int, n: int) -> list:
-    """The reduced word for w0 that families pass to the bars.  Applied right
-    to left to the reversed signs (-)^n (+)^m, it is w0 on the n minus
-    slots, then on the m plus slots, then the m n steps carrying the plus
-    block past the minus block: Lusztig's psi_{M x N} = Theta (psi_M x
-    psi_N) for the two blocks (Introduction to Quantum Groups, ch. 4), the
-    block steps giving Theta up to the flip and a power of q.  The blocks of
-    a reversed root key are weakly monotone, so only the block steps branch."""
+    """The reduced word for w0 of the canonical family's psi and of verify's
+    psi_star.  Applied right to left to the reversed signs (-)^n (+)^m, it
+    is w0 on the n minus slots, then on the m plus slots, then the m n steps
+    carrying the plus block past the minus block: Lusztig's psi_{M x N} =
+    Theta (psi_M x psi_N) for the two blocks (Introduction to Quantum
+    Groups, ch. 4), the block steps giving Theta up to the flip and a power
+    of q.  The blocks of a reversed root key are weakly monotone, so only
+    the block steps branch."""
     cross = [s for b in reversed(range(m)) for s in range(b + 1, n + b + 1)]
     return cross + [n + i for r in range(1, m) for i in range(r, 0, -1)] + [
         i for r in range(1, n) for i in range(r, 0, -1)]

@@ -490,10 +490,10 @@ def run_suite(profile: str = "quick", fault: str | None = None):
     basis families are built afresh: none is read from or written to the
     file cache, and the in-memory memo is emptied before and after."""
     scales = {"quick": QUICK_SCALES, "full": FULL_SCALES}[profile]
-    injected = None
+    injected, cache_dir = None, cache.current_dir()
     if fault is not None:
         module, attr = FAULTS[fault]
-        injected = (module, attr, getattr(module, attr), cache.current_dir())
+        injected = (module, attr, getattr(module, attr))
         setattr(module, attr, _perturb(getattr(module, attr)))
         cache.configure(None)
         qcanon._family_memo.clear()
@@ -517,7 +517,7 @@ def run_suite(profile: str = "quick", fault: str | None = None):
             )
     finally:
         if injected is not None:
-            setattr(*injected[:3])
-            cache.configure(injected[3])
+            setattr(*injected)
+            cache.configure(cache_dir)
             qcanon._family_memo.clear()
     return results
