@@ -53,18 +53,22 @@ def get(request):
 
 
 def put(request, result):
+    """Write result for request; a directory that cannot be made or written
+    to (any OSError) skips the write, and the temp file is removed."""
     if _cache_dir is None:
         return
-    os.makedirs(_cache_dir, exist_ok=True)
     path = _path(request)
     blob = json.dumps({"request": request, "result": result}, sort_keys=True)
-    fd, tmp = tempfile.mkstemp(dir=_cache_dir, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(_cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=_cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(blob)
         os.replace(tmp, path)
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass

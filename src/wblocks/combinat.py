@@ -117,21 +117,6 @@ class Composition:
         s - i): support starting at 0, lexicographically smaller reading."""
         return Composition(min(self.parts, self.parts[::-1]))
 
-    def dominance_leq(self, other: "Composition") -> bool:
-        """lambda <= mu iff all partial sums of lambda are <= those of mu
-        (compositions of equal total)."""
-        if self.total != other.total:
-            raise ValueError("dominance compares compositions of equal size")
-        lo = min(self.support_bounds()[0], other.support_bounds()[0])
-        hi = max(self.support_bounds()[1], other.support_bounds()[1])
-        a = b = 0
-        for i in range(lo, hi + 1):
-            a += self[i]
-            b += other[i]
-            if a > b:
-                return False
-        return True
-
     def partial_sums_key(self, lo: int, hi: int):
         """Cumulative sums over [lo, hi]; lexicographic order on these keys
         linearly extends dominance for compositions supported there."""
@@ -335,7 +320,7 @@ def tableau_of(xi: BlockKey, lam: Composition) -> Tableau:
     return Tableau(Pyramid(xi.m, xi.n), tuple(top), tuple(bottom))
 
 
-def aligned_tableau(xi: BlockKey, lam: Composition, s_minus: int = 0) -> Tableau:
+def aligned_tableau(xi: BlockKey, lam: Composition) -> Tableau:
     """A representative of the (xi, lam) row class whose defect equals its
     atypicality: the lam-paired values sit in matching columns."""
     if lam.total != xi.t:
@@ -347,10 +332,9 @@ def aligned_tableau(xi: BlockKey, lam: Composition, s_minus: int = 0) -> Tableau
     rest = []
     for i in xi.nu.support():
         rest.extend([i] * xi.nu[i])
-    # paired values occupy bottom columns s_minus+1 .. s_minus+t, matching
-    # the columns of the top boxes 1..t
-    bottom = rest[:s_minus] + paired + rest[s_minus:]
-    return Tableau(Pyramid(xi.m, xi.n, s_minus), tuple(top), tuple(bottom))
+    # paired values occupy bottom columns 1..t, matching the columns of the
+    # top boxes 1..t
+    return Tableau(Pyramid(xi.m, xi.n), tuple(top), tuple(paired + rest))
 
 
 def lambda_of(A: Tableau) -> Composition:

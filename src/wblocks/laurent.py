@@ -11,12 +11,9 @@ arguments, and ``LaurentQ._raw(d)`` is a view of d, no copy.
 ``_addmul`` is the one multiply-accumulate loop on raw dicts: LaurentQ's
 sums, differences and products, the long division of ``_ldivexact``, the
 closed forms at the end of the module and the raw sums of qcanon and
-blockan go through it, with two exceptions, the hottest loops of
-``qcanon._lusztig``, which sum integers into (rank, exponent) keys by hand.
-The reduction pass of a canonical root key forms each product once for both
-of its sums.  The R-step of every non-root key (``qcanon._rank_step``, then
-its constant-term subtractions) only moves, shifts and scales terms.  A dual
-root key sums nothing: its vector is a closed form (``qcanon._dual_root``).
+blockan go through it.  The one exception is ``qcanon._lusztig``'s passes,
+which sum integers into (rank, exponent) keys by hand; its docstring says
+why.
 
 ``qfact_quotient`` takes a quotient of quantum factorials as one integer
 vector, the net power of each [k]! indexed by k, which is also the memo key

@@ -178,8 +178,7 @@ def _psi_key(v_key, signs, N, inverse: bool, word):
     """R_{w0} (or its inverse version) applied to the reversed pure tensor
     along word, as (terms, e): the image is q^e times the raw terms, to be
     read only, and e is the exponent of the q-prefactor from the pairwise
-    form values.  Every reduced word for w0 gives the same image (braid
-    relations); _bar checks the word, and families pass _block_word."""
+    form values.  _bar passes the block word (_block_word)."""
     k = len(signs)
     e = 0
     for r in range(k):
@@ -195,19 +194,11 @@ def _psi_key(v_key, signs, N, inverse: bool, word):
     return v.terms, e
 
 
-def _bar(v: TensorVec, inverse: bool, word) -> TensorVec:
-    """Anti-linear extension of _psi_key: the sum of bar(c) * psi(key), with
-    bar(c) * q^e accumulated straight into one dict per output key.  Raises
-    ValueError unless word is a reduced word for w0 (k(k-1)/2 slots, product
-    reversing 1..k)."""
-    k = len(v.signs)
-    perm = list(range(k))
-    for s in word:
-        if not 0 < s < k:
-            raise ValueError(f"slot {s} out of range 1..{k - 1}")
-        perm[s - 1], perm[s] = perm[s], perm[s - 1]
-    if len(word) != k * (k - 1) // 2 or perm != list(range(k))[::-1]:
-        raise ValueError(f"{list(word)} is not a reduced word for w0 on {k} slots")
+def _bar(v: TensorVec, inverse: bool) -> TensorVec:
+    """Anti-linear extension of _psi_key along the block word: the sum of
+    bar(c) * psi(key), with bar(c) * q^e accumulated straight into one dict
+    per output key.  Raises ValueError unless v lives on (+)^m (-)^n."""
+    word = _block_word(*_split_signs(v.signs))
     acc: dict = {}
     for key, c in v.terms.items():
         terms, e = _psi_key(key, v.signs, v.N, inverse, word)
@@ -215,18 +206,18 @@ def _bar(v: TensorVec, inverse: bool, word) -> TensorVec:
     return TensorVec._from_raw(v.N, v.signs, acc)
 
 
-def psi(v: TensorVec, word) -> TensorVec:
+def psi(v: TensorVec) -> TensorVec:
     """The bar involution compatible with bar on the quantum group
-    (anti-linear; built from the R-matrix along word, a reduced word for
-    w0, which is required)."""
-    return _bar(v, False, word)
+    (anti-linear; built from the R-matrix along the block word of w0).
+    v must live on (+)^m (-)^n; ValueError otherwise."""
+    return _bar(v, False)
 
 
-def psi_star(v: TensorVec, word) -> TensorVec:
+def psi_star(v: TensorVec) -> TensorVec:
     """The adjoint bar involution with respect to the orthonormal-basis
-    form (anti-linear; built from inverse R-matrices along word, a reduced
-    word for w0, which is required)."""
-    return _bar(v, True, word)
+    form (anti-linear; built from inverse R-matrices along the block word
+    of w0).  v must live on (+)^m (-)^n; ValueError otherwise."""
+    return _bar(v, True)
 
 
 def pairing(v: TensorVec, w: TensorVec) -> LaurentQ:
@@ -339,8 +330,8 @@ def _descent(signs: str, key: tuple, dual: bool):
 
 
 def _block_word(m: int, n: int) -> list:
-    """The reduced word for w0 of the canonical family's psi and of verify's
-    psi_star.  Applied right to left to the reversed signs (-)^n (+)^m, it
+    """The reduced word for w0 that psi and psi_star run along on
+    (+)^m (-)^n.  Applied right to left to the reversed signs (-)^n (+)^m, it
     is w0 on the n minus slots, then on the m plus slots, then the m n steps
     carrying the plus block past the minus block: Lusztig's psi_{M x N} =
     Theta (psi_M x psi_N) for the two blocks (Introduction to Quantum
@@ -418,9 +409,9 @@ def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
 
     A root key, with no such descent, is anti-dominant in the dual family,
     and its vector is the closed form _dual_root: no bar, no reduction.  A
-    root key of the canonical family starts from psi(unit), along the block
-    word (_block_word).  c is the correction being built, {(rank, exponent):
-    coeff}, and d = psi(b) - b, {rank: {exponent: coeff}}, reduced to zero.
+    root key of the canonical family starts from psi(unit).  c is the
+    correction being built, {(rank, exponent): coeff}, and d = psi(b) - b,
+    {rank: {exponent: coeff}}, reduced to zero.
     The head of d has the largest rank, below i, and its coefficient r is
     antisymmetric under bar, so r = p - bar(p) with p its part of positive
     degree.  b gains p * b_head and d loses r * b_head.  b_head is 1 at
@@ -430,11 +421,16 @@ def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
     zero until its rank is popped from d or c becomes triples.  d starts as
     copies of the coefficient dicts of psi(unit), since nothing writes to
     the dicts of a built vector; so even a bar that returns its input or a
-    stored vector leaves that vector intact.  The laurent module docstring
-    says why this pass is written out by hand.
+    stored vector leaves that vector intact.
+
+    These passes, the families' hottest loops, sum integers into (rank,
+    exponent) keys by hand, not through laurent._addmul.  The reduction
+    pass of a canonical root key forms each product once for both of its
+    sums.  The R-step of every non-root key (_rank_step, then its
+    constant-term subtractions) only moves, shifts and scales terms.  A
+    dual root key sums nothing: its vector is a closed form (_dual_root).
     """
     m, n = _split_signs(signs)
-    w0 = _block_word(m, n)
     rank = {key: i for i, key in enumerate(keys)}
     tables = {a: [(rank[k[: a - 1] + (k[a], k[a - 1]) + k[a + 1 :]],
                    -1 if ((k[a - 1] > k[a]) == (a < m)) == dual else 1) for k in keys]
@@ -460,7 +456,7 @@ def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
                 raise ArithmeticError("non-triangular closed form (internal bug)")
         else:
             c = {}
-            d = {rank[k]: dict(x) for k, x in psi(TensorVec.unit(N, signs, key), w0).terms.items()}
+            d = {rank[k]: dict(x) for k, x in psi(TensorVec.unit(N, signs, key)).terms.items()}
             _acc(d, ((i, {0: 1}),), {0: -1})
             while d:
                 head = max(d)
@@ -636,12 +632,6 @@ def straighten(top, bottom):
     return _inversions(top, bottom), (tuple(sorted(top)), tuple(sorted(bottom, reverse=True)))
 
 
-def _word(signs: str, key) -> list:
-    """The monomial of an S key as a word: x's for its top, then y's."""
-    m = signs.count("+")
-    return [("x", i) for i in key[:m]] + [("y", j) for j in key[m:]]
-
-
 def word_to_svec(N: int, word) -> TensorVec:
     """Normal form of a word in the generators: word is a sequence of
     ('x'|'y', index) pairs, m x's and n y's.  Rewrites y-past-x using the
@@ -681,19 +671,6 @@ def word_to_svec(N: int, word) -> TensorVec:
                 cr = c * LaurentQ({r + 1: (-1) ** r, r - 1: -((-1) ** r)})  # (-q)^r (q - q^-1)
                 stack.append((cr, wr))
     return TensorVec._from_raw(N, "+" * m + "-" * (len(word) - m), out)
-
-
-def s_mul(a: TensorVec, b: TensorVec) -> TensorVec:
-    """Product in the algebra, renormalized."""
-    if a.N != b.N:
-        raise ValueError("rank mismatch")
-    out: dict = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            word = _word(a.signs, ka) + _word(b.signs, kb)
-            _acc(out, word_to_svec(a.N, word).terms.items(), _addmul({}, ca, cb))
-    # "+" sorts before "-": the degrees add
-    return TensorVec._from_raw(a.N, "".join(sorted(a.signs + b.signs)), out)
 
 
 def z_word_terms(N: int, c: int):
@@ -766,9 +743,10 @@ def _psi_star_word(N: int, top, bottom) -> TensorVec:
     rest = _psi_star_word(N, rest_top, rest_bottom)
     w = dict(weight_of(rest_top, rest_bottom)).get(idx, 0)
     e = w - len(rest_top) if kind == "x" else -w - len(rest_bottom)
+    m = len(rest_top)
     out: dict = {}
     for rk, rc in rest.terms.items():
-        word = _word(rest.signs, rk) + [(kind, idx)]
+        word = [("x", i) for i in rk[:m]] + [("y", j) for j in rk[m:]] + [(kind, idx)]
         _acc(out, word_to_svec(N, word).terms.items(), {x + e: y for x, y in rc.items()})
     return TensorVec._from_raw(N, "+" * len(top) + "-" * len(bottom), out)
 

@@ -318,18 +318,20 @@ def crit_canonical_units(scale: dict) -> str:
     N = scale["N"]
     proj = fixed = 0
     for m, n in scale["shapes"]:
-        word = qcanon._block_word(m, n)
         for key in itertools.product(range(1, N + 1), repeat=m + n):
             top, bottom = key[:m], key[m:]
             bstar = qcanon.dual_canonical(N, top, bottom)
             p = qcanon.project_to_S(bstar)
             if combinat.is_anti_dominant(top, bottom):
                 # b* of a root key is a closed form; by Lusztig's uniqueness
-                # being psi*-fixed and unitriangular determines it
-                assert qcanon.psi_star(bstar, word) == bstar, (top, bottom, "psi*")
+                # being psi*-fixed and unitriangular determines it; S's own
+                # bar, built without tensor space, fixes its projection
+                assert qcanon.psi_star(bstar) == bstar, (top, bottom, "psi*")
                 assert bstar.terms.get(key) == {0: 1} and all(
                     min(c) >= 1 for k, c in bstar.terms.items() if k != key), (top, bottom, "unitriangular")
-                assert p == qcanon.d_basis(N, top, bottom), (top, bottom)
+                d = qcanon.d_basis(N, top, bottom)
+                assert p == d, (top, bottom)
+                assert qcanon.psi_star_S(d) == d, (top, bottom, "psi*_S")
                 fixed += 1
             else:
                 assert p.is_zero(), (top, bottom)
@@ -353,7 +355,7 @@ def crit_canonical_units(scale: dict) -> str:
                     assert val == want, (ka, kb, val)
                     dual += 1
     return (f"unit vectors checked; {proj} projections pi(b*) == d or 0; {fixed} anti-dominant b* "
-            f"psi*-fixed and unitriangular; {dual} duality pairings (b, b*) == delta")
+            f"psi*-fixed and unitriangular, pi(b*) psi*_S-fixed; {dual} duality pairings (b, b*) == delta")
 
 
 def crit_m1n1_sanity(scale: dict) -> str:

@@ -92,7 +92,8 @@ QUICK_RESULTS = [
      "with constant signature"),
     ("canonical-basis-units", True,
      "unit vectors checked; 12 projections pi(b*) == d or 0; 10 anti-dominant b* "
-     "psi*-fixed and unitriangular; 26 duality pairings (b, b*) == delta"),
+     "psi*-fixed and unitriangular, pi(b*) psi*_S-fixed; 26 duality pairings (b, b*) "
+     "== delta"),
     ("m1n1-sanity", True,
      "typical Cartan (1); atypical diagonal 1+q^2; neighbor support |i-j| <= 1"),
 ]
@@ -226,6 +227,7 @@ PRINTED_FAULTS = {
     "qcanon.d_basis": ("+unit", {"canonical-basis-units"}),
     "qcanon.project_to_S": ("+unit", {"canonical-basis-units"}),
     "qcanon.word_to_svec": ("+unit", {"canonical-basis-units"}),
+    "qcanon.psi_star_S": ("+unit", {"canonical-basis-units"}),
     "characters.ch_verma_w": ("+chi^0", {"character-identities"}),
     "characters.ch_simple_w": ("+chi^0", {"character-identities"}),
     "blockan.verma_mult": ("+1", {"cartan-vs-oracle", "character-identities"}),

@@ -920,6 +920,15 @@ class TestDeterminismAndCache:
         assert plain.stdout == warm.stdout == cached.stdout
         assert list(tmp_path.iterdir()), "cache populated"
 
+    def test_cache_dir_that_cannot_be_written_changes_no_bytes(self, tmp_path):
+        # a cache write that fails is skipped, and the answer still printed
+        args = ["cb", "--N", "3", "--signs", "++-", "--key", "1,2;2"]
+        (tmp_path / "file").write_text("")
+        plain = run_cli(["--no-cache", *args])
+        unwritable = run_cli(["--cache-dir", str(tmp_path / "file"), *args])
+        assert (unwritable.returncode, unwritable.stdout, unwritable.stderr) == (0, plain.stdout, "")
+        assert plain.returncode == 0 and (tmp_path / "file").read_text() == ""
+
     def test_cache_env_var(self, tmp_path):
         args = ["cb", "--N", "2", "--signs", "+-", "--key", "2;1"]
         out = run_cli(args, env={"WBLOCKS_CACHE": str(tmp_path)})

@@ -177,10 +177,9 @@ class TestBlockKeys:
 
     def test_aligned_tableau_has_full_defect(self):
         xi = BlockKey(Composition([1]), Composition([2], 4), 1, 2, 3)
-        for s_minus in (0, 1):
-            A = aligned_tableau(xi, Composition.eps(2), s_minus)
-            assert defect(A) == atyp(A) == 1
-            assert block_key(A) == xi
+        A = aligned_tableau(xi, Composition.eps(2))
+        assert defect(A) == atyp(A) == 1
+        assert block_key(A) == xi
 
     def test_gamma_is_kept_and_stays_out_of_identity(self):
         keys = list(iter_blocks(4, 4, 3))

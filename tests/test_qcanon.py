@@ -25,7 +25,6 @@ from wblocks.qcanon import (
     psi_star,
     psi_star_S,
     r_apply,
-    s_mul,
     stable_pairing,
     straighten,
     word_to_svec,
@@ -95,13 +94,11 @@ def w0_bar(v, inverse=False):
 
 def psi_star_reduction(N, signs, key, family, rank):
     """Lusztig's lemma at key by psi_star: the unit vector plus p * b_head
-    for the positive part p of each head of psi_star(b) - b, along the block
-    word, with b_head read from family, which must hold every key of the
-    weight space that ranks below key; rank maps each key of the space to
-    its key_stat."""
-    m = signs.count("+")
+    for the positive part p of each head of psi_star(b) - b, with b_head
+    read from family, which must hold every key of the weight space that
+    ranks below key; rank maps each key of the space to its key_stat."""
     b = unit(N, signs, key)
-    d = psi_star(b, qc._block_word(m, len(signs) - m)) + b.scaled(-1)
+    d = psi_star(b) + b.scaled(-1)
     while not d.is_zero():
         head = max(d.terms, key=rank.__getitem__)
         assert rank[head] < rank[key], (key, head)
@@ -246,58 +243,43 @@ class TestRMatrix:
 class TestBarInvolutions:
     def test_psi_star_fixed_point(self):
         v = unit(2, "+-", (1, 1))
-        assert psi_star(v, [1]) == v
+        assert psi_star(v) == v
 
     def test_psi_star_correction(self):
         v = unit(2, "+-", (2, 2))
         expect = v + unit(2, "+-", (1, 1)).scaled(LaurentQ({-1: 1, 1: -1}))
-        assert psi_star(v, [1]) == expect
+        assert psi_star(v) == expect
 
-    @pytest.mark.parametrize("signs", ["+-", "-+", "++-", "+--", "++--"])
+    @pytest.mark.parametrize("signs", ["+-", "++-", "+--", "++--"])
     def test_involutions(self, signs):
         rng = random.Random(3)
         N = 3
-        word = w0_word(len(signs))
         for _ in range(6):
             v = rand_vec(rng, N, signs)
-            assert psi(psi(v, word), word) == v
-            assert psi_star(psi_star(v, word), word) == v
+            assert psi(psi(v)) == v
+            assert psi_star(psi_star(v)) == v
+
+    def test_bar_of_a_vector_not_on_plus_then_minus_signs_is_rejected(self):
+        with pytest.raises(ValueError, match=r"\(\+\)\^m \(-\)\^n"):
+            psi(unit(3, "-+", (1, 2)))
 
     def test_reduced_word_independence(self):
-        rng = random.Random(9)
-        words3 = [[1, 2, 1], [2, 1, 2]]
-        for signs in ["++-", "+--"]:
-            for _ in range(5):
-                v = rand_vec(rng, 3, signs)
-                outs = {repr(sorted(psi_star(v, word=w).to_json()["terms"], key=str)) for w in words3}
-                assert len(outs) == 1
-        words4 = [[1, 2, 1, 3, 2, 1], [3, 2, 3, 1, 2, 3], [2, 1, 3, 2, 1, 3]]
-        for _ in range(3):
-            v = rand_vec(rng, 2, "++--")
-            outs = {repr(sorted(psi_star(v, word=w).to_json()["terms"], key=str)) for w in words4}
-            assert len(outs) == 1
-        # the reference route builds the bars factor by factor from memoized
-        # sub-key images; a word is the plain R-step loop
-        for k in range(1, 5):
-            for signs in map("".join, itertools.product("+-", repeat=k)):
-                for key in itertools.product(range(1, 4), repeat=k):
-                    v = unit(3, signs, key)
-                    assert w0_bar(v) == psi(v, word=w0_word(k)), (signs, key)
-                    assert w0_bar(v, True) == psi_star(v, word=w0_word(k)), (signs, key)
+        # the bars run along the block word, the reference route along
+        # s1, s2 s1, ... factor by factor from memoized sub-key images: two
+        # reduced words for w0 give the same bars
         rng = random.Random(17)
-        for signs in ("+++--", "-+-+-", "+++---", "--++-+"):
-            word = w0_word(len(signs))
+        for signs in ("+++--", "+++---"):
             for _ in range(12):
                 key = tuple(rng.randint(1, 4) for _ in signs)
                 v = unit(4, signs, key)
-                assert w0_bar(v) == psi(v, word=word), (signs, key)
-                assert w0_bar(v, True) == psi_star(v, word=word), (signs, key)
+                assert w0_bar(v) == psi(v), (signs, key)
+                assert w0_bar(v, True) == psi_star(v), (signs, key)
             v = rand_vec(rng, 4, signs, nterms=4)
-            assert w0_bar(v) == psi(v, word=word), signs
+            assert w0_bar(v) == psi(v), signs
 
     def test_block_word_is_the_bars_route(self):
-        # the word the family builder passes: psi and psi_star along it equal
-        # the reference route on every unit vector
+        # psi and psi_star along the block word equal the reference route on
+        # every unit vector
         for k in range(1, 6):
             for m in range(k + 1):
                 signs = "+" * m + "-" * (k - m)
@@ -306,24 +288,13 @@ class TestBarInvolutions:
                 for N in (1, 2, 3):
                     for key in itertools.product(range(1, N + 1), repeat=k):
                         v = unit(N, signs, key)
-                        assert psi(v, word=word) == w0_bar(v), (signs, key)
-                        assert psi_star(v, word=word) == w0_bar(v, True), (signs, key)
-
-    @pytest.mark.parametrize("bar", [psi, psi_star])
-    def test_word_that_is_not_a_reduced_word_for_w0_is_rejected(self, bar):
-        v = unit(3, "++", (1, 2))
-        for word in ([], [1, 1, 1], [2], [0]):
-            with pytest.raises(ValueError):
-                bar(v, word=word)
-        for word in ([1, 1, 2], [1, 2, 2], [2, 1, 2, 1]):  # length 3 but not w0, too long
-            with pytest.raises(ValueError):
-                bar(unit(3, "+++", (1, 2, 3)), word=word)
-        assert bar(v, word=[1]) == w0_bar(v, bar is psi_star)
+                        assert psi(v) == w0_bar(v), (signs, key)
+                        assert psi_star(v) == w0_bar(v, True), (signs, key)
 
     def test_psi_star_triangular(self):
         N, signs = 3, "++--"
         for key in itertools.product(range(1, N + 1), repeat=4):
-            d = psi_star(unit(N, signs, key), w0_word(4)).terms
+            d = psi_star(unit(N, signs, key)).terms
             assert d.pop(key) == {0: 1}
             for other in d:
                 assert key_stat(signs, other) < key_stat(signs, key)
@@ -333,13 +304,12 @@ class TestBarInvolutions:
         # psi is compatible with the bar involution of U_q, which fixes E_i
         # and F_i and inverts K_i
         N = 3
-        word = w0_word(len(signs))
         for key in itertools.product(range(1, N + 1), repeat=len(signs)):
             v = unit(N, signs, key)
-            pv = psi(v, word)
+            pv = psi(v)
             for i in range(1, N):
                 for gen, image in (("E", "E"), ("F", "F"), ("K", "Kinv")):
-                    assert psi(act_gen(gen, i, v), word) == act_gen(image, i, pv), (key, gen, i)
+                    assert psi(act_gen(gen, i, v)) == act_gen(image, i, pv), (key, gen, i)
 
     def test_adjointness_via_pairing(self):
         # (psi(v), w) bar == (v, psi*(w)) on random vectors
@@ -347,8 +317,8 @@ class TestBarInvolutions:
         for _ in range(8):
             v = rand_vec(rng, 3, "+-")
             w = rand_vec(rng, 3, "+-")
-            lhs = pairing(psi(v, [1]), w).bar()
-            rhs = pairing(v, psi_star(w, [1]))
+            lhs = pairing(psi(v), w).bar()
+            rhs = pairing(v, psi_star(w))
             assert lhs == rhs
 
 
@@ -365,7 +335,7 @@ class TestCanonicalBases:
         for key in itertools.product(range(1, N + 1), repeat=2):
             top, bottom = key[:1], key[1:]
             b = dual_canonical(N, top, bottom)
-            assert psi_star(b, [1]) == b
+            assert psi_star(b) == b
             assert b.terms[key] == {0: 1}
             for other, c in b.terms.items():
                 if other != key:
@@ -375,7 +345,7 @@ class TestCanonicalBases:
         N = 3
         for key in itertools.product(range(1, N + 1), repeat=2):
             b = canonical(N, key[:1], key[1:])
-            assert psi(b, [1]) == b
+            assert psi(b) == b
 
     def test_duality_of_bases(self):
         N = 2
@@ -405,7 +375,7 @@ class TestCanonicalBases:
                     for dual, bar in ((True, psi_star), (False, psi)):
                         monkeypatch.setattr(qc, "_family_memo", {})
                         for key, b in qc._basis_family(N, signs, weight, dual).items():
-                            assert bar(b, w0_word(k)) == b
+                            assert bar(b) == b
                             assert b.terms[key] == {0: 1}
                             assert all(min(c) >= 1 for k2, c in b.terms.items() if k2 != key)
 
@@ -435,7 +405,7 @@ class TestCanonicalBases:
         keys = [(2, 2), (1, 1)]
 
         def bar_adding(c):
-            def bar(v, word):
+            def bar(v):
                 if (1, 1) in v.terms:
                     return v + TensorVec(2, "+-", {(2, 2): LaurentQ(c)})
                 return v
@@ -459,13 +429,12 @@ class TestRStepRoute:
             for m in range(k + 1):
                 signs = "+" * m + "-" * (k - m)
                 slots = [a for a in range(1, k) if signs[a - 1] == signs[a]]
-                word = w0_word(k)
                 for key in itertools.product(range(1, N + 1), repeat=k):
                     v = unit(N, signs, key)
                     for bar in (psi, psi_star):
-                        bv = bar(v, word)
+                        bv = bar(v)
                         for a in slots:
-                            assert bar(r_apply(a, v), word) == r_apply(a, bv, inverse=True), (signs, key, a)
+                            assert bar(r_apply(a, v)) == r_apply(a, bv, inverse=True), (signs, key, a)
 
     @pytest.mark.parametrize("fault", ["extra-term", "no-unit"])
     def test_r_step_that_is_not_unitriangular_is_rejected(self, monkeypatch, fault):
@@ -575,18 +544,6 @@ class TestAlgebraS:
         out = word_to_svec(2, [("y", 2), ("x", 2)])
         assert out.terms == {(2, 2): {1: 1}, (1, 1): {2: -1, 0: 1}}
 
-    def test_product_associative(self):
-        rng = random.Random(2)
-        for _ in range(5):
-            def rand_svec():
-                top = tuple(sorted(rng.randint(1, 3) for _ in range(rng.randint(0, 2))))
-                bottom = tuple(sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 2))), reverse=True))
-                signs = "+" * len(top) + "-" * len(bottom)
-                return TensorVec(3, signs, {top + bottom: LaurentQ({rng.randint(-1, 1): 1})})
-
-            a, b, c = rand_svec(), rand_svec(), rand_svec()
-            assert s_mul(s_mul(a, b), c) == s_mul(a, s_mul(b, c))
-
     def test_builders_return_normal_form(self):
         # an element of S is a TensorVec on (+)^m (-)^n whose keys have an
         # ascending top (first m entries) and a descending bottom
@@ -604,7 +561,7 @@ class TestAlgebraS:
             bottom = tuple(sorted((rng.randint(1, N) for _ in range(n)), reverse=True))
             d = d_basis(N, top, bottom)
             p = project_to_S(rand_vec(rng, N, "+" * m + "-" * n))
-            outs += [a, b, s_mul(a, b), d, p, psi_star_S(a), psi_star_S(d), psi_star_S(p)]
+            outs += [a, b, d, p, psi_star_S(a), psi_star_S(d), psi_star_S(p)]
         keys = 0
         for v in outs:
             m = v.signs.count("+")
@@ -668,7 +625,7 @@ class TestAlgebraS:
             signs = "+" * m + "-" * n
             for _ in range(6):
                 v = rand_vec(rng, 3, signs)
-                assert project_to_S(psi_star(v, w0_word(m + n))) == psi_star_S(project_to_S(v))
+                assert project_to_S(psi_star(v)) == psi_star_S(project_to_S(v))
 
     def test_projection_of_dual_canonical(self):
         N = 3
@@ -809,8 +766,7 @@ class TestCoefficientFormat:
         rng = random.Random(29)
         for signs in ("+-", "++-", "+--"):
             v = rand_vec(rng, 3, signs, nterms=4)
-            word = w0_word(len(signs))
-            outs = [psi(v, word), psi_star(v, word), r_apply(1, v), r_apply(1, v, inverse=True)]
+            outs = [psi(v), psi_star(v), r_apply(1, v), r_apply(1, v, inverse=True)]
             outs += [act_gen(gen, i, v) for gen in ("E", "F", "K", "Kinv") for i in (1, 2)]
             for out in outs:
                 assert_raw_terms(out)
@@ -844,7 +800,7 @@ class TestCoefficientFormat:
         stored = {id(c) for v in vecs for c in v.terms.values()}
         outs = []
         for v, w in zip(vecs, vecs[1:] + vecs[:1]):
-            outs += [psi_star(v, w0_word(4)), v.scaled(LaurentQ({1: 1, -1: 2})), v.scaled(1),
+            outs += [psi_star(v), v.scaled(LaurentQ({1: 1, -1: 2})), v.scaled(1),
                      v + w, w + v, v + v, r_apply(1, v), r_apply(3, v, inverse=True)]
             assert type(pairing(v, w)) is LaurentQ
         assert [json.dumps(v.to_json()) for v in vecs] == before
@@ -907,16 +863,14 @@ class TestJsonAndCache:
     def test_family_bars_take_the_block_word(self, monkeypatch):
         # each canonical root key's bar runs along the block word of w0
         words = []
+        real = qc._psi_key
 
-        def spy(real):
-            def bar(v, word):
-                words.append(word)
-                return real(v, word)
-            return bar
+        def spy(v_key, signs, N, inverse, word):
+            words.append(word)
+            return real(v_key, signs, N, inverse, word)
 
         monkeypatch.setattr(cache, "_cache_dir", None)
-        monkeypatch.setattr(qc, "psi", spy(qc.psi))
-        monkeypatch.setattr(qc, "psi_star", spy(qc.psi_star))
+        monkeypatch.setattr(qc, "_psi_key", spy)
         word = [3, 4, 5, 2, 3, 4, 1, 2, 3, 4, 5, 4, 1, 2, 1]
         assert block_word(3, 3) == word
         for dual, bars in ((True, 0), (False, 10)):  # dual root keys take a closed form
@@ -928,7 +882,7 @@ class TestJsonAndCache:
     def test_bar_returning_its_input_leaves_constants_intact(self, monkeypatch):
         # the Lusztig loop writes into the coefficient dicts bar returns;
         # (2, 1, 1, 2) is a root key of the canonical family, so it calls bar
-        monkeypatch.setattr(qc, "psi", lambda v, word: v)
+        monkeypatch.setattr(qc, "psi", lambda v: v)
         qc._family_memo.clear()
         try:
             b = canonical(3, (2, 1), (1, 2))

@@ -13,6 +13,10 @@ to its definition by file, first line (that of its first decorator, if any)
 and name, so a method is never covered by another class's method of the
 same name.
 
+An ALLOWLIST reason names what needs the function: a file under bench/, or
+pytest, which prints a __repr__ when an assertion fails.  An oracle the
+tests compare the program against is wired into verify.py instead.
+
 Classes and module-level names have no code object to enter;
 tests/test_surface.py checks statically that a public one is referenced in
 the package.
@@ -31,19 +35,15 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "wblocks"
 
+PYTEST_REPR = "pytest prints it when an assertion fails"
+
 # qualified name -> why it stays although no program path enters it
 ALLOWLIST = {
     "laurent.LaurentQ.__sub__": "bench/tracer.py wraps it for laurent.add",
     "qcanon.TensorVec.scaled": "bench/run.py inject_fault scales a faulted psi_star by q",
-    "qcanon.s_mul": "S oracle: tests check associativity against it (ROADMAP item 5)",
-    "qcanon.psi_star_S": "S oracle: bar of S built without tensor space (ROADMAP item 5)",
-    "qcanon._psi_star_word": "S oracle: psi_star_S's recursion (ROADMAP item 5)",
-    "qcanon._word": "S oracle: the word of an S key, for s_mul and _psi_star_word",
-    "combinat.Composition.dominance_leq": "oracle: tests check the head of a simple character",
-    "laurent.LaurentQ.bar": "oracle: psi_star_S bars its coefficients with it",
-    "characters.CompChar.__repr__": "pytest prints it when an assertion fails",
-    "multipoly.MultiPoly.__repr__": "pytest prints it when an assertion fails",
-    "qcanon.TensorVec.__repr__": "pytest prints it when an assertion fails",
+    "characters.CompChar.__repr__": PYTEST_REPR,
+    "multipoly.MultiPoly.__repr__": PYTEST_REPR,
+    "qcanon.TensorVec.__repr__": PYTEST_REPR,
 }
 
 B11 = "mu=0;nu=0;t=1"
@@ -108,6 +108,11 @@ LINES = [
     (["--config", "@list", "h", "--lambda", "0"], None),
     (["recover"], "not json"),
 ]
+
+
+def test_allowlist_holds_only_what_bench_or_pytest_needs():
+    odd = {q: r for q, r in ALLOWLIST.items() if not (r.startswith("bench/") or r == PYTEST_REPR)}
+    assert not odd, f"allowlisted for neither bench/ nor pytest: {odd}"
 
 
 def trace(run) -> set:

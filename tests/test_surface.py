@@ -5,8 +5,9 @@ public class, must be referenced somewhere in the package outside every
 definition of the same name: a function, class or module-level name by name
 or import, a method as an attribute.
 So BlockKey.to_json calling self.mu.to_json() is no use of Composition.to_json.
-Properties are data, not methods, and are left out.  Tests may call a definition too, but one that only tests reach is
-dead weight, unless it is one of the oracles below.
+Properties are data, not methods, and are left out.  Tests may call a
+definition too, but one that only tests reach is dead weight: an oracle the
+tests compare the program against belongs in verify.py.
 
 Every module-level import is used in its module, by name or through
 __all__.
@@ -16,15 +17,6 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wblocks"
-
-# Independent routes the tests compare the program against.  They stay until
-# verify.py checks the same properties with them.
-ORACLES = {
-    "s_mul",  # product of the x/y algebra: associativity
-    "psi_star_S",  # bar involution of the algebra, built without tensor space
-    "dominance_leq",  # dominance order: the head of a simple character is least
-}
-
 
 def _is_property(node):
     return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
@@ -68,17 +60,11 @@ def test_every_public_definition_is_used_by_the_package():
             if not any(file == f and lo <= r[1] <= hi for f, lo, hi in spans.get(r[0], ()))]
     unused = []
     for file, name, node, method in defs:
-        if name.startswith("_") or name in ORACLES:
+        if name.startswith("_"):
             continue
         if not any(r == name and (attr or not method) for _, r, _, attr in refs):
             unused.append(f"{file}:{node.lineno} {name}")
     assert not unused, "public definitions no program code uses: " + ", ".join(unused)
-
-
-def test_oracles_are_still_defined():
-    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
-    names = {name for tree in trees for name, _, _ in _definitions(tree)}
-    assert ORACLES <= names
 
 
 def _imported_names(tree):
