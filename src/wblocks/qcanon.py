@@ -198,7 +198,7 @@ def _bar(v: TensorVec, inverse: bool) -> TensorVec:
     """Anti-linear extension of _psi_key along the block word: the sum of
     bar(c) * psi(key), with bar(c) * q^e accumulated straight into one dict
     per output key.  Raises ValueError unless v lives on (+)^m (-)^n."""
-    word = _block_word(*_split_signs(v.signs))
+    word = _block_word(*_split_signs(v.signs, "psi_star" if inverse else "psi"))
     acc: dict = {}
     for key, c in v.terms.items():
         terms, e = _psi_key(key, v.signs, v.N, inverse, word)
@@ -236,10 +236,12 @@ def pairing(v: TensorVec, w: TensorVec) -> LaurentQ:
 # canonical and dual canonical bases (Lusztig's lemma)
 
 
-def _split_signs(signs: str):
+def _split_signs(signs: str, what: str = "a canonical basis"):
+    """(m, n) of a (+)^m (-)^n sign sequence; ValueError naming what needs
+    it otherwise."""
     m = signs.count("+")
     if signs != "+" * m + "-" * (len(signs) - m):
-        raise ValueError("canonical bases live in (+)^m (-)^n tensor spaces")
+        raise ValueError(f"{what} is defined on (+)^m (-)^n signs only, not {signs!r}")
     return m, len(signs) - m
 
 
@@ -254,7 +256,7 @@ def _inversions(top, bottom) -> int:
 def key_stat(signs: str, key) -> tuple:
     """Statistic compatible with the Bruhat order: (entry sum, inversions,
     the key itself)."""
-    m, _ = _split_signs(signs)
+    m, _ = _split_signs(signs, "key_stat")
     return (sum(key), _inversions(key[:m], key[m:]), key)
 
 
@@ -337,10 +339,54 @@ def _block_word(m: int, n: int) -> list:
     Theta (psi_M x psi_N) for the two blocks (Introduction to Quantum
     Groups, ch. 4), the block steps giving Theta up to the flip and a power
     of q.  The blocks of a reversed root key are weakly monotone, so only
-    the block steps branch."""
+    the block steps branch; _psi_root walks those alone."""
     cross = [s for b in reversed(range(m)) for s in range(b + 1, n + b + 1)]
     return cross + [n + i for r in range(1, m) for i in range(r, 0, -1)] + [
         i for r in range(1, n) for i in range(r, 0, -1)]
+
+
+@lru_cache(maxsize=None)
+def _cross(N: int, w: int, bottom: tuple) -> tuple:
+    """R on the -+ slots, from the last to the first, carrying a plus entry
+    w left across the minus entries bottom: tuple of ((w', bottom'),
+    coeff-dict).  An unequal pair only swaps; an equal pair branches as
+    _r_pair lists.  Memoized: a pure function of its arguments, whose values
+    are only read."""
+    paths = {(w, bottom): {0: 1}}
+    for j in reversed(range(len(bottom))):
+        nxt: dict = {}
+        for (v, bot), x in paths.items():
+            if bot[j] != v:
+                nxt[v, bot] = x  # each branch of an equal pair keeps its entries at j equal
+            else:
+                _acc(nxt, [((v2, bot[:j] + (b2,) + bot[j + 1 :]), rc)
+                           for (v2, b2), rc in _r_pair(N, "-", "+", v, v, False)], x)
+        paths = nxt
+    return tuple(paths.items())
+
+
+def _psi_root(N: int, signs: str, key: tuple) -> TensorVec:
+    """psi of the unit vector at a root key of the canonical family (top
+    weakly decreasing, bottom weakly increasing) by a crossing walk; raises
+    ValueError at any other key.
+
+    On such a key the pure-block steps of the block word only reorder it,
+    and with _psi_key's e they leave q^C, C the number of equal top-bottom
+    pairs.  In the m n block steps each top entry in turn walks left across
+    the bottom block (_cross), and the states are merged after each."""
+    m, _ = _split_signs(signs, "_psi_root")
+    top, bottom = key[:m], key[m:]
+    if any(a < b for a, b in zip(top, top[1:])) or any(a > b for a, b in zip(bottom, bottom[1:])):
+        raise ValueError(f"{key} is not a root key of the canonical family on {signs}")
+    states = {key: {sum(1 for a in top for b in bottom if a == b): 1}}
+    for s in range(m):
+        out: dict = {}
+        for k, c in states.items():
+            head, tail = k[:s], k[s + 1 : m]
+            for (w, bot), x in _cross(N, k[s], k[m:]):
+                _addmul(out.setdefault(head + (w,) + tail + bot, {}), c, x)
+        states = {k: c for k, c in out.items() if c}
+    return TensorVec._from_raw(N, signs, states)
 
 
 def _rank_step(table: list, triples: list, p: int, dual: bool) -> dict:
@@ -409,7 +455,8 @@ def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
 
     A root key, with no such descent, is anti-dominant in the dual family,
     and its vector is the closed form _dual_root: no bar, no reduction.  A
-    root key of the canonical family starts from psi(unit).  c is the
+    root key of the canonical family starts from psi(unit), which the
+    crossing walk _psi_root builds, not psi along the block word.  c is the
     correction being built, {(rank, exponent): coeff}, and d = psi(b) - b,
     {rank: {exponent: coeff}}, reduced to zero.
     The head of d has the largest rank, below i, and its coefficient r is
@@ -420,8 +467,8 @@ def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
     where a is the triple's coefficient.  A sum that cancels stays as a
     zero until its rank is popped from d or c becomes triples.  d starts as
     copies of the coefficient dicts of psi(unit), since nothing writes to
-    the dicts of a built vector; so even a bar that returns its input or a
-    stored vector leaves that vector intact.
+    the dicts of a built vector; so even a walk that returns a stored
+    vector leaves that vector intact.
 
     These passes, the families' hottest loops, sum integers into (rank,
     exponent) keys by hand, not through laurent._addmul.  The reduction
@@ -456,7 +503,8 @@ def _lusztig(N: int, signs: str, keys: list, dual: bool) -> list:
                 raise ArithmeticError("non-triangular closed form (internal bug)")
         else:
             c = {}
-            d = {rank[k]: dict(x) for k, x in psi(TensorVec.unit(N, signs, key)).terms.items()}
+            # a key outside the weight space gets a rank past the last
+            d = {rank.get(k, len(keys)): dict(x) for k, x in _psi_root(N, signs, key).terms.items()}
             _acc(d, ((i, {0: 1}),), {0: -1})
             while d:
                 head = max(d)
@@ -556,8 +604,8 @@ def _basis_family(N: int, signs: str, weight: tuple, dual: bool) -> dict:
     the keys sorted by key_stat.  A key with a same-sign descent is one
     R-step on ranks from an earlier key's correction.  A root key of the
     dual family is written down in closed form (_dual_root); only a root key
-    of the canonical family takes psi of its unit vector, along the block
-    word (_block_word)."""
+    of the canonical family takes psi of its unit vector, by the crossing
+    walk (_psi_root).  No family runs a bar along the block word."""
     memo_key = (N, signs, weight, dual)
     if memo_key in _family_memo:
         return _family_memo[memo_key]
@@ -711,7 +759,7 @@ def d_basis(N: int, top, bottom) -> TensorVec:
 def project_to_S(v: TensorVec) -> TensorVec:
     """The projection sending each monomial tensor to q^ell times the
     anti-dominant algebra monomial it straightens to."""
-    m, _ = _split_signs(v.signs)
+    m, _ = _split_signs(v.signs, "project_to_S")
     out: dict = {}
     for key, c in v.terms.items():
         ell, (top, bottom) = straighten(key[:m], key[m:])
@@ -722,25 +770,31 @@ def project_to_S(v: TensorVec) -> TensorVec:
 def psi_star_S(v: TensorVec) -> TensorVec:
     """The bar involution on the algebra, computed independently of the
     tensor space: generators are fixed and products reverse with the
-    q^{(weight, weight') - mm' - nn'} twist."""
+    q^{(weight, weight') - mm' - nn'} twist.  The terms share one memo of
+    the images of their suffix words."""
     m = v.signs.count("+")
     out: dict = {}
+    memo = {((), ()): TensorVec(v.N, "", {(): {0: 1}})}
     for key, c in v.terms.items():
-        image = _psi_star_word(v.N, key[:m], key[m:])
+        image = _psi_star_word(v.N, key[:m], key[m:], memo)
         _acc(out, image.terms.items(), LaurentQ._raw(c).bar().coeffs)
     return TensorVec._from_raw(v.N, v.signs, out)
 
 
-def _psi_star_word(N: int, top, bottom) -> TensorVec:
-    if not top and not bottom:
-        return TensorVec(N, "", {(): {0: 1}})
+def _psi_star_word(N: int, top, bottom, memo: dict) -> TensorVec:
+    """psi*_S of the word x_top y_bottom (tuples), from that of the word
+    without its first letter; memo maps (top, bottom) to the images already
+    built, the empty word's included, which are only read."""
+    image = memo.get((top, bottom))
+    if image is not None:
+        return image
     if top:
         kind, idx = "x", top[0]
         rest_top, rest_bottom = top[1:], bottom
     else:
         kind, idx = "y", bottom[0]
         rest_top, rest_bottom = top, bottom[1:]
-    rest = _psi_star_word(N, rest_top, rest_bottom)
+    rest = _psi_star_word(N, rest_top, rest_bottom, memo)
     w = dict(weight_of(rest_top, rest_bottom)).get(idx, 0)
     e = w - len(rest_top) if kind == "x" else -w - len(rest_bottom)
     m = len(rest_top)
@@ -748,7 +802,8 @@ def _psi_star_word(N: int, top, bottom) -> TensorVec:
     for rk, rc in rest.terms.items():
         word = [("x", i) for i in rk[:m]] + [("y", j) for j in rk[m:]] + [(kind, idx)]
         _acc(out, word_to_svec(N, word).terms.items(), {x + e: y for x, y in rc.items()})
-    return TensorVec._from_raw(N, "+" * len(top) + "-" * len(bottom), out)
+    image = memo[top, bottom] = TensorVec._from_raw(N, "+" * len(top) + "-" * len(bottom), out)
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def crit_canonical_units(scale: dict) -> str:
             else:
                 assert p.is_zero(), (top, bottom)
             proj += 1
-    dual = 0
+    dual = roots = 0
     for m, n in scale["shapes"]:
         signs = "+" * m + "-" * n
         seen = set()
@@ -348,6 +348,11 @@ def crit_canonical_units(scale: dict) -> str:
             keys = list(qcanon._weight_space_keys(N, signs, wt))
             for ka in keys:
                 b = qcanon.canonical(N, ka[:m], ka[m:])
+                if qcanon._descent(signs, ka, False) is None:
+                    # a root key's b starts from _psi_root's walk; psi along
+                    # the block word is the independent route
+                    assert qcanon.psi(b) == b, (ka, "psi")
+                    roots += 1
                 for kb in keys:
                     bs = qcanon.dual_canonical(N, kb[:m], kb[m:])
                     val = qcanon.pairing(b, bs)
@@ -355,7 +360,8 @@ def crit_canonical_units(scale: dict) -> str:
                     assert val == want, (ka, kb, val)
                     dual += 1
     return (f"unit vectors checked; {proj} projections pi(b*) == d or 0; {fixed} anti-dominant b* "
-            f"psi*-fixed and unitriangular, pi(b*) psi*_S-fixed; {dual} duality pairings (b, b*) == delta")
+            f"psi*-fixed and unitriangular, pi(b*) psi*_S-fixed; {roots} root b psi-fixed; "
+            f"{dual} duality pairings (b, b*) == delta")
 
 
 def crit_m1n1_sanity(scale: dict) -> str:
@@ -456,6 +462,7 @@ FAULTS = {
     "graded-cartan": (blockan, "graded_cartan"),
     "simple-char": (characters, "ch_simple_w"),
     "dual-root": (qcanon, "_dual_root"),
+    "psi-root": (qcanon, "_psi_root"),
 }
 
 

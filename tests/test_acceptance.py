@@ -92,8 +92,8 @@ QUICK_RESULTS = [
      "with constant signature"),
     ("canonical-basis-units", True,
      "unit vectors checked; 12 projections pi(b*) == d or 0; 10 anti-dominant b* "
-     "psi*-fixed and unitriangular, pi(b*) psi*_S-fixed; 26 duality pairings (b, b*) "
-     "== delta"),
+     "psi*-fixed and unitriangular, pi(b*) psi*_S-fixed; 10 root b psi-fixed; 26 duality "
+     "pairings (b, b*) == delta"),
     ("m1n1-sanity", True,
      "typical Cartan (1); atypical diagonal 1+q^2; neighbor support |i-j| <= 1"),
 ]
@@ -114,6 +114,7 @@ FAULT_VICTIMS = {
     "graded-cartan": {"graded-vs-ungraded", "appendixb-pairing", "top-degree", "m1n1-sanity"},
     "simple-char": {"character-identities"},
     "dual-root": {"canonical-basis-units"},
+    "psi-root": {"appendixb-pairing", "canonical-basis-units"},
 }
 
 
@@ -157,6 +158,14 @@ def test_dual_root_fault_is_caught_at_full():
 
     red = {r["name"] for r in run_suite("full", fault="dual-root") if not r["ok"]}
     assert red == FAULT_VICTIMS["dual-root"]
+
+
+def test_psi_root_fault_is_caught_at_full():
+    # both criteria that read canonical vectors turn red at FULL too
+    from wblocks.verify import run_suite
+
+    red = {r["name"] for r in run_suite("full", fault="psi-root") if not r["ok"]}
+    assert red == FAULT_VICTIMS["psi-root"]
 
 
 def test_faulted_run_builds_families_afresh_and_keeps_none(monkeypatch, tmp_path):

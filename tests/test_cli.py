@@ -947,6 +947,20 @@ class TestDeterminismAndCache:
         assert explicit.stdout.startswith("{"), "explicit flag beats config"
 
 
+def test_fault_names_are_spelled_as_verify_defines_them():
+    from wblocks import verify
+
+    flags = dict(COMMANDS["verify"][2])
+    assert flags["--inject-fault"]["choices"] == sorted(verify.FAULTS)
+
+
+def test_importing_the_cli_leaves_the_verify_suite_unloaded():
+    # only a verify line imports wblocks.verify (inside cmd_verify)
+    code = "import sys\nimport wblocks.cli\nprint('wblocks.verify' in sys.modules)"
+    proc = run_cli([], python=("-c", code))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_verify_quick_passes(capsys):
     assert main(["verify", "--profile", "quick"]) == 0
     out = capsys.readouterr().out

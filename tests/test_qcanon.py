@@ -263,6 +263,16 @@ class TestBarInvolutions:
         with pytest.raises(ValueError, match=r"\(\+\)\^m \(-\)\^n"):
             psi(unit(3, "-+", (1, 2)))
 
+    def test_sign_errors_name_the_operation(self):
+        v = unit(3, "-+", (1, 2))
+        for name, call in (("psi", lambda: psi(v)), ("psi_star", lambda: psi_star(v)),
+                           ("key_stat", lambda: key_stat("-+", (1, 2))),
+                           ("project_to_S", lambda: project_to_S(v)),
+                           ("_psi_root", lambda: qc._psi_root(3, "-+", (1, 2)))):
+            with pytest.raises(ValueError, match=rf"^{name} is defined on \(\+\)\^m \(-\)\^n "
+                                                 r"signs only, not '-\+'$"):
+                call()
+
     def test_reduced_word_independence(self):
         # the bars run along the block word, the reference route along
         # s1, s2 s1, ... factor by factor from memoized sub-key images: two
@@ -381,13 +391,13 @@ class TestCanonicalBases:
 
     @pytest.mark.parametrize("dual,bar,calls,bars", [(True, "psi_star", 0, 0), (False, "psi", 54, 10)])
     def test_family_takes_one_positive_part_per_reduction(self, monkeypatch, dual, bar, calls, bars):
-        # the benchmark counts reductions through LaurentQ.positive_part and
-        # injects faults through the module's psi and psi_star; of the 93
-        # keys, only the 10 canonical root keys call bar and reduce through
-        # positive_part, and the dual root keys take their closed form
+        # the benchmark counts reductions through LaurentQ.positive_part; of
+        # the 93 keys, only the 10 canonical root keys take psi, by the walk
+        # (_psi_root), and reduce through positive_part, the dual root keys
+        # take their closed form, and no family calls its bar
         monkeypatch.setattr(cache, "_cache_dir", None)
         monkeypatch.setattr(qc, "_family_memo", {})
-        counts = {"positive_part": 0, bar: 0}
+        counts = {"positive_part": 0, "_psi_root": 0, bar: 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -396,25 +406,26 @@ class TestCanonicalBases:
             return wrapper
 
         monkeypatch.setattr(LaurentQ, "positive_part", counted("positive_part", LaurentQ.positive_part))
-        monkeypatch.setattr(qc, bar, counted(bar, getattr(qc, bar)))
+        for name in ("_psi_root", bar):
+            monkeypatch.setattr(qc, name, counted(name, getattr(qc, name)))
         qc._basis_family(3, "+++---", (), dual)
-        assert counts == {"positive_part": calls, bar: bars}
+        assert counts == {"positive_part": calls, "_psi_root": bars, bar: 0}
 
     def test_bar_with_a_head_that_is_not_antisymmetric_is_rejected(self, monkeypatch):
         # the canonical family's order: (2, 2) first, then (1, 1)
         keys = [(2, 2), (1, 1)]
 
         def bar_adding(c):
-            def bar(v):
-                if (1, 1) in v.terms:
-                    return v + TensorVec(2, "+-", {(2, 2): LaurentQ(c)})
-                return v
+            def bar(N, signs, key):
+                if key == (1, 1):
+                    return unit(N, signs, key) + TensorVec(2, "+-", {(2, 2): LaurentQ(c)})
+                return unit(N, signs, key)
             return bar
 
-        monkeypatch.setattr(qc, "psi", bar_adding({1: 1, -1: -1}))
+        monkeypatch.setattr(qc, "_psi_root", bar_adding({1: 1, -1: -1}))
         assert qc._lusztig(2, "+-", keys, False) == [
             unit(2, "+-", (2, 2)), TensorVec(2, "+-", {(1, 1): 1, (2, 2): {1: 1}})]
-        monkeypatch.setattr(qc, "psi", bar_adding({1: 1}))
+        monkeypatch.setattr(qc, "_psi_root", bar_adding({1: 1}))
         with pytest.raises(ArithmeticError, match="non-triangular"):
             qc._lusztig(2, "+-", keys, False)
 
@@ -460,9 +471,10 @@ class TestRStepRoute:
                                                       (5, "+++--", ((3, 1),), 15)])
     def test_families_equal_the_all_roots_route(self, monkeypatch, N, signs, weight, roots):
         # with no key taken for one R-step from another, every key starts
-        # from its bar image: in _lusztig for the canonical family, in
-        # all_roots_family for the dual one, whose root keys are the
-        # anti-dominant keys; both routes must give the same vectors
+        # from its bar image: in _lusztig for the canonical family, with
+        # psi along the block word, since the walk takes only true root
+        # keys, and in all_roots_family for the dual one, whose root keys
+        # are the anti-dominant keys; both routes must give the same vectors
         monkeypatch.setattr(cache, "_cache_dir", None)
         m = signs.count("+")
         for dual in (True, False):
@@ -477,7 +489,28 @@ class TestRStepRoute:
             with monkeypatch.context() as mp:
                 mp.setattr(qc, "_family_memo", {})
                 mp.setattr(qc, "_descent", lambda signs, key, dual: None)
+                mp.setattr(qc, "_psi_root", lambda N, signs, key: psi(unit(N, signs, key)))
                 assert qc._basis_family(N, signs, weight, dual) == family
+
+
+class TestPsiRootWalk:
+    def test_equals_psi_of_the_unit_at_every_root_key(self):
+        # every canonical root key (top weakly decreasing, bottom weakly
+        # increasing) with N <= 4 and k <= 6: the walk is psi of the unit
+        # vector along the block word; any other key is refused
+        checked = 0
+        for N in range(1, 5):
+            for k in range(1, 7):
+                for m in range(k + 1):
+                    signs = "+" * m + "-" * (k - m)
+                    for key in itertools.product(range(1, N + 1), repeat=k):
+                        if qc._descent(signs, key, False) is not None:
+                            with pytest.raises(ValueError, match="not a root key"):
+                                qc._psi_root(N, signs, key)
+                            continue
+                        assert qc._psi_root(N, signs, key) == psi(unit(N, signs, key)), (signs, key)
+                        checked += 1
+        assert checked == 4161  # sum over N, m, n of C(N+m-1, m) C(N+n-1, n)
 
 
 class TestDualClosedForm:
@@ -860,29 +893,37 @@ class TestJsonAndCache:
         got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
         assert got == expected
 
-    def test_family_bars_take_the_block_word(self, monkeypatch):
-        # each canonical root key's bar runs along the block word of w0
-        words = []
-        real = qc._psi_key
+    def test_family_root_keys_take_the_walk(self, monkeypatch):
+        # each canonical root key takes psi by the crossing walk, at its own
+        # key, and no family runs a bar along the block word
+        walked, words = [], []
+        real_root, real_key = qc._psi_root, qc._psi_key
 
-        def spy(v_key, signs, N, inverse, word):
-            words.append(word)
-            return real(v_key, signs, N, inverse, word)
+        def root_spy(N, signs, key):
+            walked.append(key)
+            return real_root(N, signs, key)
+
+        def key_spy(*args):
+            words.append(args)
+            return real_key(*args)
 
         monkeypatch.setattr(cache, "_cache_dir", None)
-        monkeypatch.setattr(qc, "_psi_key", spy)
-        word = [3, 4, 5, 2, 3, 4, 1, 2, 3, 4, 5, 4, 1, 2, 1]
-        assert block_word(3, 3) == word
-        for dual, bars in ((True, 0), (False, 10)):  # dual root keys take a closed form
-            words.clear()
+        monkeypatch.setattr(qc, "_psi_root", root_spy)
+        monkeypatch.setattr(qc, "_psi_key", key_spy)
+        for dual in (True, False):  # dual root keys take a closed form
+            walked.clear()
             monkeypatch.setattr(qc, "_family_memo", {})
-            qc._basis_family(3, "+++---", (), dual)
-            assert words == [word] * bars
+            family = qc._basis_family(3, "+++---", (), dual)
+            roots = [] if dual else [k for k in family if qc._descent("+++---", k, False) is None]
+            assert sorted(walked) == sorted(roots) and len(walked) == (0 if dual else 10)
+        assert not words
 
     def test_bar_returning_its_input_leaves_constants_intact(self, monkeypatch):
-        # the Lusztig loop writes into the coefficient dicts bar returns;
-        # (2, 1, 1, 2) is a root key of the canonical family, so it calls bar
-        monkeypatch.setattr(qc, "psi", lambda v: v)
+        # the Lusztig loop writes into the coefficient dicts the walk returns;
+        # (2, 1, 1, 2) is a root key of the canonical family, so it takes the
+        # walk, here one returning the unit term's constant dict itself
+        monkeypatch.setattr(qc, "_psi_root", lambda N, signs, key: TensorVec._from_raw(
+            N, signs, {key: ONE.coeffs}))
         qc._family_memo.clear()
         try:
             b = canonical(3, (2, 1), (1, 2))
