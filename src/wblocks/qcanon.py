@@ -357,7 +357,7 @@ def _cross(N: int, w: int, bottom: tuple) -> tuple:
         nxt: dict = {}
         for (v, bot), x in paths.items():
             if bot[j] != v:
-                nxt[v, bot] = x  # each branch of an equal pair keeps its entries at j equal
+                nxt[v, bot] = x  # not copied: no equal pair's branch lands here, its entries at j being equal
             else:
                 _acc(nxt, [((v2, bot[:j] + (b2,) + bot[j + 1 :]), rc)
                            for (v2, b2), rc in _r_pair(N, "-", "+", v, v, False)], x)
