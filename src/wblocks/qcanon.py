@@ -174,36 +174,24 @@ def r_apply(slot: int, v: TensorVec, inverse: bool = False) -> TensorVec:
     return TensorVec._from_raw(v.N, new_signs, out)
 
 
-def _psi_key(v_key, signs, N, inverse: bool, word):
-    """R_{w0} (or its inverse version) applied to the reversed pure tensor
-    along word, as (terms, e): the image is q^e times the raw terms, to be
-    read only, and e is the exponent of the q-prefactor from the pairwise
-    form values.  _bar passes the block word (_block_word)."""
-    k = len(signs)
-    e = 0
-    for r in range(k):
-        for s in range(r + 1, k):
-            if v_key[r] == v_key[s]:
-                sr = 1 if signs[r] == "+" else -1
-                ss = 1 if signs[s] == "+" else -1
-                e += sr * ss
-    e = e if inverse else -e
-    v = TensorVec._from_raw(N, signs[::-1], {tuple(reversed(v_key)): {0: 1}})
-    for idx in reversed(word):
-        v = r_apply(idx, v, inverse)
-    return v.terms, e
-
-
 def _bar(v: TensorVec, inverse: bool) -> TensorVec:
-    """Anti-linear extension of _psi_key along the block word: the sum of
-    bar(c) * psi(key), with bar(c) * q^e accumulated straight into one dict
-    per output key.  Raises ValueError unless v lives on (+)^m (-)^n."""
+    """R_{w0} (or its inverse version) along the block word, applied once to
+    the sum over the terms of v of q^e bar(c) times the reversed pure tensor
+    of its key, e the exponent of the q-prefactor from the pairwise form
+    values: the anti-linear bar, whose terms share every intermediate
+    vector.  Raises ValueError unless v lives on (+)^m (-)^n."""
     word = _block_word(*_split_signs(v.signs, "psi_star" if inverse else "psi"))
-    acc: dict = {}
+    sign = [1 if s == "+" else -1 for s in v.signs]
+    k = len(sign)
+    start = {}
     for key, c in v.terms.items():
-        terms, e = _psi_key(key, v.signs, v.N, inverse, word)
-        _acc(acc, terms.items(), {e - x: y for x, y in c.items()})
-    return TensorVec._from_raw(v.N, v.signs, acc)
+        e = sum(sign[r] * sign[s] for r in range(k) for s in range(r + 1, k) if key[r] == key[s])
+        e = e if inverse else -e
+        start[key[::-1]] = {e - x: y for x, y in c.items()}
+    w = TensorVec._from_raw(v.N, v.signs[::-1], start)
+    for idx in reversed(word):
+        w = r_apply(idx, w, inverse)
+    return TensorVec._from_raw(v.N, v.signs, w.terms)
 
 
 def psi(v: TensorVec) -> TensorVec:
@@ -371,7 +359,7 @@ def _psi_root(N: int, signs: str, key: tuple) -> TensorVec:
     ValueError at any other key.
 
     On such a key the pure-block steps of the block word only reorder it,
-    and with _psi_key's e they leave q^C, C the number of equal top-bottom
+    and with _bar's e they leave q^C, C the number of equal top-bottom
     pairs.  In the m n block steps each top entry in turn walks left across
     the bottom block (_cross), and the states are merged after each."""
     m, _ = _split_signs(signs, "_psi_root")

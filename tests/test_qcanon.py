@@ -896,27 +896,27 @@ class TestJsonAndCache:
     def test_family_root_keys_take_the_walk(self, monkeypatch):
         # each canonical root key takes psi by the crossing walk, at its own
         # key, and no family runs a bar along the block word
-        walked, words = [], []
-        real_root, real_key = qc._psi_root, qc._psi_key
+        walked, bars = [], []
+        real_root, real_bar = qc._psi_root, qc._bar
 
         def root_spy(N, signs, key):
             walked.append(key)
             return real_root(N, signs, key)
 
-        def key_spy(*args):
-            words.append(args)
-            return real_key(*args)
+        def bar_spy(v, inverse):
+            bars.append(v)
+            return real_bar(v, inverse)
 
         monkeypatch.setattr(cache, "_cache_dir", None)
         monkeypatch.setattr(qc, "_psi_root", root_spy)
-        monkeypatch.setattr(qc, "_psi_key", key_spy)
+        monkeypatch.setattr(qc, "_bar", bar_spy)
         for dual in (True, False):  # dual root keys take a closed form
             walked.clear()
             monkeypatch.setattr(qc, "_family_memo", {})
             family = qc._basis_family(3, "+++---", (), dual)
             roots = [] if dual else [k for k in family if qc._descent("+++---", k, False) is None]
             assert sorted(walked) == sorted(roots) and len(walked) == (0 if dual else 10)
-        assert not words
+        assert not bars
 
     def test_bar_returning_its_input_leaves_constants_intact(self, monkeypatch):
         # the Lusztig loop writes into the coefficient dicts the walk returns;
