@@ -345,7 +345,9 @@ def _cross(N: int, w: int, bottom: tuple) -> tuple:
         nxt: dict = {}
         for (v, bot), x in paths.items():
             if bot[j] != v:
-                nxt[v, bot] = x  # not copied: no equal pair's branch lands here, its entries at j being equal
+                # an equal pair's branches keep their entries at j equal, so
+                # none lands on this key and x need not be copied
+                nxt[v, bot] = x
             else:
                 _acc(nxt, [((v2, bot[:j] + (b2,) + bot[j + 1 :]), rc)
                            for (v2, b2), rc in _r_pair(N, "-", "+", v, v, False)], x)
