@@ -292,12 +292,14 @@ def stable_end_dim(xi: BlockKey) -> int:
 
 
 def d_invariant(xi: BlockKey, i: int) -> Fraction:
-    """The rescaled End dimension binom(2t,t) * end_dim / stable_end_dim,
-    equal to _demon_value(t, gamma_i, gamma_{i+1}): a function of (t,
-    gamma_i, gamma_{i+1}), symmetric in the two gammas and strictly
-    decreasing in each, as _invert_demon_value's bisection needs."""
-    t = xi.t
-    return Fraction(comb(2 * t, t) * end_dim(xi, i), stable_end_dim(xi))
+    """_demon_value(t, gamma_i, gamma_{i+1}), which equals the rescaled End
+    dimension binom(2t,t) * end_dim / stable_end_dim (verify's
+    cartan-vs-oracle checks that): a function of (t, gamma_i, gamma_{i+1}),
+    symmetric in the two gammas and strictly decreasing in each, as
+    _invert_demon_value's bisection needs."""
+    if xi.t < 1:
+        raise ValueError("d_invariant requires atypicality t >= 1")
+    return _demon_value(xi.t, xi.gamma[i], xi.gamma[i + 1])
 
 
 # ---------------------------------------------------------------------------

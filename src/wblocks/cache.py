@@ -6,9 +6,12 @@ same key are harmless.  The cache is disabled unless a directory is
 configured (WBLOCKS_CACHE environment variable or configure()); with it on
 or off, computed results are byte-identical, only timing changes.
 
-A file holds {"request": ..., "result": ...}.  Callers version their own
-requests (a "format" field), so a file of an older layout hashes to another
-name and is never read; see qcanon._basis_family for the family layout.
+A file holds the sha256 hex digest of its JSON blob on its first line, then
+the blob {"request": ..., "result": ...}.  A file whose digest line does not
+match the bytes that follow it is a miss, so a corrupted or edited file is
+recomputed and rewritten, never served.  Callers version their own requests
+(a "format" field), so a file of an older layout hashes to another name and
+is never read; see qcanon._basis_family for the family layout.
 """
 
 from __future__ import annotations
@@ -41,10 +44,12 @@ def _path(request) -> str:
 def get(request):
     if _cache_dir is None:
         return None
-    path = _path(request)
     try:
-        with open(path) as fh:
-            stored = json.load(fh)
+        with open(_path(request), "rb") as fh:
+            digest, _, blob = fh.read().partition(b"\n")
+        if hashlib.sha256(blob).hexdigest().encode() != digest:
+            return None
+        stored = json.loads(blob.decode())
     except (OSError, ValueError, RecursionError):  # unreadable, not UTF-8, not JSON, too deep
         return None
     if not isinstance(stored, dict) or stored.get("request") != request:
@@ -58,13 +63,13 @@ def put(request, result):
     if _cache_dir is None:
         return
     path = _path(request)
-    blob = json.dumps({"request": request, "result": result}, sort_keys=True)
+    blob = json.dumps({"request": request, "result": result}, sort_keys=True).encode()
     tmp = None
     try:
         os.makedirs(_cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=_cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(blob)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(hashlib.sha256(blob).hexdigest().encode() + b"\n" + blob)
         os.replace(tmp, path)
     except OSError:
         if tmp is not None:

@@ -6,7 +6,6 @@ and the generating-series route to the same generators.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import factorial
 
 from .multipoly import MultiPoly, _acc
@@ -194,14 +193,13 @@ def hc_series_coeff(r: int, m: int, n: int) -> MultiPoly:
 
 
 def symmetrize(f: MultiPoly) -> MultiPoly:
-    """Average of f over S_m x S_n (used to generate random symmetric
+    """The sum of f over the S_m x S_n permutations of its variables: m! n!
+    times its average, and still over Z (used to generate random symmetric
     test polynomials)."""
     m, n = f.m, f.n
-    out = MultiPoly(m, n)
-    count = 0
+    out: dict = {}
     for pm in itertools.permutations(range(m)):
-        for pn in itertools.permutations(range(n)):
-            perm = list(pm) + [m + a for a in pn]
-            out = out + f.permute_vars(perm)
-            count += 1
-    return out * Fraction(1, count)
+        for pn in itertools.permutations(range(m, m + n)):
+            perm = pm + pn
+            _acc(out, {tuple(k[p] for p in perm): c for k, c in f.terms.items()})
+    return MultiPoly._raw(m, n, out)

@@ -25,9 +25,6 @@ class CompChar:
                     self.terms[c] = self.terms.get(c, 0) + v
             self.terms = {c: v for c, v in self.terms.items() if v}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total(self) -> int:
         return sum(self.terms.values())
 
@@ -47,15 +44,6 @@ class CompChar:
         ch = CompChar()
         ch.terms = out
         return ch
-
-    def scaled(self, k: int) -> "CompChar":
-        ch = CompChar()
-        if k:
-            ch.terms = {c: v * k for c, v in self.terms.items()}
-        return ch
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
 
     def to_json(self) -> list:
         items = sorted(
@@ -125,30 +113,33 @@ def decompose_char(c: CompChar, xi: BlockKey) -> dict:
     at most C(t + hi - lo, t) of them; an elimination that goes on longer
     raises NotInBlockSpan.
     """
-    residue = CompChar(dict(c.terms))
+    residue = dict(c.terms)
     out: dict = {}
-    if residue.is_zero():
+    if not residue:
         return out
-    spans = [comp.support_bounds() for comp in residue.terms]
+    spans = [comp.support_bounds() for comp in residue]
     if not xi.mu.is_zero():
         lo, hi = xi.mu.support_bounds()
         spans.append((lo - 1, hi))
     lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
     heads = comb(xi.t + max(hi - lo, 0), xi.t)  # hi < lo: only empty compositions
     for _ in range(heads):
-        head = min(
-            residue.terms, key=lambda comp: (comp.partial_sums_key(lo, hi), comp.parts)
-        )
-        mult = residue.terms[head]
+        head = min(residue, key=lambda comp: (comp.partial_sums_key(lo, hi), comp.parts))
+        mult = residue[head]
         items = {i: head[i] - xi.mu[i] for i in {**head.items(), **xi.mu.items()}}
         if any(v < 0 for v in items.values()):
             raise NotInBlockSpan(f"leading term {head!r} is not of the form lambda + mu")
         lam = Composition.from_items(items)
         if lam.total != xi.t:
             raise NotInBlockSpan(f"leading term {head!r} has wrong size")
-        residue = residue - ch_simple_w(xi, lam).scaled(mult)
+        for comp, v in ch_simple_w(xi, lam).terms.items():
+            s = residue.get(comp, 0) - mult * v
+            if s:
+                residue[comp] = s
+            else:
+                del residue[comp]
         out[lam] = out.get(lam, 0) + mult
-        if residue.is_zero():
+        if not residue:
             return out
     raise NotInBlockSpan(f"elimination did not end after {heads} heads, "
                          f"the number of lambda in the window {lo}..{hi}")

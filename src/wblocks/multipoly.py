@@ -1,42 +1,33 @@
-"""Exact multivariate polynomials in x_1..x_m, y_1..y_n over Q.
+"""Exact multivariate polynomials in x_1..x_m, y_1..y_n over Z.
 
-Terms are stored canonically as {exponent tuple: coefficient}, zero-free.
-A coefficient is an int when it is integral and a Fraction only otherwise
-(for example after center.symmetrize), so integer polynomials never touch
-Fraction arithmetic.  Both types compare, hash, print and serialize alike.
+Terms are stored canonically as {exponent tuple: int coefficient},
+zero-free; a coefficient or scalar that is not an int raises TypeError.
 Exponent tuples have length m + n: positions 0..m-1 are the x's, positions
 m..m+n-1 are the y's.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 
-def _coeff(c):
-    """c as an int when integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _acc(out: dict, terms: dict, shift=None, scale=1):
-    """out += scale * x^shift * terms, in place, zeros dropped; a sum that
-    comes out integral is stored as an int.  The one MultiPoly kernel:
-    MultiPoly.__add__ and __mul__ and the block recurrences of
-    center.hc_series_coeff call it."""
+    """out += scale * x^shift * terms, in place, zeros dropped.  The one
+    MultiPoly kernel: MultiPoly.__init__, __add__ and __mul__, the block
+    recurrences of center.hc_series_coeff and center.symmetrize call it."""
     for k, c in terms.items():
         if shift is not None:
             k = tuple(map(add, shift, k))
         s = out.get(k, 0) + scale * c
-        if type(s) is not int and s.denominator == 1:
-            s = s.numerator
         if s:
             out[k] = s
         else:
-            del out[k]
+            out.pop(k, None)
+
+
+def _require_int(c):
+    if type(c) is not int:
+        raise TypeError(f"MultiPoly coefficients are ints, not {c!r}")
 
 
 class MultiPoly:
@@ -48,13 +39,10 @@ class MultiPoly:
         self.terms: dict = {}
         if terms:
             for exps, c in terms.items():
-                c = _coeff(c)
-                if c:
-                    key = tuple(int(e) for e in exps)
-                    if len(key) != m + n:
-                        raise ValueError("exponent tuple has wrong length")
-                    self.terms[key] = _coeff(self.terms.get(key, 0) + c)
-            self.terms = {k: v for k, v in self.terms.items() if v}
+                _require_int(c)
+                if len(exps) != m + n:
+                    raise ValueError("exponent tuple has wrong length")
+            _acc(self.terms, terms)
 
     @classmethod
     def _raw(cls, m, n, terms):
@@ -64,7 +52,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, m: int, n: int, c) -> "MultiPoly":
-        c = _coeff(c)
+        _require_int(c)
         return cls._raw(m, n, {tuple([0] * (m + n)): c} if c else {})
 
     @classmethod
@@ -95,7 +83,7 @@ class MultiPoly:
         return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.m, self.n, other)
         self._check(other)
         out = dict(self.terms)
@@ -105,11 +93,8 @@ class MultiPoly:
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if not c:
-                return MultiPoly._raw(self.m, self.n, {})
-            return MultiPoly._raw(self.m, self.n, {k: _coeff(v * c) for k, v in self.terms.items()})
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.constant(self.m, self.n, other)
         self._check(other)
         out: dict = {}
         for ka, ca in self.terms.items():
@@ -118,21 +103,13 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def permute_vars(self, perm) -> "MultiPoly":
-        """Apply a permutation of the m+n variable slots: new slot i gets the
-        exponent of old slot perm[i]."""
-        out = {tuple(k[p] for p in perm): c for k, c in self.terms.items()}
-        return MultiPoly._raw(self.m, self.n, out)
-
     def to_json(self) -> dict:
         items = sorted(self.terms.items())
         return {
             "m": self.m,
             "n": self.n,
-            "terms": [
-                {"exponents": list(k), "coeff": f"{c.numerator}/{c.denominator}"}
-                for k, c in items
-            ],
+            # written as a fraction, the layout that pinned digests read
+            "terms": [{"exponents": list(k), "coeff": f"{c}/1"} for k, c in items],
         }
 
     def __repr__(self):

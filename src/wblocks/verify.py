@@ -276,7 +276,7 @@ def crit_center(scale: dict) -> str:
             exps = tuple(rng.randint(0, 2) for _ in range(m + n))
             if sum(exps) > 5:
                 continue
-            terms[exps] = Fraction(rng.randint(-3, 3))
+            terms[exps] = rng.randint(-3, 3)
         f = center.symmetrize(MultiPoly(m, n, terms))
         in_i = center.in_I(f, m, n)
         in_j = center.in_J(f, m, n, s_minus)

@@ -3,7 +3,6 @@ import inspect
 import itertools
 import json
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -57,13 +56,19 @@ class TestESuper:
             assert is_symmetric(e_super(r, m, n))
 
 
+def _permuted(f, perm):
+    """f with the variable slots permuted: new slot i gets the exponent of
+    old slot perm[i]."""
+    return MultiPoly(f.m, f.n, {tuple(k[p] for p in perm): c for k, c in f.terms.items()})
+
+
 def _symmetric_by_transpositions(f):
     """The reference check: f is fixed by every adjacent transposition of
-    the x block and of the y block, each applied with permute_vars."""
+    the x block and of the y block."""
     for a in itertools.chain(range(f.m - 1), range(f.m, f.m + f.n - 1)):
         perm = list(range(f.m + f.n))
         perm[a], perm[a + 1] = a + 1, a
-        if f.permute_vars(perm) != f:
+        if _permuted(f, perm) != f:
             return False
     return True
 
@@ -101,7 +106,7 @@ class TestIsSymmetric:
         for m, n in itertools.product(range(4), repeat=2):
             for r in range(1, 6):
                 assert is_symmetric(e_super(r, m, n))
-        f = MultiPoly(2, 2, {(2, 0, 1, 0): 1, (0, 1, 0, 3): Fraction(1, 3)})
+        f = MultiPoly(2, 2, {(2, 0, 1, 0): 3, (0, 1, 0, 3): 1})
         assert is_symmetric(symmetrize(f)) and not is_symmetric(f)
 
     @pytest.mark.parametrize("m,n,terms", [
@@ -111,7 +116,7 @@ class TestIsSymmetric:
         (1, 3, {(0, 1, 1, 0): 1, (0, 0, 1, 1): 1}),  # y1 y3 missing
         (2, 2, {(1, 0, 1, 0): 1, (0, 1, 1, 0): 1}),  # symmetric in x, not in y
         (2, 2, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1}),  # symmetric in y, not in x
-        (2, 1, {(1, 1, 0): 1, (2, 0, 0): 1, (0, 2, 0): Fraction(1, 2)}),
+        (2, 1, {(1, 1, 0): 2, (2, 0, 0): 2, (0, 2, 0): 1}),  # x1^2, x2^2 unequal
     ])
     def test_not_symmetric(self, m, n, terms):
         f = MultiPoly(m, n, terms)
@@ -229,16 +234,12 @@ class TestReferenceCalculus:
         lhs = _ref_partial(f * g, 0)
         assert lhs == _ref_partial(f, 0) * g + f * _ref_partial(g, 0)
 
-    def test_rational_coefficients(self):
-        f = MultiPoly(1, 1, {(2, 0): Fraction(1, 3)})
-        assert _ref_partial(f, 0) == MultiPoly(1, 1, {(1, 0): Fraction(2, 3)})
-
 
 def _random_poly(rng, m, n, max_exp=2):
     terms = {}
     for _ in range(rng.randint(1, 4)):
         e = tuple(rng.randint(0, max_exp) for _ in range(m + n))
-        terms[e] = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+        terms[e] = rng.randint(-4, 4) * (6 // rng.choice((1, 1, 2, 3)))
     return MultiPoly(m, n, terms)
 
 
@@ -258,7 +259,7 @@ def _random_case(rng):
         return m, n, d * d * _random_poly(rng, m, n, 1) + _power(x, k) + neg(_power(y, k))
     f = MultiPoly(m, n)
     for _ in range(rng.randint(1, 3)):
-        term = MultiPoly.constant(m, n, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        term = MultiPoly.constant(m, n, rng.randint(-3, 3) * (6 // rng.randint(1, 3)))
         for _ in range(rng.randint(0, 2)):
             term = term * e_super(rng.randint(1, 3), m, n)
         f = f + term
@@ -308,7 +309,7 @@ class TestMembership:
         x1 = MultiPoly.x(m, n, 1)
         y1 = MultiPoly.y(m, n, 1)
         y2 = MultiPoly.y(m, n, 2)
-        f = x1 * y2 + (x1 * x1 + y2 * y2) * Fraction(-1, 2) + y1
+        f = 2 * x1 * y2 + neg(x1 * x1 + y2 * y2) + 2 * y1
         assert in_J(f, m, n, s_minus)
         assert not in_I(f, m, n)
 
@@ -345,7 +346,7 @@ class TestIntersectionLaw:
             for _ in range(rng.randint(1, 3)):
                 e = tuple(rng.randint(0, 2) for _ in range(m + n))
                 if sum(e) <= 5:
-                    terms[e] = Fraction(rng.randint(-4, 4))
+                    terms[e] = rng.randint(-4, 4)
             f = symmetrize(MultiPoly(m, n, terms))
             assert in_I(f, m, n) == in_J(f, m, n, s_minus)
             agree += 1
@@ -432,7 +433,7 @@ class TestOnePassRoutes:
             for _ in range(rng.randint(1, 3)):
                 exps = tuple(rng.randint(0, 2) for _ in range(m + n))
                 if sum(exps) <= 5:
-                    terms[exps] = Fraction(rng.randint(-3, 3))
+                    terms[exps] = rng.randint(-3, 3)
             f = symmetrize(MultiPoly(m, n, terms))
             got = in_I(f, m, n)
             assert got == _ref_in_I(f, m, n), (m, n, f)
@@ -553,12 +554,13 @@ class TestCongruenceKeys:
 
     @pytest.mark.parametrize("m,n", CONGRUENCE_SHAPES)
     def test_rational_coefficients_cancel_across_keys(self, m, n):
-        # x_i^2/2 - y_j^2/2 passes at (i, j); scaling one side breaks it
+        # x_i^2/2 - y_j^2/2 passes at (i, j); scaling one side, as in
+        # x_i^2/2 - y_j^2/3, breaks it.  Both are cleared of denominators
         for i, j in ((1, 1), (m, n), (1, n), (m, 1)):
             x2 = _power(MultiPoly.x(m, n, i), 2)
             y2 = _power(MultiPoly.y(m, n, j), 2)
-            f = x2 * Fraction(1, 2) + y2 * Fraction(-1, 2)
-            g = x2 * Fraction(1, 2) + y2 * Fraction(-1, 3)
+            f = x2 * 3 + y2 * -3
+            g = x2 * 3 + y2 * -2
             assert _congruence_holds(f, i, j) and _ref_congruence(f, i, j)
             assert not _congruence_holds(g, i, j) and not _ref_congruence(g, i, j)
 

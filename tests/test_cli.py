@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -715,6 +716,17 @@ class TestCbLines:
 CB_ARGV = ["cb", "--N", "3", "--signs", "++--", "--key", "1,2;2,1"]
 
 
+def _read_signed(path):
+    """The JSON below a cache file's digest line."""
+    return json.loads(path.read_bytes().partition(b"\n")[2])
+
+
+def _write_signed(path, blob):
+    """Write the bytes blob under a digest line that matches them, so a read
+    gets past the digest to the checks behind it."""
+    path.write_bytes(hashlib.sha256(blob).hexdigest().encode() + b"\n" + blob)
+
+
 class TestCachedFamilies:
     """Reads of a family file: one vector decoded per key asked for, and a
     file whose keys or coefficients are wrong never changes an output byte."""
@@ -734,12 +746,12 @@ class TestCachedFamilies:
     def _edit(self, path, result):
         """Rewrite the file with its result replaced by result, or changed in
         place by it when it is a function."""
-        data = json.loads(path.read_text())
+        data = _read_signed(path)
         if callable(result):
             result(data["result"])
         else:
             data["result"] = result
-        path.write_text(json.dumps(data, sort_keys=True))
+        _write_signed(path, json.dumps(data, sort_keys=True).encode())
 
     @pytest.mark.parametrize("extra,decoded", [([], 1), (["--pair-with", "2,1;1,2"], 2)])
     def test_warm_call_decodes_only_what_it_prints(self, warm, monkeypatch, extra, decoded):
@@ -772,7 +784,8 @@ class TestCachedFamilies:
         assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain
         assert path.read_bytes() == original
 
-    # JSON values, and bytes that are not UTF-8, nest too deep or are cut short
+    # JSON values, and bytes that are not UTF-8, nest too deep or are cut
+    # short, each under a digest line that matches it
     @pytest.mark.parametrize("stored", [
         [], "family", 3, None, pytest.param(b"\xff\xfe{}", id="not-utf8"),
         pytest.param(b"[" * 200_000, id="too-deep"),
@@ -781,7 +794,7 @@ class TestCachedFamilies:
     def test_file_that_is_not_an_object_is_a_miss(self, warm, stored):
         path, plain = warm
         original = path.read_bytes()
-        path.write_bytes(stored if isinstance(stored, bytes) else json.dumps(stored).encode())
+        _write_signed(path, stored if isinstance(stored, bytes) else json.dumps(stored).encode())
         assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain
         assert path.read_bytes() == original
 
@@ -808,7 +821,7 @@ class TestCachedFamilies:
                   for k in sorted(qcanon._weight_space_keys(3, "++--", weight))]
         monkeypatch.setattr(cache, "_cache_dir", str(path.parent))
         old = path.parent / os.path.basename(cache._path(request))
-        old.write_text(json.dumps({"request": request, "result": {"family": family}}))
+        _write_signed(old, json.dumps({"request": request, "result": {"family": family}}).encode())
         blob = old.read_bytes()
         assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain
         assert path.exists() and old.read_bytes() == blob
@@ -834,7 +847,7 @@ class TestCachedFamilies:
         of a fresh copy of the file."""
         original = path.read_bytes()
         for name, poison in self.POISONS.items():
-            data = json.loads(original)
+            data = json.loads(original.partition(b"\n")[2])
             i = data["result"]["keys"].index(key)
             if poison is None:
                 data["result"]["vecs"][i] = data["result"]["vecs"][i][:-1]
@@ -842,7 +855,7 @@ class TestCachedFamilies:
                 items = json.loads(data["result"]["vecs"][i])
                 poison(items)
                 data["result"]["vecs"][i] = json.dumps(items)
-            path.write_text(json.dumps(data, sort_keys=True))
+            _write_signed(path, json.dumps(data, sort_keys=True).encode())
             monkeypatch.setattr(qcanon, "_family_memo", {})
             yield name
 
@@ -856,6 +869,27 @@ class TestCachedFamilies:
         path, plain = warm
         for name in self._each_poison(path, [2, 1, 1, 2], monkeypatch):
             assert call_main(["--cache-dir", str(path.parent), *CB_ARGV]) == plain, name
+
+    @pytest.mark.parametrize("keep_digest", [True, False], ids=["digest-stale", "digest-gone"])
+    def test_tampered_coefficient_is_recomputed(self, tmp_path, monkeypatch, keep_digest):
+        # key (1, 2, 2) of the N=3 ++- dual family, its coefficient -1 edited
+        # to -7 below the file's digest line, or with that line removed
+        argv = ["cb", "--N", "3", "--signs", "++-", "--key", "1,2;2"]
+        monkeypatch.setattr(cache, "_cache_dir", None)
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        plain = call_main(["--no-cache", *argv])
+        assert plain[0] == 0 and '"-1"' in plain[1]
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        assert call_main(["--cache-dir", str(tmp_path), *argv]) == plain
+        (path,) = tmp_path.iterdir()
+        original = path.read_bytes()
+        digest, _, blob = original.partition(b"\n")
+        edited = blob.replace(b'"[[0,1,-1],[1,0,1]]"', b'"[[0,1,-7],[1,0,1]]"')
+        assert edited.count(b"-7") == 1
+        path.write_bytes(digest + b"\n" + edited if keep_digest else edited)
+        monkeypatch.setattr(qcanon, "_family_memo", {})
+        assert call_main(["--cache-dir", str(tmp_path), *argv]) == plain
+        assert path.read_bytes() == original
 
 
 # Flag values built from the value parsers' own vocabulary.  A number is

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,26 +42,16 @@ class TestCoefficientTypes:
         f = (x(1) + -2 * y(2)) * (x(2) + y(1)) * 3
         assert f.terms and all(type(c) is int for c in f.terms.values())
 
-    def test_symmetrize_yields_fractions(self):
-        from wblocks.center import symmetrize
-
-        f = symmetrize(x(1))
-        assert f.terms == {(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): Fraction(1, 2)}
-        assert all(type(c) is Fraction for c in f.terms.values())
-        # an integral average comes back as int
-        g = symmetrize(x(1) + x(2))
-        assert g == x(1) + x(2)
-        assert all(type(c) is int for c in g.terms.values())
-
-    def test_integral_fraction_sum_becomes_int(self):
-        half = MultiPoly.constant(2, 2, Fraction(1, 2)) * x(1)
-        assert all(type(c) is int for c in (half + half).terms.values())
-        assert type((half * 2).terms[(1, 0, 0, 0)]) is int
-
-    def test_int_equals_fraction_of_same_value(self):
-        a = MultiPoly(1, 1, {(1, 0): 3, (0, 1): -1})
-        b = MultiPoly(1, 1, {(1, 0): Fraction(3), (0, 1): Fraction(-2, 2)})
-        c = MultiPoly._raw(1, 1, {(1, 0): Fraction(3), (0, 1): Fraction(-1)})
-        assert a == b == c
-        assert a.to_json() == b.to_json() == c.to_json()
-        assert repr(a) == repr(b) == repr(c)
+    @pytest.mark.parametrize("make", [
+        lambda: MultiPoly(2, 2, {(1, 0, 0, 0): Fraction(1, 2)}),
+        lambda: MultiPoly(2, 2, {(1, 0, 0, 0): Fraction(2)}),
+        lambda: MultiPoly(2, 2, {(1, 0, 0, 0): 1.0}),
+        lambda: MultiPoly.constant(2, 2, Fraction(1, 3)),
+        lambda: x(1) * Fraction(1, 2),
+        lambda: Fraction(1, 2) * x(1),
+        lambda: x(1) + Fraction(1, 2),
+        lambda: Fraction(3) + x(1),
+    ])
+    def test_non_int_coefficient_or_scalar_raises(self, make):
+        with pytest.raises(TypeError):
+            make()

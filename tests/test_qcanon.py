@@ -874,12 +874,20 @@ class TestJsonAndCache:
 
     def test_family_cache_files_pinned(self, tmp_path):
         # sha256 of both family files of N=3 +++--- at weight 0 (93 vectors
-        # each): file names pin the request format, contents every coefficient
+        # each): file names pin the request format, contents every coefficient.
+        # A file's first line is the sha256 of the JSON below it, which is the
+        # whole file of the layout before digest lines, so it pins that too
         expected = {
             "b59e1e2a58928f570ee759052c9e567a68e511f96765196d8afeb89c7b756d23.json":
-                "b20aa9f15143905aa16e832c5281daf80da36c835c5845fd19e3d9c7def31515",
+                "e2c31277c91e57ecac3bf2902030e45ee604dea6fb63fe75d85c001988fed6d1",
             "e007103ccf9f24978a5e0d9013899e66483b8f064f764166693f569dc88f74cc.json":
-                "1edc6ef4a5dd3ed556706c06c9ddc876b997e2e1f1f0341f905672e849085146",
+                "75b3fe53779845659419e331aa8068f6f18167e2b55c303cc774faa62053a859",
+        }
+        first_lines = {
+            "b59e1e2a58928f570ee759052c9e567a68e511f96765196d8afeb89c7b756d23.json":
+                b"b20aa9f15143905aa16e832c5281daf80da36c835c5845fd19e3d9c7def31515",
+            "e007103ccf9f24978a5e0d9013899e66483b8f064f764166693f569dc88f74cc.json":
+                b"1edc6ef4a5dd3ed556706c06c9ddc876b997e2e1f1f0341f905672e849085146",
         }
         old = cache.current_dir()
         cache.configure(str(tmp_path))
@@ -892,6 +900,8 @@ class TestJsonAndCache:
             qc._family_memo.clear()
         got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
         assert got == expected
+        lines = {f.name: f.read_bytes().partition(b"\n")[0] for f in tmp_path.iterdir()}
+        assert lines == first_lines
 
     def test_family_root_keys_take_the_walk(self, monkeypatch):
         # each canonical root key takes psi by the crossing walk, at its own

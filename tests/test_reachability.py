@@ -40,6 +40,7 @@ PYTEST_REPR = "pytest prints it when an assertion fails"
 # qualified name -> why it stays although no program path enters it
 ALLOWLIST = {
     "laurent.LaurentQ.__sub__": "bench/tracer.py wraps it for laurent.add",
+    "multipoly.MultiPoly.__mul__": "bench/tracer.py wraps it for multipoly.mul",
     "qcanon.TensorVec.scaled": "bench/run.py inject_fault scales a faulted psi_star by q",
     "characters.CompChar.__repr__": PYTEST_REPR,
     "multipoly.MultiPoly.__repr__": PYTEST_REPR,

@@ -5,6 +5,9 @@ public class, must be referenced somewhere in the package outside every
 definition of the same name: a function, class or module-level name by name
 or import, a method as an attribute.
 So BlockKey.to_json calling self.mu.to_json() is no use of Composition.to_json.
+A reference in bench/ counts as well: the benchmark uses the program as the
+package does, and tests/test_reachability.py's ALLOWLIST names whatever only
+bench/ enters, with that reason.
 Properties are data, not methods, and are left out.  Tests may call a
 definition too, but one that only tests reach is dead weight: an oracle the
 tests compare the program against belongs in verify.py.
@@ -16,7 +19,9 @@ __all__.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wblocks"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wblocks"
+BENCH = ROOT / "bench"
 
 def _is_property(node):
     return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
@@ -58,6 +63,8 @@ def test_every_public_definition_is_used_by_the_package():
         spans.setdefault(name, []).append((file, node.lineno, node.end_lineno))
     refs = [(file, *r) for file, tree in trees.items() for r in _references(tree)
             if not any(file == f and lo <= r[1] <= hi for f, lo, hi in spans.get(r[0], ()))]
+    refs += [(path.name, *r) for path in sorted(BENCH.glob("*.py"))
+             for r in _references(ast.parse(path.read_text()))]
     unused = []
     for file, name, node, method in defs:
         if name.startswith("_"):
