@@ -239,6 +239,7 @@ def _random_poly(rng, m, n, max_exp=2):
     terms = {}
     for _ in range(rng.randint(1, 4)):
         e = tuple(rng.randint(0, max_exp) for _ in range(m + n))
+        # a / d with d in {1, 2, 3}, cleared of denominators
         terms[e] = rng.randint(-4, 4) * (6 // rng.choice((1, 1, 2, 3)))
     return MultiPoly(m, n, terms)
 
@@ -259,6 +260,7 @@ def _random_case(rng):
         return m, n, d * d * _random_poly(rng, m, n, 1) + _power(x, k) + neg(_power(y, k))
     f = MultiPoly(m, n)
     for _ in range(rng.randint(1, 3)):
+        # a / d with d in {1, 2, 3}, cleared of denominators
         term = MultiPoly.constant(m, n, rng.randint(-3, 3) * (6 // rng.randint(1, 3)))
         for _ in range(rng.randint(0, 2)):
             term = term * e_super(rng.randint(1, 3), m, n)
