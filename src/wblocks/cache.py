@@ -9,9 +9,10 @@ or off, computed results are byte-identical, only timing changes.
 A file holds the sha256 hex digest of its JSON blob on its first line, then
 the blob {"request": ..., "result": ...}.  A file whose digest line does not
 match the bytes that follow it is a miss, so a corrupted or edited file is
-recomputed and rewritten, never served.  Callers version their own requests
-(a "format" field), so a file of an older layout hashes to another name and
-is never read; see qcanon._basis_family for the family layout.
+recomputed and rewritten, never served; so is a file written before digest
+lines were.  Callers version their own requests (a "format" field), so a
+change of request format moves a file to another name; see
+qcanon._basis_family for the family layout.
 """
 
 from __future__ import annotations

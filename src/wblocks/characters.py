@@ -7,6 +7,7 @@ from __future__ import annotations
 from math import comb
 
 from .combinat import BlockKey, Composition
+from .multipoly import _acc
 
 # ---------------------------------------------------------------------------
 # W-side characters over compositions
@@ -132,12 +133,7 @@ def decompose_char(c: CompChar, xi: BlockKey) -> dict:
         lam = Composition.from_items(items)
         if lam.total != xi.t:
             raise NotInBlockSpan(f"leading term {head!r} has wrong size")
-        for comp, v in ch_simple_w(xi, lam).terms.items():
-            s = residue.get(comp, 0) - mult * v
-            if s:
-                residue[comp] = s
-            else:
-                del residue[comp]
+        _acc(residue, ch_simple_w(xi, lam).terms, scale=-mult)
         out[lam] = out.get(lam, 0) + mult
         if not residue:
             return out

@@ -14,7 +14,8 @@ from operator import add
 def _acc(out: dict, terms: dict, shift=None, scale=1):
     """out += scale * x^shift * terms, in place, zeros dropped.  The one
     MultiPoly kernel: MultiPoly.__init__, __add__ and __mul__, the block
-    recurrences of center.hc_series_coeff and center.symmetrize call it."""
+    recurrences of center.hc_series_coeff and center.symmetrize call it, and
+    characters.decompose_char, unshifted, on its CompChar residue."""
     for k, c in terms.items():
         if shift is not None:
             k = tuple(map(add, shift, k))

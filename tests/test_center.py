@@ -108,6 +108,12 @@ class TestIsSymmetric:
                 assert is_symmetric(e_super(r, m, n))
         f = MultiPoly(2, 2, {(2, 0, 1, 0): 3, (0, 1, 0, 3): 1})
         assert is_symmetric(symmetrize(f)) and not is_symmetric(f)
+        # the orbit sum over the 4 permutations of S_2 x S_2, each image once
+        x1, x2 = MultiPoly.x(2, 2, 1), MultiPoly.x(2, 2, 2)
+        y1, y2 = MultiPoly.y(2, 2, 1), MultiPoly.y(2, 2, 2)
+        assert symmetrize(x1) == 2 * (x1 + x2)
+        assert symmetrize(x1 + x2) == 4 * (x1 + x2)
+        assert symmetrize(x1 * y1) == (x1 + x2) * (y1 + y2)
 
     @pytest.mark.parametrize("m,n,terms", [
         (2, 0, {(1, 0): 1}),  # x1 alone

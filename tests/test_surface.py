@@ -5,9 +5,8 @@ public class, must be referenced somewhere in the package outside every
 definition of the same name: a function, class or module-level name by name
 or import, a method as an attribute.
 So BlockKey.to_json calling self.mu.to_json() is no use of Composition.to_json.
-A reference in bench/ counts as well: the benchmark uses the program as the
-package does, and tests/test_reachability.py's ALLOWLIST names whatever only
-bench/ enters, with that reason.
+BENCH_ONLY names what only a file under bench/ uses, with that file; an
+entry the package uses, or that is no longer defined, fails.
 Properties are data, not methods, and are left out.  Tests may call a
 definition too, but one that only tests reach is dead weight: an oracle the
 tests compare the program against belongs in verify.py.
@@ -19,29 +18,33 @@ __all__.
 import ast
 import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "wblocks"
-BENCH = ROOT / "bench"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wblocks"
+
+# file:qualified name -> the bench/ use that keeps it; tests/test_reachability.py's
+# ALLOWLIST gives the same reason
+BENCH_ONLY = {
+    "qcanon.py:TensorVec.scaled": "bench/run.py inject_fault scales a faulted psi_star by q",
+}
 
 def _is_property(node):
     return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
 
 
 def _definitions(tree):
-    """(name, node, is_method) of the top-level functions, classes and
-    assigned names and of the methods of the public top-level classes,
-    properties left out."""
+    """(name, qualified name, node, is_method) of the top-level functions,
+    classes and assigned names and of the methods of the public top-level
+    classes, properties left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node, False
+            yield node.name, node.name, node, False
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 if isinstance(target, ast.Name):
-                    yield target.id, node, False
+                    yield target.id, target.id, node, False
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not _is_property(item):
-                    yield item.name, item, True
+                    yield item.name, f"{node.name}.{item.name}", item, True
 
 
 def _references(tree):
@@ -59,19 +62,23 @@ def test_every_public_definition_is_used_by_the_package():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     defs = [(file, *d) for file, tree in trees.items() for d in _definitions(tree)]
     spans: dict = {}  # name -> (file, first line, last line) of each definition
-    for file, name, node, _ in defs:
+    for file, name, _, node, _ in defs:
         spans.setdefault(name, []).append((file, node.lineno, node.end_lineno))
     refs = [(file, *r) for file, tree in trees.items() for r in _references(tree)
             if not any(file == f and lo <= r[1] <= hi for f, lo, hi in spans.get(r[0], ()))]
-    refs += [(path.name, *r) for path in sorted(BENCH.glob("*.py"))
-             for r in _references(ast.parse(path.read_text()))]
-    unused = []
-    for file, name, node, method in defs:
+    unused, stale = [], set(BENCH_ONLY)
+    for file, name, qual, node, method in defs:
         if name.startswith("_"):
             continue
-        if not any(r == name and (attr or not method) for _, r, _, attr in refs):
+        used = any(r == name and (attr or not method) for _, r, _, attr in refs)
+        key = f"{file}:{qual}"
+        if key in BENCH_ONLY:
+            if not used:
+                stale.discard(key)
+        elif not used:
             unused.append(f"{file}:{node.lineno} {name}")
     assert not unused, "public definitions no program code uses: " + ", ".join(unused)
+    assert not stale, "BENCH_ONLY entries used by the package or not defined: " + ", ".join(stale)
 
 
 def _imported_names(tree):
