@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial, isqrt, perm
 
-from .combinat import BlockKey, Composition
+from .combinat import BlockKey, Composition, compositions_in_window
 from .laurent import ONE, ZERO, LaurentQ, _addmul, qbinom, qfact_quotient
 
 # ---------------------------------------------------------------------------
@@ -476,20 +476,6 @@ def _invert_demon_value(t: int, target: Fraction, gi1: int):
 
 # ---------------------------------------------------------------------------
 # Cartan windows
-
-
-def compositions_in_window(t: int, lo: int, hi: int):
-    """All compositions of t supported in [lo, hi], lo <= hi, in
-    lexicographic order of (offset, parts).  Each is read off one choice of
-    hi - lo bars among t + hi - lo slots, the parts being the runs of free
-    slots between them."""
-    slots = t + hi - lo
-    out = []
-    for bars in itertools.combinations(range(slots), hi - lo):
-        cuts = (-1,) + bars + (slots,)
-        out.append(Composition([b - a - 1 for a, b in zip(cuts, cuts[1:])], lo))
-    out.sort(key=lambda c: (c.offset, c.parts))
-    return out
 
 
 def cartan_matrix(xi: BlockKey, lams, graded: bool = False):

@@ -1,10 +1,11 @@
 """Content-addressed JSON result cache.
 
 Files live under a cache directory as <sha256-of-request>.json and are
-written atomically (temp file then rename), so concurrent writers of the
-same key are harmless.  The cache is disabled unless a directory is
-configured (WBLOCKS_CACHE environment variable or configure()); with it on
-or off, computed results are byte-identical, only timing changes.
+written atomically (<path>.<pid>.tmp, then renamed over <path>), so
+concurrent writers of the same key are harmless.  The cache is disabled
+unless a directory is configured (WBLOCKS_CACHE environment variable or
+configure()); with it on or off, computed results are byte-identical, only
+timing changes.
 
 A file holds the sha256 hex digest of its JSON blob on its first line, then
 the blob {"request": ..., "result": ...}.  A file whose digest line does not
@@ -20,7 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+
+from .jsonfmt import compact, spaced
 
 _cache_dir: str | None = os.environ.get("WBLOCKS_CACHE") or None
 
@@ -37,7 +39,7 @@ def current_dir() -> str | None:
 
 
 def _path(request) -> str:
-    blob = json.dumps(request, sort_keys=True, separators=(",", ":"))
+    blob = compact(request)
     digest = hashlib.sha256(blob.encode()).hexdigest()
     return os.path.join(_cache_dir, f"{digest}.json")
 
@@ -60,21 +62,20 @@ def get(request):
 
 def put(request, result):
     """Write result for request; a directory that cannot be made or written
-    to (any OSError) skips the write, and the temp file is removed."""
+    to (any OSError) skips the write, and the temp file is removed.  The temp
+    file's name holds the writer's pid, so no two live writers share one."""
     if _cache_dir is None:
         return
     path = _path(request)
-    blob = json.dumps({"request": request, "result": result}, sort_keys=True).encode()
-    tmp = None
+    blob = spaced({"request": request, "result": result}).encode()
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(_cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=_cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(hashlib.sha256(blob).hexdigest().encode() + b"\n" + blob)
         os.replace(tmp, path)
     except OSError:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from . import blockan, cache, center, characters, combinat, qcanon
 from .combinat import BlockKey, Composition, Window
+from .jsonfmt import compact, spaced
 
 
 class UsageError(Exception):
@@ -117,7 +118,7 @@ def parse_key(text: str):
 
 
 def _emit(obj):
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(compact(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +128,14 @@ def _emit(obj):
 def cmd_blocks(args) -> int:
     w = parse_window(args.window)
     width = w.hi - w.lo + 1
+    # bounds the output: each key is realized by an anti-dominant tableau with
+    # entries in w, and there are fewer than width ** (m + n) of those; the
+    # message names the tableau enumeration this guard bounded before the
+    # keys were enumerated directly
     if width ** (args.m + args.n) > 10**7:
         raise ResourceError("window too wide for exhaustive tableau enumeration")
     keys = combinat.blocks_in_window(args.m, args.n, w)
-    out = sorted(
-        (k.to_json() for k in keys),
-        key=lambda d: (d["t"], json.dumps(d, sort_keys=True)),
-    )
+    out = sorted((k.to_json() for k in keys), key=lambda d: (d["t"], spaced(d)))
     _emit({"blocks": out, "count": len(out)})
     return 0
 
@@ -156,7 +158,7 @@ def cmd_verma_mult(args) -> int:
 
 
 def _matrix_labels(xi: BlockKey, w: Window):
-    return blockan.compositions_in_window(xi.t, w.lo, w.hi)
+    return combinat.compositions_in_window(xi.t, w.lo, w.hi)
 
 
 def cmd_cartan(args, graded: bool) -> int:
@@ -178,7 +180,7 @@ def cmd_cartan(args, graded: bool) -> int:
             cells = []
             for v in row:
                 if graded:
-                    cells.append('"' + json.dumps(v.to_json()["coeffs"], sort_keys=True).replace('"', '""') + '"')
+                    cells.append('"' + spaced(v.to_json()["coeffs"]).replace('"', '""') + '"')
                 else:
                     cells.append(str(v))
             rows.append(f'"{label}",' + ",".join(cells))
@@ -224,14 +226,9 @@ def _entry_to_int(v):
 def cmd_equiv(args) -> int:
     xi = parse_block(args.block, args.m, args.n)
     t, m, n, transpose = combinat.invariant_signature(xi)
-    moves = sorted(
-        (k.to_json() for k in combinat.morita_moves(xi)),
-        key=lambda d: json.dumps(d, sort_keys=True),
-    )
-    closure = sorted(
-        (k.to_json() for k in combinat.morita_closure(xi, args.closure_width)),
-        key=lambda d: json.dumps(d, sort_keys=True),
-    )
+    moves = sorted((k.to_json() for k in combinat.morita_moves(xi)), key=spaced)
+    closure = sorted((k.to_json() for k in combinat.morita_closure(xi, args.closure_width)),
+                     key=spaced)
     _emit(
         {
             "signature": {"t": t, "m": m, "n": n, "gamma_transpose": list(transpose)},

@@ -136,6 +136,20 @@ class Composition:
         return f"Composition({list(self.parts)}, offset={self.offset})"
 
 
+def compositions_in_window(t: int, lo: int, hi: int):
+    """All compositions of t supported in [lo, hi], lo <= hi, in
+    lexicographic order of (offset, parts).  Each is read off one choice of
+    hi - lo bars among t + hi - lo slots, the parts being the runs of free
+    slots between them."""
+    slots = t + hi - lo
+    out = []
+    for bars in itertools.combinations(range(slots), hi - lo):
+        cuts = (-1,) + bars + (slots,)
+        out.append(Composition([b - a - 1 for a, b in zip(cuts, cuts[1:])], lo))
+    out.sort(key=lambda c: (c.offset, c.parts))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # pyramids and tableaux
 
@@ -461,12 +475,19 @@ def closure_classes(p: Pyramid, w: Window):
 
 
 def blocks_in_window(m: int, n: int, w: Window):
-    """All block keys realized by anti-dominant tableaux with entries in w."""
-    p = Pyramid(m, n, 0)
+    """All block keys realized by anti-dominant tableaux with entries in w.
+
+    A tableau's cores (mu, nu) are its unmatched entries, so they lie in w
+    and have disjoint supports, and t <= m.  Conversely tableau_of(key, lam)
+    realizes such a key for any lam of size t in w: matching lam + mu
+    against lam + nu leaves exactly lam matched.  So the keys are, for each
+    t <= m, the pairs of cores of sizes m - t and n - t in w with disjoint
+    supports, and no tableau is built."""
+    Pyramid(m, n)  # ValueError unless 0 <= m <= n
     keys = set()
-    vals = list(w.values())
-    for top in itertools.combinations_with_replacement(vals, m):
-        for bot in itertools.combinations_with_replacement(vals, n):
-            A = Tableau(p, top, tuple(reversed(bot)))
-            keys.add(block_key(A))
+    for t in range(m + 1):
+        nus = [(nu, set(nu.support())) for nu in compositions_in_window(n - t, w.lo, w.hi)]
+        for mu in compositions_in_window(m - t, w.lo, w.hi):
+            taken = set(mu.support())
+            keys.update(BlockKey(mu, nu, t, m, n) for nu, own in nus if taken.isdisjoint(own))
     return keys

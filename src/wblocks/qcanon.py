@@ -14,6 +14,7 @@ from math import comb
 from .combinat import Composition, is_anti_dominant, match_rows, weight_of
 from .laurent import ONE, ZERO, LaurentQ, _addmul, qbinom, qfact
 from . import cache as _cache
+from .jsonfmt import compact
 
 
 def _acc(acc: dict, terms, b: dict):
@@ -537,19 +538,22 @@ def _encode_vec(rank: dict, vec: TensorVec) -> str:
     """One vector of a family file: a compact JSON list of items
     [rank, e1, c1, e2, c2, ...], one per term, in ascending rank order, with
     the term's exponents ascending; rank maps each key to its index in the
-    file's keys."""
+    file's keys.  The list holds no dict, so compact's sorted keys leave it
+    as json.dumps(items, separators=(",", ":")) writes it."""
     items = sorted(
         [rank[k], *itertools.chain.from_iterable(sorted(c.items()))]
         for k, c in vec.terms.items()
     )
-    return json.dumps(items, separators=(",", ":"))
+    return compact(items)
 
 
-def _decode_vec(N: int, signs: str, keys: list, text: str) -> TensorVec:
-    """The inverse of _encode_vec, given the file's keys.  Raises ValueError
-    unless text is a list of such items with ranks in range and ascending,
-    exponents ascending, and every exponent and coefficient an int (not a
-    bool) with no coefficient zero."""
+def _decode_vec(N: int, signs: str, keys: list, key: tuple, text: str) -> TensorVec:
+    """The inverse of _encode_vec, given the file's keys, for the basis
+    vector of key.  Raises ValueError unless text is a list of such items
+    with ranks in range and ascending, exponents ascending, and every
+    exponent and coefficient an int (not a bool) with no coefficient zero;
+    and unless, as for every vector _lusztig builds, the term at key is
+    {0: 1} and every other coefficient lies in qZ[q]."""
     try:
         items = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -572,7 +576,11 @@ def _decode_vec(N: int, signs: str, keys: list, text: str) -> TensorVec:
                 raise ValueError(f"cached family term has a bad pair {e!r}, {c!r}")
             coeffs[e] = c
             prev = e
+        if keys[r] != key and item[1] < 1:
+            raise ValueError(f"cached family term at {keys[r]} is not in qZ[q]")
         terms[keys[r]] = coeffs
+    if terms.get(key) != {0: 1}:
+        raise ValueError(f"cached family vector of {key} is not 1 at its own key")
     return TensorVec._from_raw(N, signs, terms)
 
 
@@ -640,7 +648,7 @@ def _basis_vector(N: int, top, bottom, dual: bool) -> TensorVec:
     family = _basis_family(N, signs, weight_of(top, bottom), dual)
     vec = family[key]
     if type(vec) is str:  # undecoded, from the file cache
-        vec = family[key] = _decode_vec(N, signs, list(family), vec)
+        vec = family[key] = _decode_vec(N, signs, list(family), key, vec)
     return vec
 
 

@@ -839,6 +839,10 @@ class TestCachedFamilies:
         "pair-incomplete": lambda items: items[0].append(1),
         "exp-repeated": lambda items: items[0].extend(items[0][1:3]),
         "not-items": lambda items: items.__setitem__(0, 1),
+        # well-formed items, but no basis vector: its own key's term (the one
+        # at q^0) is not 1, or a lower term has a constant
+        "own-key-not-unit": lambda items: next(i for i in items if i[1] == 0).__setitem__(2, 2),
+        "lower-term-constant": lambda items: next(i for i in items if i[1] > 0).__setitem__(1, 0),
         "not-json": None,
     }
 
@@ -962,6 +966,25 @@ class TestDeterminismAndCache:
         unwritable = run_cli(["--cache-dir", str(tmp_path / "file"), *args])
         assert (unwritable.returncode, unwritable.stdout, unwritable.stderr) == (0, plain.stdout, "")
         assert plain.returncode == 0 and (tmp_path / "file").read_text() == ""
+
+    def test_put_leaves_only_digest_files(self, tmp_path, monkeypatch):
+        # after a write, a rewrite of the same key, and a write whose rename
+        # fails, the directory holds only <digest>.json files
+        monkeypatch.setattr(cache, "_cache_dir", str(tmp_path))
+        request = {"kind": "test", "n": 1}
+        name = os.path.basename(cache._path(request))
+        assert re.fullmatch(r"[0-9a-f]{64}\.json", name)
+        cache.put(request, [1])
+        assert [f.name for f in tmp_path.iterdir()] == [name]
+        cache.put(request, [2])
+        assert [f.name for f in tmp_path.iterdir()] == [name] and cache.get(request) == [2]
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(os, "replace", refuse)
+        cache.put(request, [3])
+        cache.put({"kind": "test", "n": 2}, [4])
+        assert [f.name for f in tmp_path.iterdir()] == [name] and cache.get(request) == [2]
 
     def test_cache_env_var(self, tmp_path):
         args = ["cb", "--N", "2", "--signs", "+-", "--key", "2;1"]

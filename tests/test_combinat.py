@@ -16,6 +16,7 @@ from wblocks.combinat import (
     aligned_tableau,
     atyp,
     block_key,
+    blocks_in_window,
     closure_classes,
     defect,
     derived_move,
@@ -201,6 +202,23 @@ class TestBlockKeys:
         text = json.dumps([xi.to_json() for xi in keys], sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "30294848028f1e1cd7107a9f163941afd79f82c75599e320923cfa007fd3b78f")
+
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (0, 1), (-1, 1), (-1, 2), (0, 3), (-2, 2)])
+    def test_blocks_in_window_are_the_keys_of_its_tableaux(self, lo, hi):
+        # the reference: block_key of every anti-dominant tableau with
+        # entries in the window, the enumeration blocks_in_window replaced
+        vals = range(lo, hi + 1)
+        for m in range(5):
+            for n in range(m, 5):
+                ref = {block_key(Tableau(Pyramid(m, n), top, tuple(reversed(bot))))
+                       for top in itertools.combinations_with_replacement(vals, m)
+                       for bot in itertools.combinations_with_replacement(vals, n)}
+                assert blocks_in_window(m, n, Window(lo, hi)) == ref, (m, n)
+
+    def test_blocks_in_window_needs_a_pyramid(self):
+        for m, n in [(3, 2), (-1, 2)]:
+            with pytest.raises(ValueError, match="need 0 <= m <= n"):
+                blocks_in_window(m, n, Window(0, 1))
 
     def test_weight_of(self):
         assert weight_of((5,), (5,)) == ()

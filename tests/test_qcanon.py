@@ -849,10 +849,20 @@ class TestJsonAndCache:
         for k in keys:
             for v in (dual_canonical(3, k[:2], k[2:]), canonical(3, k[:2], k[2:])):
                 text = qc._encode_vec(rank, v)
-                assert qc._decode_vec(3, "++--", keys, text) == v
+                assert qc._decode_vec(3, "++--", keys, k, text) == v
         v = TensorVec(3, "++--", {keys[2]: LaurentQ({-3: 2, 5: -1}), keys[0]: ONE})
         assert qc._encode_vec(rank, v) == "[[0,0,1],[2,-3,2,5,-1]]"
-        assert qc._decode_vec(3, "++--", keys, "[]") == TensorVec(3, "++--")
+        v = TensorVec(3, "++--", {keys[2]: LaurentQ({1: 2, 5: -1}), keys[0]: ONE})
+        assert qc._decode_vec(3, "++--", keys, keys[0], "[[0,0,1],[2,1,2,5,-1]]") == v
+
+    @pytest.mark.parametrize("own,text", [
+        (0, "[]"), (1, "[[0,0,1]]"), (0, "[[0,0,2]]"), (0, "[[0,0,1,1,1]]"), (0, "[[0,1,1]]"),
+        (0, "[[0,0,1],[2,-3,2,5,-1]]"), (0, "[[0,0,1],[2,0,2]]"), (2, "[[0,0,1],[2,0,1]]"),
+    ])
+    def test_decoded_vector_is_unit_at_its_key_and_in_qZq_elsewhere(self, own, text):
+        keys = sorted(qc._weight_space_keys(3, "++--", ((1, 1), (2, -1))))
+        with pytest.raises(ValueError):
+            qc._decode_vec(3, "++--", keys, keys[own], text)
 
     def test_file_cache_round_trip(self, tmp_path):
         from wblocks import cache
